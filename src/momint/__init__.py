@@ -7,7 +7,6 @@ products and semialgebraic data, spectral-measure reconstruction by Gauss
 quadrature, and the complex disc criterion on the pair semigroup.
 """
 
-from ._kernel import BACKEND as _KERNEL_BACKEND
 from .bounds import (
     GrowthBound,
     GrowthRayleighComparison,
@@ -42,6 +41,7 @@ from .exceptions import (
     CeilingExceededError,
     CoverageError,
     DegreeOverflowError,
+    EigensolverError,
     MomintError,
     NotNormalizedError,
     NotPsdError,
@@ -86,5 +86,5 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Which rotation kernel is active: 'compiled' or 'python'."""
-    return _KERNEL_BACKEND
+    """The eigensolver backend: always 'lapack' (``numpy.linalg.eigh``)."""
+    return "lapack"

@@ -21,7 +21,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from .certify import run_check_config
 from .exceptions import (
-    CoverageError,
     DegreeOverflowError,
     MomintError,
     NotNormalizedError,
@@ -442,13 +441,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegreeOverflowError, NotNormalizedError, CoverageError, RankDeficiencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MomintError as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, MomintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,10 @@ class RankDeficiencyError(MomintError):
         self.achievable = achievable
 
 
+class EigensolverError(MomintError):
+    """The dense eigensolver failed to converge on a finite matrix."""
+
+
 class CeilingExceededError(MomintError):
     """A bisection search found no admissible bound below the configured ceiling."""
 

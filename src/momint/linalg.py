@@ -1,24 +1,22 @@
-"""Dense symmetric eigendecomposition, PSD testing, and pencil extremes.
+"""Dense Hermitian eigendecomposition, PSD testing, and pencil extremes.
 
-The eigensolver is a cyclic Jacobi scheme (compiled kernel when available,
-pure-Python fallback otherwise). It is intentionally self-contained: Hankel
-type moment matrices at small orders benefit from Jacobi's high relative
-accuracy, and nothing here depends on an external eigensolver.
+Every eigensolve in the package goes through ``sym_eig``, which calls LAPACK
+through ``numpy.linalg.eigh``. Real symmetric and complex Hermitian input
+share it, together with one PSD tolerance policy. The accuracy is the usual
+backward-stable one: eigenvalue errors are a small multiple of machine
+epsilon times ``||A||``, so small eigenvalues of ill-conditioned Hankel-type
+moment matrices carry only absolute accuracy. The PSD tolerance below is sized
+for that.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import BACKEND, jacobi_cyclic
-from .exceptions import NotPsdError, RankDeficiencyError
+from .exceptions import EigensolverError, NotPsdError, RankDeficiencyError
 
-#: off-diagonal convergence threshold, relative to the Frobenius norm
-OFF_DIAGONAL_TOL = 1e-12
-MAX_SWEEPS = 100
 #: relative threshold below which pencil eigenvalues of B count as zero
 DEFAULT_RANK_TOL = 1e-10
 
@@ -45,13 +43,18 @@ class SymMatrix:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Symmetric ndarray view of a SymMatrix or array-like input."""
+    """Hermitian ndarray view of a SymMatrix or array-like input.
+
+    Real input stays real; complex input keeps its complex dtype and is
+    symmetrized with the conjugate transpose.
+    """
     if isinstance(a, SymMatrix):
         return a.data
-    arr = np.array(a, dtype=float)
+    arr = np.asarray(a)
+    arr = arr.astype(complex if np.iscomplexobj(arr) else float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return 0.5 * (arr + arr.T)
+    return 0.5 * (arr + arr.conj().T)
 
 
 @dataclass(frozen=True)
@@ -70,47 +73,38 @@ class PsdVerdict:
 
 
 def sym_eig(a) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric matrix.
+    """Full eigendecomposition of a real symmetric or complex Hermitian matrix.
 
-    Cyclic Jacobi sweeps run until the off-diagonal norm falls below
-    ``1e-12 * ||A||_F``. Raises ValueError on non-finite entries and
-    ArithmeticError if the sweep budget is exhausted without converging.
+    Raises ValueError on non-finite entries and EigensolverError if LAPACK
+    fails to converge.
     """
     m = as_matrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    n = m.shape[0]
-    work = np.array(m, dtype=float, order="C")
-    vecs = np.eye(n, dtype=float, order="C")
-    frob = float(np.linalg.norm(work))
-    if n > 1 and frob > 0.0:
-        tol_off = OFF_DIAGONAL_TOL * frob
-        jacobi_cyclic(work, vecs, tol_off, MAX_SWEEPS)
-        off = math.sqrt(2.0) * float(np.linalg.norm(work[np.triu_indices(n, 1)]))
-        if off > tol_off:
-            raise ArithmeticError(
-                f"Jacobi sweeps did not converge: off-diagonal {off:.3e} > {tol_off:.3e}"
-            )
-    values = np.diag(work).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], np.ascontiguousarray(vecs[:, order]))
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed: {exc}") from exc
+    return EigenDecomposition(values, vectors)
 
 
 def default_psd_tol(a) -> float:
     """Relative tolerance guarding against false negatives on ill-conditioned
-    Hankel-type matrices: 1e-9 * (1 + max |entry|)."""
+    Hankel-type matrices: 1e-9 * (1 + max |entry|), where a complex entry
+    counts with max(|Re|, |Im|)."""
     m = as_matrix(a)
-    peak = float(np.max(np.abs(m))) if m.size else 0.0
+    peak = float(np.max(np.maximum(np.abs(m.real), np.abs(m.imag)))) if m.size else 0.0
     return 1e-9 * (1.0 + peak)
 
 
 def psd_check(a, tol: float | None = None) -> PsdVerdict:
     """PSD verdict: is the smallest eigenvalue at least ``-tol``?"""
+    m = as_matrix(a)
     if tol is None:
-        tol = default_psd_tol(a)
+        tol = default_psd_tol(m)
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    decomp = sym_eig(a)
+    decomp = sym_eig(m)
     min_eig = float(decomp.eigenvalues[0]) if decomp.eigenvalues.size else 0.0
     return PsdVerdict(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, tolerance_used=tol)
 
@@ -158,7 +152,6 @@ def pencil_extremes(
 
 
 __all__ = [
-    "BACKEND",
     "DEFAULT_RANK_TOL",
     "EigenDecomposition",
     "PsdVerdict",

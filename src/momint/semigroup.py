@@ -9,9 +9,9 @@ function f assigns f(m, n) = sum of w * z^n * conj(z)^m over the measure;
 positive semidefiniteness of the kernel f(s* t) plus a growth bound on the
 diagonal f(n, n) characterizes measures supported on a closed disc.
 
-Hermitian PSD tests reuse the real symmetric eigensolver through the
-[[Re, -Im], [Im, Re]] embedding, so one kernel and one tolerance policy
-cover both the real and the complex pipelines.
+Hermitian PSD tests pass the complex kernel straight to the package's
+Hermitian eigensolver, so one eigensolver and one tolerance policy cover both
+the real and the complex pipelines.
 """
 
 from __future__ import annotations
@@ -162,29 +162,25 @@ def psd_kernel_check(
 ) -> PsdVerdict:
     """PSD test of the Hermitian kernel H[s, t] = f(s* t) on pairs up to level.
 
-    ``level`` defaults to the largest coverable one, max_level // 2. The
-    complex kernel is embedded as the real symmetric block matrix
-    [[Re, -Im], [Im, Re]] whose spectrum doubles the Hermitian one.
+    ``level`` defaults to the largest coverable one, max_level // 2. With
+    s = (m1, n1) and t = (m2, n2), s* t = (n1 + m2, m1 + n2), so the kernel
+    is read off the dense table by fancy indexing.
     """
     if level is None:
         level = f.max_level // 2
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     if 2 * level > f.max_level:
         raise CoverageError(
             f"level {level} needs entries up to {2 * level} > {f.max_level}"
         )
-    elements = [
-        SemigroupElement(m, n)
-        for m in range(level + 1)
-        for n in range(level + 1)
-    ]
-    size = len(elements)
-    kernel = np.empty((size, size), dtype=complex)
-    for i, s in enumerate(elements):
-        for j, t in enumerate(elements):
-            kernel[i, j] = f.value(s.star * t)
-    re, im = kernel.real, kernel.imag
-    embedded = np.block([[re, -im], [im, re]])
-    return psd_check(embedded, tol)
+    span = range(2 * level + 1)
+    table = np.array([[f.values[(m, n)] for n in span] for m in span])
+    # elements ordered (m, n) for m, then n, in 0..level
+    ms = np.repeat(np.arange(level + 1), level + 1)
+    ns = np.tile(np.arange(level + 1), level + 1)
+    kernel = table[ns[:, None] + ms[None, :], ms[:, None] + ns[None, :]]
+    return psd_check(kernel, tol)
 
 
 def diagonal_growth_bound(

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from momint import MeasureSpec, from_measure
 
 CORPUS_SEED = 20260808
+#: working precision of the mpmath eigenvalue oracle
+ORACLE_DPS = 50
 
 
 @pytest.fixture(scope="session")
@@ -125,3 +128,20 @@ def operator_corpus():
             continue
         out.append((t, h))
     return out
+
+
+def _mp_eigenvalues(matrix) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric or complex Hermitian matrix
+    from mpmath's own eigensolvers at ORACLE_DPS digits; shares no code with
+    the LAPACK routine under test."""
+    a = np.asarray(matrix)
+    with mp.workdps(ORACLE_DPS):
+        solve = mp.eighe if np.iscomplexobj(a) else mp.eigsy
+        values = solve(mp.matrix(a.tolist()), eigvals_only=True)
+        return np.array(sorted(float(v) for v in values))
+
+
+@pytest.fixture
+def mp_eigenvalues():
+    """The independent eigenvalue oracle, as a function of a matrix."""
+    return _mp_eigenvalues

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from momint.cli import main
@@ -214,6 +215,21 @@ def test_disc_empty_table_is_usage_error(tmp_path, capsys):
     doc = write(tmp_path / "empty.json", {"max_level": 2, "values": []})
     assert main(["disc", doc, "--radius", "1.0", "--constant", "1.0", "--quiet"]) == 2
     assert capsys.readouterr().err
+
+
+def test_eigensolver_failure_is_usage_error(tmp_path, box_measure, capsys, monkeypatch):
+    moments = tmp_path / "moments.json"
+    assert main(["oracle", box_measure, "--degree", "8", "--out", str(moments), "--quiet"]) == 0
+    capsys.readouterr()
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["analyze", str(moments), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigensolver failed")
+    assert "Traceback" not in err
 
 
 def test_malformed_json_is_usage_error(tmp_path, capsys):

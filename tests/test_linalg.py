@@ -7,6 +7,7 @@ from momint.exceptions import NotPsdError, RankDeficiencyError
 from momint.linalg import (
     SymMatrix,
     as_matrix,
+    default_psd_tol,
     pencil_extremes,
     psd_check,
     sym_eig,
@@ -38,7 +39,7 @@ def test_hilbert_2x2_eigenvalues():
     assert np.allclose(d.eigenvalues, expected, atol=1e-12)
 
 
-def test_eigendecomposition_invariants_random():
+def test_eigendecomposition_invariants_random(mp_eigenvalues):
     rng = np.random.default_rng(3)
     for n in (1, 2, 5, 20, 40):
         raw = rng.normal(size=(n, n))
@@ -50,8 +51,7 @@ def test_eigendecomposition_invariants_random():
         gram = d.eigenvectors.T @ d.eigenvectors
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
         assert np.all(np.diff(d.eigenvalues) >= -1e-15)
-        # independent oracle
-        assert np.max(np.abs(d.eigenvalues - np.linalg.eigvalsh(a))) <= 1e-10 * scale
+        assert np.max(np.abs(d.eigenvalues - mp_eigenvalues(a))) <= 1e-10 * scale
 
 
 def test_sym_eig_rejects_non_finite():
@@ -59,23 +59,16 @@ def test_sym_eig_rejects_non_finite():
         sym_eig([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_kernel_backends_agree():
-    pytest.importorskip("momint._jacobi")
-    from momint._jacobi import jacobi_cyclic as compiled
-    from momint._jacobi_py import jacobi_cyclic as pure
-
-    rng = np.random.default_rng(5)
-    for n in (2, 7, 25):
-        raw = rng.normal(size=(n, n))
-        a = raw + raw.T
-        tol = 1e-12 * np.linalg.norm(a)
-        a1 = np.array(a, order="C")
-        v1 = np.eye(n)
-        compiled(a1, v1, tol, 100)
-        a2 = np.array(a, order="C")
-        v2 = np.eye(n)
-        pure(a2, v2, tol, 100)
-        assert np.max(np.abs(np.sort(np.diag(a1)) - np.sort(np.diag(a2)))) <= 1e-12
+def test_hermitian_input_stays_complex():
+    h = as_matrix([[2.0, 1.0 + 1.0j], [0.0, 2.0]])
+    assert h.dtype == complex
+    assert h[0, 1] == 0.5 + 0.5j and h[1, 0] == 0.5 - 0.5j
+    # eigenvalues 2 -+ |h01| = 2 -+ 1/sqrt(2)
+    d = sym_eig(h)
+    assert np.allclose(d.eigenvalues, [2.0 - 0.5**0.5, 2.0 + 0.5**0.5], atol=1e-14)
+    # a complex entry counts with max(|Re|, |Im|), the largest entry of the
+    # equivalent real form [[Re, -Im], [Im, Re]]
+    assert default_psd_tol([[1.0, -3.0j], [3.0j, 1.0]]) == 1e-9 * (1.0 + 3.0)
 
 
 def test_psd_examples():

@@ -91,10 +91,34 @@ def test_psd_kernel_passes_on_corpus(complex_corpus):
             assert psd_kernel_check(f, level=level).is_psd
 
 
+def test_psd_kernel_against_mpmath(mp_eigenvalues):
+    rng = np.random.default_rng(23)
+    atoms = [
+        (complex(*rng.uniform(-0.9, 0.9, size=2)), float(rng.uniform(0.2, 1.0)))
+        for _ in range(4)
+    ]
+    psd = from_complex_atoms(atoms, 8)
+    # a signed table: the last atom enters with a negative weight
+    negative = from_complex_atoms(atoms[-1:], 8)
+    signed = ComplexMomentFunction(
+        8, {k: v - 1.5 * negative.values[k] for k, v in psd.values.items()}
+    )
+    elements = [SemigroupElement(m, n) for m in range(5) for n in range(5)]
+    for f, expected in ((psd, True), (signed, False)):
+        verdict = psd_kernel_check(f)
+        # the kernel H[s, t] = f(s* t), built element by element
+        oracle = mp_eigenvalues([[f.value(s.star * t) for t in elements] for s in elements])[0]
+        scale = 1.0 + max(abs(v) for v in f.values.values())
+        assert abs(verdict.min_eigenvalue - oracle) <= 1e-12 * scale
+        assert verdict.is_psd == (oracle >= -verdict.tolerance_used) == expected
+
+
 def test_psd_kernel_level_coverage_error():
     f = from_complex_atoms([(0.5 + 0j, 1.0)], 2)
     with pytest.raises(CoverageError):
         psd_kernel_check(f, level=2)
+    with pytest.raises(ValueError):
+        psd_kernel_check(f, level=-1)
 
 
 def test_diagonal_growth_half_atom():
