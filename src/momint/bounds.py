@@ -30,6 +30,7 @@ from .linalg import (
     PsdVerdict,
     pencil_extremes,
     psd_check,
+    range_whitener,
     sym_eig,
 )
 from .moments import MomentSequence
@@ -130,12 +131,23 @@ def growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
     """Largest 2n-th root of L(a^(2n)) over every n the truncation affords.
 
     For a polynomial of degree g >= 1 the achievable powers are
-    n = 1 .. max_degree // (2g). Constant polynomials evaluate exactly to
-    their absolute value. Requires unit mass.
+    n = 1 .. max_degree // (2g); each L(a^(2n)) is evaluated as the bilinear
+    form L(a^n a^n), so only the powers up to a^n are formed. Constant
+    polynomials evaluate exactly to their absolute value. Requires unit mass.
+    The result is memoized per (sequence, polynomial).
     """
     _require_normalized(seq)
     if a.dimension != seq.dimension:
         raise ValueError("polynomial dimension mismatch")
+    key = ("growth", a)
+    cached = seq._cache.get(key)
+    if cached is None:
+        cached = _growth_bound(seq, a)
+        seq._cache[key] = cached
+    return cached
+
+
+def _growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
     deg = a.degree()
     if deg <= 0:
         c = abs(float(a.coefficient((0,) * a.dimension))) if not a.is_zero() else 0.0
@@ -145,13 +157,13 @@ def growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
             f"degree {deg} exceeds n_max {seq.n_max}: no even power fits"
         )
     n_used = seq.max_degree // (2 * deg)
-    square = a * a
-    power = Polynomial.constant(seq.dimension, 1.0)
     per = []
     clamped = False
+    power = a
     for n in range(1, n_used + 1):
-        power = power * square
-        value = seq.apply(power)
+        if n > 1:
+            power = power * a
+        value = seq.apply(power, power)
         if value < 0.0:
             clamped = True
             value = 0.0
@@ -248,13 +260,9 @@ def archimedean_bound(
         raise ValueError(f"mode must be 'linear' or 'square', got {mode!r}")
     shift = a if mode == "linear" else a * a
     localized = seq.moment_matrix(order, shift).matrix
-    plain_eig = _plain_matrix_eig(seq, order)
-    values = plain_eig.eigenvalues
-    scale = max(float(values[-1]), 0.0)
-    keep = values > rank_tol * scale
-    if not np.any(keep):
+    w = range_whitener(_plain_matrix_eig(seq, order), rank_tol)
+    if w.shape[1] == 0:
         raise CeilingExceededError("moment form is zero at this truncation")
-    w = plain_eig.eigenvectors[:, keep] / np.sqrt(values[keep])
     compressed = w.T @ localized.data @ w
     identity = np.eye(compressed.shape[0])
 

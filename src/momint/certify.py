@@ -69,8 +69,22 @@ class FactorPair(NamedTuple):
 
 def default_check_tol(seq: MomentSequence) -> float:
     """Accumulation guard for long products: 1e-9 * (1 + largest moment)."""
-    peak = max(abs(v) for v in seq.values.values())
-    return 1e-9 * (1.0 + peak)
+    return 1e-9 * (1.0 + float(abs(seq.y).max()))
+
+
+def _product_degree(p: Polynomial, q: Polynomial) -> int:
+    """Degree of p q without forming it; -1 when either factor is zero."""
+    if p.is_zero() or q.is_zero():
+        return -1
+    return p.degree() + q.degree()
+
+
+def _powers(p: Polynomial, top: int) -> list[Polynomial]:
+    """[1, p, p^2, ..., p^top], each formed by one multiplication."""
+    out = [Polynomial.constant(p.dimension, 1.0)]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
 
 
 def _names(seq: MomentSequence) -> list[str]:
@@ -88,7 +102,9 @@ def product_positivity_check(
     Each slot of a product picks one pair from ``factors`` and one of its two
     sides; products are enumerated as multisets since multiplication
     commutes. Products whose degree exceeds the stored truncation are
-    counted as skipped.
+    counted as skipped. A product is evaluated as the bilinear form
+    L(P(first half) P(second half)); the half products are memoized by
+    prefix, P(combo) = P(combo[:-1]) * letter, so each is formed once.
     """
     factors = [FactorPair(*f) for f in factors]
     if not factors:
@@ -105,19 +121,24 @@ def product_positivity_check(
     for i, pair in enumerate(factors):
         alphabet.append((i, "upper", pair.upper))
         alphabet.append((i, "lower", pair.lower))
+    degrees = [max(letter.degree(), 0) for _, _, letter in alphabet]
+    partial = {(): Polynomial.constant(seq.dimension, 1.0)}
+
+    def product(combo: tuple) -> Polynomial:
+        if combo not in partial:
+            partial[combo] = product(combo[:-1]) * alphabet[combo[-1]][2]
+        return partial[combo]
+
     violations = []
     attempted = 0
     skipped = 0
     for length in range(1, max_factors + 1):
         for combo in itertools.combinations_with_replacement(range(len(alphabet)), length):
-            degree = sum(max(alphabet[k][2].degree(), 0) for k in combo)
-            if degree > seq.max_degree:
+            if sum(degrees[k] for k in combo) > seq.max_degree:
                 skipped += 1
                 continue
-            product = Polynomial.constant(seq.dimension, 1.0)
-            for k in combo:
-                product = product * alphabet[k][2]
-            value = seq.apply(product)
+            half = length // 2
+            value = seq.apply(product(combo[:half]), product(combo[half:]))
             attempted += 1
             if value < -tol:
                 label = " * ".join(
@@ -138,7 +159,8 @@ def cone_positivity_check(
 
     With c the growth bound of ``a`` and cb the growth bound of ``b``:
     L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must both
-    be >= -tol for all j + k <= jk_max.
+    be >= -tol for all j + k <= jk_max. The powers of c - a and c + a are
+    formed once; each value is the bilinear form L(left * (c + a)^k).
     """
     if tol is None:
         tol = default_check_tol(seq)
@@ -148,20 +170,25 @@ def cone_positivity_check(
     minus = Polynomial.constant(seq.dimension, c_a) - a
     plus = Polynomial.constant(seq.dimension, c_a) + a
     prefactor = Polynomial.constant(seq.dimension, c_b * c_b) - b * b
+    minus_powers = _powers(minus, jk_max)
+    plus_powers = _powers(plus, jk_max)
+    lefts = {
+        False: minus_powers,
+        True: [prefactor * power for power in minus_powers],
+    }
     violations = []
     attempted = 0
     skipped = 0
     for j in range(jk_max + 1):
         for k in range(jk_max + 1 - j):
-            base = minus**j * plus**k
             for with_prefactor in (False, True):
                 if not with_prefactor and j == 0 and k == 0:
                     continue
-                poly = prefactor * base if with_prefactor else base
-                if poly.degree() > seq.max_degree:
+                left = lefts[with_prefactor][j]
+                if _product_degree(left, plus_powers[k]) > seq.max_degree:
                     skipped += 1
                     continue
-                value = seq.apply(poly)
+                value = seq.apply(left, plus_powers[k])
                 attempted += 1
                 if value < -tol:
                     head = (
@@ -254,7 +281,7 @@ def growth_check(
     tol: float | None = None,
 ) -> CheckReport:
     """Per generator (a, bound, prefactor): L(a^(2n)) <= prefactor * bound^(2n)
-    for every achievable n."""
+    for every achievable n, with L(a^(2n)) evaluated as L(a^n a^n)."""
     if tol is None:
         tol = default_check_tol(seq)
     names = _names(seq)
@@ -269,11 +296,11 @@ def growth_check(
         if n_reachable == 0:
             skipped += 1
             continue
-        square = a * a
-        power = Polynomial.constant(seq.dimension, 1.0)
+        power = a
         for n in range(1, n_reachable + 1):
-            power = power * square
-            value = seq.apply(power)
+            if n > 1:
+                power = power * a
+            value = seq.apply(power, power)
             limit = prefactor * bound ** (2 * n)
             attempted += 1
             if value > limit + tol:

@@ -59,10 +59,11 @@ def as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues with matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues with matching orthonormal eigenvector columns
+    (``None`` when only the eigenvalues were computed)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,23 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def sym_eig(a) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric or complex Hermitian matrix.
+def sym_eig(a, vectors: bool = True) -> EigenDecomposition:
+    """Eigendecomposition of a real symmetric or complex Hermitian matrix.
 
-    Raises ValueError on non-finite entries and EigensolverError if LAPACK
-    fails to converge.
+    With ``vectors=False`` only the eigenvalues are computed (LAPACK through
+    ``numpy.linalg.eigvalsh``) and ``eigenvectors`` is None. Raises
+    ValueError on non-finite entries and EigensolverError if LAPACK fails to
+    converge.
     """
     m = as_matrix(a)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     try:
-        values, vectors = np.linalg.eigh(m)
+        if vectors:
+            return EigenDecomposition(*np.linalg.eigh(m))
+        return EigenDecomposition(np.linalg.eigvalsh(m), None)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values, vectors)
 
 
 def default_psd_tol(a) -> float:
@@ -104,9 +108,26 @@ def psd_check(a, tol: float | None = None) -> PsdVerdict:
         tol = default_psd_tol(m)
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    decomp = sym_eig(m)
-    min_eig = float(decomp.eigenvalues[0]) if decomp.eigenvalues.size else 0.0
+    values = sym_eig(m, vectors=False).eigenvalues
+    min_eig = float(values[0]) if values.size else 0.0
     return PsdVerdict(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, tolerance_used=tol)
+
+
+def range_whitener(
+    decomp: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL
+) -> np.ndarray:
+    """Columns ``V[:, keep] / sqrt(lambda[keep])`` whitening the range of B.
+
+    ``decomp`` is B's eigendecomposition; an eigenpair is kept when its
+    eigenvalue exceeds ``rank_tol * max(max_eig(B), 0)``. For the returned W,
+    ``W.T @ B @ W`` is the identity on the kept range, so ``W.T @ A @ W`` is
+    A compressed to that range. W has no columns when nothing is kept; the
+    caller decides which error that is.
+    """
+    values = decomp.eigenvalues
+    scale = max(float(values[-1]), 0.0) if values.size else 0.0
+    keep = values > rank_tol * scale
+    return decomp.eigenvectors[:, keep] / np.sqrt(values[keep])
 
 
 def pencil_extremes(
@@ -139,16 +160,14 @@ def pencil_extremes(
         raise NotPsdError(
             f"pencil base matrix is not PSD: min eigenvalue {float(values[0]):.3e}"
         )
-    keep = values > rank_tol * scale
-    rank = int(np.count_nonzero(keep))
+    w = range_whitener(b_eig, rank_tol)
+    rank = w.shape[1]
     if rank == 0:
         raise RankDeficiencyError(
             "pencil base matrix has zero effective rank", achievable=0
         )
-    w = b_eig.eigenvectors[:, keep] / np.sqrt(values[keep])
-    compressed = w.T @ am @ w
-    inner = sym_eig(compressed)
-    return float(inner.eigenvalues[0]), float(inner.eigenvalues[-1]), rank
+    inner = sym_eig(w.T @ am @ w, vectors=False).eigenvalues
+    return float(inner[0]), float(inner[-1]), rank
 
 
 __all__ = [
@@ -160,5 +179,6 @@ __all__ = [
     "default_psd_tol",
     "pencil_extremes",
     "psd_check",
+    "range_whitener",
     "sym_eig",
 ]

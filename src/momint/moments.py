@@ -6,10 +6,28 @@ known measure (the oracle direction: finitely many atoms, or the uniform
 density on a box integrated by Gauss-Legendre quadrature) or ingested from a
 document. On ingest the mass L(1) is rescaled to 1 whenever it is positive;
 operations that assume unit mass must check the ``normalized`` flag.
+
+Storage is dense: ``y[r]`` is the moment of the monomial with graded-lex
+rank ``r``, the position it has in ``enumerate_monomials``. The rank is
+computed arithmetically from a small cached binomial table, so exponent
+arrays map to positions in ``y`` without any lookup structure; ``values``
+keeps the same numbers as a mapping from exponent tuples. Because graded-lex
+order sorts by degree first, the monomials of degree <= k are a prefix of
+``y`` for every k. On this layout
+
+* ``apply(p, q)`` evaluates ``L(p q) = sum p_a q_b y[rank(a + b)]`` as one
+  bilinear form, without forming the product ``p q``;
+* ``moment_matrix(order, shift)`` gathers the shifted moment vector
+  ``sum_d c_d y[rank(g + d)]`` through the index table
+  ``T[i, j] = rank(b_i + b_j)`` of the order-``order`` basis, cached per
+  (dimension, order). Shift terms are accumulated in ``shift.terms`` order,
+  so the entries are the same floating-point numbers a term-by-term
+  summation gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -18,9 +36,87 @@ import numpy as np
 
 from .exceptions import DegreeOverflowError
 from .linalg import PsdVerdict, SymMatrix, psd_check
-from .polynomials import MultiIndex, Polynomial, enumerate_monomials, grlex_key
+from .polynomials import Polynomial, enumerate_monomials
 
 GAUSS_NEWTON_TOL = 1e-14
+
+
+@functools.lru_cache(maxsize=64)
+def _binomials(rows: int, dimension: int) -> np.ndarray:
+    """C(a, b) for 0 <= a < rows and 0 <= b <= dimension (zero when b > a)."""
+    table = np.array(
+        [[math.comb(a, b) for b in range(dimension + 1)] for a in range(rows)],
+        dtype=np.intp,
+    )
+    table.flags.writeable = False
+    return table
+
+
+def grlex_rank(*parts) -> np.ndarray:
+    """Position of an exponent in the graded-lex enumeration.
+
+    The exponent is the sum of ``parts``, integer arrays of shape ``(..., d)``
+    that broadcast together; the sum itself is never materialized, so the
+    ranks of all pairwise sums ``a_i + b_j`` cost a few arrays of the result's
+    shape. ``grlex_rank(np.array(enumerate_monomials(d, k)))`` is ``0 .. N-1``.
+
+    The rank is the number of monomials of lower degree, C(n - 1 + d, d),
+    plus, for each variable i, the number of same-degree monomials that agree
+    before i and have a larger exponent at i: compositions of r - e_i - 1
+    into d - i parts, where r is the degree left after the first i exponents.
+    """
+    parts = [np.asarray(part, dtype=np.intp) for part in parts]
+    d = parts[0].shape[-1]
+    rest = sum(part.sum(axis=-1) for part in parts)
+    binom = _binomials(int(np.max(rest, initial=0)) + d + 1, d)
+    rank = binom[rest + d - 1, d]
+    for i in range(d - 1):
+        for part in parts:
+            rest = rest - part[..., i]
+        rank += binom[rest + d - i - 2, d - i - 1]
+    return rank
+
+
+@functools.lru_cache(maxsize=64)
+def _monomial_array(dimension: int, degree: int) -> np.ndarray:
+    """Exponents of the monomials of degree <= ``degree``, one row each, in
+    graded-lex order."""
+    table = np.array(enumerate_monomials(dimension, degree), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+#: entries per block of pairwise ranks; bounds the temporaries of
+#: ``_pair_ranks`` (a few arrays of this many integers) whatever the sizes
+PAIR_BLOCK = 4096
+
+
+def _pair_ranks(left: np.ndarray, right: np.ndarray):
+    """Yield ``(rows, ranks)`` with ``ranks[i, j] = rank(left[rows][i] +
+    right[j])``, over row blocks of about PAIR_BLOCK entries."""
+    step = max(1, PAIR_BLOCK // max(len(right), 1))
+    for start in range(0, len(left), step):
+        rows = slice(start, start + step)
+        yield rows, grlex_rank(left[rows, None, :], right[None, :, :])
+
+
+@functools.lru_cache(maxsize=32)
+def _gram_index(dimension: int, order: int) -> np.ndarray:
+    """``T[i, j] = rank(b_i + b_j)`` over the basis of degree <= ``order``."""
+    basis = _monomial_array(dimension, order)
+    table = np.empty((len(basis), len(basis)), dtype=np.intp)
+    for rows, ranks in _pair_ranks(basis, basis):
+        table[rows] = ranks
+    table.flags.writeable = False
+    return table
+
+
+def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows and float coefficients of a nonzero p, in ``p.terms``
+    order."""
+    exponents = np.array(list(p.terms), dtype=np.intp)
+    coefficients = np.array([float(c) for c in p.terms.values()])
+    return exponents, coefficients
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +251,9 @@ class MomentSequence:
     keeps the original L(1) so oracle provenance is not lost.
     """
 
-    __slots__ = ("dimension", "max_degree", "values", "normalized", "scale", "origin", "_cache")
+    __slots__ = (
+        "dimension", "max_degree", "values", "y", "normalized", "scale", "origin", "_cache",
+    )
 
     def __init__(self, dimension: int, max_degree: int, values: Mapping, origin: str = ""):
         if dimension < 1:
@@ -187,9 +285,12 @@ class MomentSequence:
             normalized = True
         else:
             normalized = False
+        y = np.array([table[idx] for idx in expected])
+        y.flags.writeable = False
         self.dimension = dimension
         self.max_degree = int(max_degree)
         self.values = table
+        self.y = y
         self.normalized = normalized
         self.scale = mass
         self.origin = origin
@@ -208,17 +309,38 @@ class MomentSequence:
             )
         return self.values[index]
 
-    def apply(self, p: Polynomial) -> float:
-        """L(p). Raises DegreeOverflowError when p needs unstored moments."""
-        if p.dimension != self.dimension:
-            raise ValueError(
-                f"polynomial dimension {p.dimension} != sequence dimension {self.dimension}"
-            )
-        if p.degree() > self.max_degree:
+    def apply(self, p: Polynomial, q: Polynomial | None = None) -> float:
+        """L(p), or L(p q) when ``q`` is given.
+
+        The product is never formed: L(p q) is the bilinear form
+        ``sum p_a q_b y[rank(a + b)]``. Raises DegreeOverflowError when p (or
+        p q, of degree ``deg p + deg q``) needs unstored moments. A zero
+        factor gives 0.0.
+        """
+        for factor in (p,) if q is None else (p, q):
+            if factor.dimension != self.dimension:
+                raise ValueError(
+                    f"polynomial dimension {factor.dimension} != sequence "
+                    f"dimension {self.dimension}"
+                )
+        if p.is_zero() or (q is not None and q.is_zero()):
+            return 0.0
+        degree = p.degree() if q is None else p.degree() + q.degree()
+        if degree > self.max_degree:
             raise DegreeOverflowError(
-                f"degree {p.degree()} exceeds stored truncation {self.max_degree}"
+                f"degree {degree} exceeds stored truncation {self.max_degree}"
             )
-        return float(sum(float(c) * self.values[idx] for idx, c in p.terms.items()))
+        p_exps, p_coeffs = _term_arrays(p)
+        if q is None:
+            return float(np.sum(p_coeffs * self.y[grlex_rank(p_exps)]))
+        q_exps, q_coeffs = _term_arrays(q)
+        total = 0.0
+        for rows, ranks in _pair_ranks(p_exps, q_exps):
+            block = self.y[ranks]
+            block *= q_coeffs
+            block *= p_coeffs[rows, None]
+            total += float(np.sum(block))
+        return total
 
     def moment_matrix(self, order: int, shift: Polynomial | None = None) -> MomentMatrix:
         """Matrix of b -> L(shift * b^2) on the monomials of degree <= order."""
@@ -234,24 +356,15 @@ class MomentSequence:
                 f"matrix order {order} with shift degree {shift_degree} needs "
                 f"moments of degree {2 * order + shift_degree} > {self.max_degree}"
             )
-        basis = enumerate_monomials(self.dimension, order)
-        table = {}
-        for gamma in enumerate_monomials(self.dimension, 2 * order):
-            total = 0.0
-            for delta, coeff in shift.terms.items():
-                key = tuple(g + d for g, d in zip(gamma, delta))
-                total += float(coeff) * self.values[key]
-            table[gamma] = total
-        n = len(basis)
-        entries = np.empty((n, n))
-        for i, alpha in enumerate(basis):
-            for j in range(i, n):
-                beta = basis[j]
-                value = table[tuple(a + b for a, b in zip(alpha, beta))]
-                entries[i, j] = value
-                entries[j, i] = value
+        gammas = _monomial_array(self.dimension, 2 * order)
+        shifted = np.zeros(len(gammas))
+        for delta, coeff in shift.terms.items():
+            shifted = shifted + float(coeff) * self.y[grlex_rank(gammas, delta)]
         return MomentMatrix(
-            basis=tuple(basis), matrix=SymMatrix(entries), shift=shift, order=order
+            basis=tuple(enumerate_monomials(self.dimension, order)),
+            matrix=SymMatrix(shifted[_gram_index(self.dimension, order)]),
+            shift=shift,
+            order=order,
         )
 
     def psd_check(self, order: int, tol: float | None = None) -> PsdVerdict:
@@ -263,7 +376,7 @@ class MomentSequence:
     def to_document(self) -> dict:
         moments = [
             {"index": list(idx), "value": self.values[idx]}
-            for idx in sorted(self.values, key=grlex_key)
+            for idx in enumerate_monomials(self.dimension, self.max_degree)
         ]
         return {
             "dimension": self.dimension,
@@ -351,4 +464,5 @@ __all__ = [
     "MomentSequence",
     "from_measure",
     "gauss_legendre",
+    "grlex_rank",
 ]

@@ -7,6 +7,8 @@ immutable values; every operation returns a new polynomial.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -38,16 +40,22 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
 def enumerate_monomials(dimension: int, max_degree: int) -> list[MultiIndex]:
     """All exponent tuples of total degree <= max_degree, in graded-lex order.
 
-    The count is binomial(max_degree + dimension, dimension).
+    The count is binomial(max_degree + dimension, dimension). The enumeration
+    is memoized; each call returns a fresh list.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    return list(_monomials(dimension, max_degree))
+
+
+@functools.lru_cache(maxsize=64)
+def _monomials(dimension: int, max_degree: int) -> tuple:
     out = []
     for deg in range(max_degree + 1):
         out.extend(_compositions(deg, dimension))
-    return out
+    return tuple(out)
 
 
 class Polynomial:
@@ -69,6 +77,16 @@ class Polynomial:
                 clean[tuple(int(e) for e in index)] = clean.get(index, 0) + coeff
         self.dimension = dimension
         self.terms = {k: v for k, v in clean.items() if v != 0}
+
+    @classmethod
+    def _trusted(cls, dimension: int, terms: dict) -> "Polynomial":
+        """Result of arithmetic on valid polynomials: the keys are already
+        exponent tuples of the right length, so only zero coefficients are
+        dropped. Takes ownership of ``terms``."""
+        p = object.__new__(cls)
+        p.dimension = dimension
+        p.terms = {k: v for k, v in terms.items() if v != 0}
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -124,12 +142,12 @@ class Polynomial:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
-        return Polynomial(self.dimension, out)
+        return Polynomial._trusted(self.dimension, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dimension, {k: -v for k, v in self.terms.items()})
+        return Polynomial._trusted(self.dimension, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -141,16 +159,17 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return Polynomial(
+            return Polynomial._trusted(
                 self.dimension, {k: v * other for k, v in self.terms.items()}
             )
         self._check_same_dimension(other)
         out: dict = {}
+        add = operator.add
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
+                key = tuple(map(add, ka, kb))
                 out[key] = out.get(key, 0) + va * vb
-        return Polynomial(self.dimension, out)
+        return Polynomial._trusted(self.dimension, out)
 
     __rmul__ = __mul__
 
@@ -188,7 +207,7 @@ class Polynomial:
     # -- conversions -------------------------------------------------------
 
     def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.dimension, {k: fn(v) for k, v in self.terms.items()})
+        return Polynomial._trusted(self.dimension, {k: fn(v) for k, v in self.terms.items()})
 
     def as_float(self) -> "Polynomial":
         return self.map_coefficients(float)

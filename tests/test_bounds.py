@@ -290,3 +290,33 @@ def test_exact_square_law(atom_corpus, lebesgue01):
         even = [base.per_power[2 * j - 1] for j in range(1, sq.n_used + 1)]
         expected = max(even) ** 2
         assert abs(sq.value - expected) <= 1e-12 * (1.0 + expected)
+
+
+def test_growth_bound_memoized_per_sequence(atom_corpus, monkeypatch):
+    _, seq = atom_corpus[4]
+    a = Polynomial.variable(seq.dimension, 0) + 0.25
+    first = growth_bound(seq, a)
+    calls = []
+    original = MomentSequence.apply
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(MomentSequence, "apply", counting)
+    assert growth_bound(seq, a) is first
+    assert growth_bound(seq, a + 0.0) is first  # equal polynomial, same entry
+    assert calls == []
+    growth_bound(seq, a + 0.5)
+    assert len(calls) == first.n_used
+
+
+def test_growth_bound_matches_expanded_even_powers(atom_corpus):
+    for _, seq in atom_corpus[:9]:
+        d = seq.dimension
+        a = Polynomial.variable(d, d - 1) * 0.7 - 0.2
+        bound = growth_bound(seq, a)
+        square = a * a
+        for n, root in enumerate(bound.per_power, start=1):
+            value = max(seq.apply(square**n), 0.0)
+            assert abs(root ** (2 * n) - value) <= 1e-12 * (1.0 + value)

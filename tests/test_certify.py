@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from momint.certify import (
@@ -262,3 +263,61 @@ def test_run_check_config_rejects_empty(lebesgue01):
         run_check_config(lebesgue01, {"checks": []})
     with pytest.raises(ValueError, match="unknown check"):
         run_check_config(lebesgue01, {"checks": [{"check": "nope"}]})
+
+
+def naive_products(seq, factors, max_factors, tol):
+    """From-scratch reference: expand every product and apply L to it."""
+    import itertools
+
+    from momint.polynomials import format_polynomial
+
+    names = ["x1", "x2"]
+    alphabet = [side for pair in factors for side in pair]
+    violations, attempted, skipped = [], 0, 0
+    for length in range(1, max_factors + 1):
+        for combo in itertools.combinations_with_replacement(range(len(alphabet)), length):
+            if sum(max(alphabet[k].degree(), 0) for k in combo) > seq.max_degree:
+                skipped += 1
+                continue
+            product = Polynomial.constant(seq.dimension, 1.0)
+            for k in combo:
+                product = product * alphabet[k]
+            value = seq.apply(product)
+            attempted += 1
+            if value < -tol:
+                label = " * ".join(f"({format_polynomial(alphabet[k], names)})" for k in combo)
+                violations.append((label, value, product))
+    return violations, attempted, skipped
+
+
+def test_products_match_naive_evaluation():
+    # one atom outside the unit square, so products of 1 +- x1 go negative;
+    # the quartic pair makes every long product with it exceed degree 10
+    seq = from_measure(
+        MeasureSpec(atoms=[((1.4, 0.3), 0.3), ((-0.5, -0.6), 0.4), ((0.2, 0.8), 0.3)]), 10
+    )
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    quartic = 0.6 * x * x * y * y
+    factors = [
+        FactorPair(1.0 - x, 1.0 + x),
+        FactorPair(1.0 - 0.5 * y, 1.0 + 0.5 * y),
+        FactorPair(1.0 - quartic, 1.0 + quartic),
+    ]
+    tol = 1e-9
+    report = product_positivity_check(seq, factors, max_factors=4, tol=tol)
+    ref, attempted, skipped = naive_products(seq, factors, 4, tol)
+    assert (report.attempted, report.skipped) == (attempted, skipped)
+    assert skipped > 0 and ref
+    assert [v.description for v in report.violations] == [label for label, _, _ in ref]
+    eps = float(np.finfo(float).eps)
+    for got, (_, want, product) in zip(report.violations, ref):
+        scale = sum(abs(c) * abs(seq.values[k]) for k, c in product.terms.items())
+        assert abs(got.value - want) <= 64.0 * eps * (1.0 + scale) * len(product.terms)
+
+
+def test_default_check_tol_is_largest_moment(atom_corpus):
+    from momint.certify import default_check_tol
+
+    for _, seq in atom_corpus[:5]:
+        peak = max(abs(v) for v in seq.values.values())
+        assert default_check_tol(seq) == 1e-9 * (1.0 + peak)

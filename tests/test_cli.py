@@ -226,6 +226,7 @@ def test_eigensolver_failure_is_usage_error(tmp_path, box_measure, capsys, monke
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     assert main(["analyze", str(moments), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: eigensolver failed")

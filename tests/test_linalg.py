@@ -10,6 +10,7 @@ from momint.linalg import (
     default_psd_tol,
     pencil_extremes,
     psd_check,
+    range_whitener,
     sym_eig,
 )
 
@@ -171,3 +172,39 @@ def test_pencil_rejects_zero_base():
 def test_as_matrix_symmetrizes():
     m = as_matrix([[0.0, 2.0], [0.0, 0.0]])
     assert m[0, 1] == m[1, 0] == 1.0
+
+
+def test_eigenvalues_only_path(mp_eigenvalues):
+    rng = np.random.default_rng(47)
+    for n in (1, 4, 9):
+        raw = rng.normal(size=(n, n))
+        a = raw + raw.T
+        decomp = sym_eig(a, vectors=False)
+        assert decomp.eigenvectors is None
+        assert np.allclose(decomp.eigenvalues, mp_eigenvalues(a), rtol=0, atol=1e-12)
+    h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    assert np.allclose(sym_eig(h, vectors=False).eigenvalues, mp_eigenvalues(h), atol=1e-12)
+
+
+def test_eigenvalues_only_rejects_non_finite():
+    with pytest.raises(ValueError):
+        sym_eig([[1.0, np.nan], [np.nan, 1.0]], vectors=False)
+
+
+def test_psd_check_reads_eigenvalues_only(monkeypatch):
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("psd_check must not compute eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    verdict = psd_check([[2.0, 1.0], [1.0, 2.0]])
+    assert verdict.is_psd and abs(verdict.min_eigenvalue - 1.0) <= 1e-15
+
+
+def test_range_whitener_compresses_to_identity():
+    rng = np.random.default_rng(53)
+    basis = rng.normal(size=(5, 3))
+    b = basis @ basis.T  # rank 3
+    w = range_whitener(sym_eig(b))
+    assert w.shape == (5, 3)
+    assert np.allclose(w.T @ b @ w, np.eye(3), atol=1e-10)
+    assert range_whitener(sym_eig(np.zeros((3, 3)))).shape == (3, 0)

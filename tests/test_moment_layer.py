@@ -1,0 +1,157 @@
+"""The dense moment layer: graded-lex ranks, index-table moment matrices and
+the bilinear L(p q), each against a dict-loop reference kept in this file."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from momint.exceptions import DegreeOverflowError
+from momint.moments import MeasureSpec, from_measure, grlex_rank
+from momint.polynomials import Polynomial, enumerate_monomials
+
+EPS = np.finfo(float).eps
+
+
+def dict_loop_moment_matrix(seq, order, shift):
+    """Term-by-term moment matrix over ``seq.values``: the shifted value of
+    every gamma with |gamma| <= 2*order, accumulated in ``shift.terms``
+    order from 0.0, then read off at alpha + beta."""
+    basis = enumerate_monomials(seq.dimension, order)
+    table = {}
+    for gamma in enumerate_monomials(seq.dimension, 2 * order):
+        total = 0.0
+        for delta, coeff in shift.terms.items():
+            key = tuple(g + d for g, d in zip(gamma, delta))
+            total += float(coeff) * seq.values[key]
+        table[gamma] = total
+    n = len(basis)
+    entries = np.empty((n, n))
+    for i, alpha in enumerate(basis):
+        for j, beta in enumerate(basis):
+            entries[i, j] = table[tuple(a + b for a, b in zip(alpha, beta))]
+    return entries
+
+
+def random_poly(rng, dim, max_exp, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        index = tuple(int(e) for e in rng.integers(0, max_exp + 1, size=dim))
+        terms[index] = float(rng.normal())
+    return Polynomial(dim, terms)
+
+
+def box_tables():
+    return [
+        from_measure(MeasureSpec(box=([[-1.0, 2.0]] * d, 9)), 16) for d in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_grlex_rank_is_enumeration_position(dim):
+    exponents = np.array(enumerate_monomials(dim, 9))
+    assert np.array_equal(grlex_rank(exponents), np.arange(len(exponents)))
+    # a sum of parts ranks like the materialized sum
+    half = exponents[: len(exponents) // 3]
+    pairs = grlex_rank(half[:, None, :], half[None, :, :])
+    assert np.array_equal(pairs, grlex_rank(half[:, None, :] + half[None, :, :]))
+
+
+def test_sequence_vector_follows_grlex_order(atom_corpus):
+    for _, seq in atom_corpus[:6]:
+        monomials = enumerate_monomials(seq.dimension, seq.max_degree)
+        assert seq.y.shape == (len(monomials),)
+        assert [seq.values[m] for m in monomials] == list(seq.y)
+        assert not seq.y.flags.writeable
+
+
+def test_moment_matrix_bit_identical_to_dict_loop(atom_corpus):
+    rng = np.random.default_rng(41)
+    tables = [seq for _, seq in atom_corpus[:6]] + box_tables()
+    for seq in tables:
+        d = seq.dimension
+        shifts = [None, Polynomial.variable(d, d - 1) + 0.5]
+        shifts += [random_poly(rng, d, 2, n_terms) for n_terms in (2, 4, 6)]
+        for shift in shifts:
+            shift_degree = 0 if shift is None else max(shift.degree(), 0)
+            for order in range(0, min(4, (seq.max_degree - shift_degree) // 2) + 1):
+                got = seq.moment_matrix(order, shift).matrix.data
+                ref_shift = shift if shift is not None else Polynomial.constant(d, 1.0)
+                assert np.array_equal(got, dict_loop_moment_matrix(seq, order, ref_shift))
+
+
+def test_moment_matrix_zero_shift(lebesgue01):
+    data = lebesgue01.moment_matrix(2, Polynomial.zero(1)).matrix.data
+    assert data.shape == (3, 3) and not np.any(data)
+
+
+def bilinear_bound(seq, p, q):
+    """64 eps * sum |p_a| |q_b| |y_(a+b)|: the rounding allowance between
+    two summation orders of the same bilinear form."""
+    total = 0.0
+    for a, pa in p.terms.items():
+        for b, qb in q.terms.items():
+            total += abs(pa) * abs(qb) * abs(seq.values[tuple(x + y for x, y in zip(a, b))])
+    return 64.0 * EPS * total
+
+
+def test_bilinear_apply_matches_product(atom_corpus):
+    rng = np.random.default_rng(43)
+    tables = [seq for _, seq in atom_corpus] + box_tables()
+    for seq in tables:
+        d = seq.dimension
+        for _ in range(6):
+            p = random_poly(rng, d, 3, 8)
+            q = random_poly(rng, d, 3, 8)
+            if p.degree() + q.degree() > seq.max_degree:
+                continue
+            exact = seq.apply(p * q)
+            assert abs(seq.apply(p, q) - exact) <= bilinear_bound(seq, p, q)
+            assert seq.apply(p, q) == seq.apply(p, q)
+
+
+def test_bilinear_apply_long_factors():
+    # 165 x 165 terms: several row blocks of pairwise ranks
+    atoms = [((0.3, -0.5, 0.7), 0.4), ((-0.8, 0.2, 0.1), 0.6)]
+    seq = from_measure(MeasureSpec(atoms=atoms), 16)
+    a = Polynomial(3, {(0, 0, 0): 0.2, (1, 0, 0): 0.5, (0, 1, 0): -0.3, (0, 0, 1): 0.4})
+    power = a**8
+    assert len(power.terms) == 165
+    value = seq.apply(power, power)
+    assert abs(value - seq.apply(power * power)) <= bilinear_bound(seq, power, power)
+    direct = sum(w * a.evaluate(pt) ** 16 for pt, w in atoms)
+    assert abs(value - direct) <= 1e-12 * (1.0 + direct)
+
+
+def test_bilinear_apply_degree_overflow(lebesgue01):
+    t = Polynomial.variable(1, 0)
+    lebesgue01.apply(t**5, t**5)  # degree 10 fits
+    with pytest.raises(DegreeOverflowError):
+        lebesgue01.apply(t**6, t**5)
+    with pytest.raises(DegreeOverflowError):
+        lebesgue01.apply(1.0 + t**11, Polynomial.constant(1, 1.0))
+
+
+def test_apply_zero_polynomials(lebesgue01):
+    t = Polynomial.variable(1, 0)
+    zero = Polynomial.zero(1)
+    assert lebesgue01.apply(zero) == 0.0
+    assert lebesgue01.apply(zero, t) == 0.0
+    assert lebesgue01.apply(t**3, zero) == 0.0
+    # like L(p * 0), a zero factor gives 0.0 whatever the other degree
+    assert lebesgue01.apply(t**20, zero) == 0.0
+
+
+def test_apply_dimension_mismatch(lebesgue01):
+    with pytest.raises(ValueError):
+        lebesgue01.apply(Polynomial.variable(1, 0), Polynomial.variable(2, 1))
+
+
+def test_apply_fraction_coefficients(lebesgue01):
+    t = Polynomial.variable(1, 0, Fraction(1))
+    p = t * Fraction(3) - Fraction(1, 2)
+    q = t * t + Fraction(1, 3)
+    assert lebesgue01.apply(p) == lebesgue01.apply(p.as_float())
+    assert lebesgue01.apply(p, q) == lebesgue01.apply(p.as_float(), q.as_float())
+    # L((3t - 1/2)(t^2 + 1/3)) on [0, 1] = 3/4 - 1/6 + 1/2 - 1/6 = 11/12
+    assert abs(lebesgue01.apply(p, q) - 11.0 / 12.0) <= 1e-15
