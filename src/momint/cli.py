@@ -56,11 +56,16 @@ def _digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def _write_json(path: str, doc: dict):
+    """One line of sorted-key JSON. ``json.dumps`` without ``indent`` runs
+    the C encoder; ``json.dump`` and any ``indent`` fall back to Python's."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, sort_keys=True) + "\n")
+
+
 def _emit(report: dict, out: str | None, quiet: bool, lines: list[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(out, report)
     if not quiet:
         for line in lines:
             print(line)
@@ -94,9 +99,7 @@ def _cmd_oracle(args) -> int:
     doc = _load_json(args.measure)
     spec = MeasureSpec.from_document(doc)
     seq = from_measure(spec, args.degree)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(seq.to_document(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(args.out, seq.to_document())
     if not args.quiet:
         print(
             f"wrote {len(seq.values)} moments (dimension {seq.dimension}, "
@@ -118,6 +121,8 @@ def _admissible_order(seq: MomentSequence, shift_degree: int, requested: int | N
 
 
 def _cmd_analyze(args) -> int:
+    if args.order is not None and args.order < 0:
+        raise ValueError(f"--order must be >= 0, got {args.order}")
     seq = MomentSequence.from_document(_load_json(args.moments), origin=args.moments)
     names = args.vars.split(",") if args.vars else default_variable_names(seq.dimension)
     if len(names) != seq.dimension:

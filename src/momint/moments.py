@@ -8,21 +8,33 @@ document. On ingest the mass L(1) is rescaled to 1 whenever it is positive;
 operations that assume unit mass must check the ``normalized`` flag.
 
 Storage is dense: ``y[r]`` is the moment of the monomial with graded-lex
-rank ``r``, the position it has in ``enumerate_monomials``. The rank is
-computed arithmetically from a small cached binomial table, so exponent
-arrays map to positions in ``y`` without any lookup structure; ``values``
-keeps the same numbers as a mapping from exponent tuples. Because graded-lex
-order sorts by degree first, the monomials of degree <= k are a prefix of
-``y`` for every k. On this layout
+rank ``r``, the position it has in ``enumerate_monomials``; ``values`` keeps
+the same numbers as a mapping from exponent tuples. Because graded-lex order
+sorts by degree first, the monomials of degree <= k are a prefix of ``y``
+for every k.
 
-* ``apply(p, q)`` evaluates ``L(p q) = sum p_a q_b y[rank(a + b)]`` as one
-  bilinear form, without forming the product ``p q``;
+The rank is additive. With the suffix sums ``R_j = e_j + ... + e_(d-1)`` of
+an exponent ``e``, ``rank(e) = sum_j C(R_j + d - j - 1, d - j)``, and suffix
+sums add: ``R(a + b) = R(a) + R(b)``. Scaled by ``d + 1``, a suffix sum
+plus a per-variable offset is a position in a flattened binomial table
+(cached per truncation and dimension), so the ranks of all pairwise sums
+``a_i + b_j`` are one broadcast add, one gather and one sum, and the sums
+``a_i + b_j`` are never materialized. On this layout
+
+* ``apply(p, q)`` evaluates ``L(p q) = sum p_a q_b y[rank(a + b)]`` as the
+  bilinear form ``c_p @ y[ranks] @ c_q``, without forming the product
+  ``p q``. The scaled suffix sums, float coefficients and degree of a
+  polynomial are computed once and memoized on the (immutable) polynomial,
+  so repeated calls with the same factors do no per-term Python work;
 * ``moment_matrix(order, shift)`` gathers the shifted moment vector
   ``sum_d c_d y[rank(g + d)]`` through the index table
   ``T[i, j] = rank(b_i + b_j)`` of the order-``order`` basis, cached per
   (dimension, order). Shift terms are accumulated in ``shift.terms`` order,
   so the entries are the same floating-point numbers a term-by-term
   summation gives.
+
+No cache is sized like ``(max_degree + 1)^d`` or like the square of the
+number of stored monomials.
 """
 
 from __future__ import annotations
@@ -42,39 +54,50 @@ GAUSS_NEWTON_TOL = 1e-14
 
 
 @functools.lru_cache(maxsize=64)
-def _binomials(rows: int, dimension: int) -> np.ndarray:
-    """C(a, b) for 0 <= a < rows and 0 <= b <= dimension (zero when b > a)."""
-    table = np.array(
-        [[math.comb(a, b) for b in range(dimension + 1)] for a in range(rows)],
+def _rank_table(max_total: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened binomial table and the offsets of the additive rank.
+
+    ``flat[a * (d + 1) + b] = C(a, b)`` for ``0 <= a < max_total + d`` and
+    ``0 <= b <= d`` (zero when b > a), and ``offset[j] = (d - j - 1) * (d + 1)
+    + d - j``, so that ``flat[(d + 1) * R_j + offset[j]] = C(R_j + d - j - 1,
+    d - j)`` for every suffix sum ``R_j <= max_total``.
+    """
+    d = dimension
+    flat = np.array(
+        [math.comb(a, b) for a in range(max_total + d) for b in range(d + 1)],
         dtype=np.intp,
     )
-    table.flags.writeable = False
-    return table
+    offset = np.array([(d - j - 1) * (d + 1) + d - j for j in range(d)], dtype=np.intp)
+    flat.flags.writeable = False
+    offset.flags.writeable = False
+    return flat, offset
+
+
+def _suffix_sums(exponents: np.ndarray) -> np.ndarray:
+    """``R[..., j] = e_j + ... + e_(d-1)`` over the last axis."""
+    return np.cumsum(exponents[..., ::-1], axis=-1)[..., ::-1]
 
 
 def grlex_rank(*parts) -> np.ndarray:
     """Position of an exponent in the graded-lex enumeration.
 
     The exponent is the sum of ``parts``, integer arrays of shape ``(..., d)``
-    that broadcast together; the sum itself is never materialized, so the
-    ranks of all pairwise sums ``a_i + b_j`` cost a few arrays of the result's
-    shape. ``grlex_rank(np.array(enumerate_monomials(d, k)))`` is ``0 .. N-1``.
+    that broadcast together, such as ``a[:, None, :]`` and ``b[None, :, :]``
+    for the ranks of all pairwise sums ``a_i + b_j``.
+    ``grlex_rank(np.array(enumerate_monomials(d, k)))`` is ``0 .. N-1``.
 
-    The rank is the number of monomials of lower degree, C(n - 1 + d, d),
-    plus, for each variable i, the number of same-degree monomials that agree
-    before i and have a larger exponent at i: compositions of r - e_i - 1
-    into d - i parts, where r is the degree left after the first i exponents.
+    With the suffix sums ``R_j = e_j + ... + e_(d-1)`` the rank is
+    ``sum_j C(R_j + d - j - 1, d - j)``: the j = 0 term counts the monomials
+    of lower degree, and the term j >= 1 counts the same-degree monomials
+    that agree with e on exponents 0 .. j - 2 and have a larger exponent
+    j - 1. Suffix sums add, so the parts enter only through the sum of their
+    suffix sums.
     """
     parts = [np.asarray(part, dtype=np.intp) for part in parts]
     d = parts[0].shape[-1]
-    rest = sum(part.sum(axis=-1) for part in parts)
-    binom = _binomials(int(np.max(rest, initial=0)) + d + 1, d)
-    rank = binom[rest + d - 1, d]
-    for i in range(d - 1):
-        for part in parts:
-            rest = rest - part[..., i]
-        rank += binom[rest + d - i - 2, d - i - 1]
-    return rank
+    suffix = sum(_suffix_sums(part) for part in parts)
+    flat, offset = _rank_table(int(np.max(suffix, initial=0)), d)
+    return flat.take(suffix * (d + 1) + offset).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,17 +110,16 @@ def _monomial_array(dimension: int, degree: int) -> np.ndarray:
 
 
 #: entries per block of pairwise ranks; bounds the temporaries of
-#: ``_pair_ranks`` (a few arrays of this many integers) whatever the sizes
+#: ``_gram_index`` and ``MomentSequence.apply`` (a few arrays of this many
+#: exponent rows) whatever the sizes
 PAIR_BLOCK = 4096
 
 
-def _pair_ranks(left: np.ndarray, right: np.ndarray):
-    """Yield ``(rows, ranks)`` with ``ranks[i, j] = rank(left[rows][i] +
-    right[j])``, over row blocks of about PAIR_BLOCK entries."""
-    step = max(1, PAIR_BLOCK // max(len(right), 1))
-    for start in range(0, len(left), step):
-        rows = slice(start, start + step)
-        yield rows, grlex_rank(left[rows, None, :], right[None, :, :])
+def _row_blocks(rows: int, columns: int):
+    """Row slices of about PAIR_BLOCK entries over a ``rows x columns`` grid."""
+    step = max(1, PAIR_BLOCK // max(columns, 1))
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 @functools.lru_cache(maxsize=32)
@@ -105,18 +127,28 @@ def _gram_index(dimension: int, order: int) -> np.ndarray:
     """``T[i, j] = rank(b_i + b_j)`` over the basis of degree <= ``order``."""
     basis = _monomial_array(dimension, order)
     table = np.empty((len(basis), len(basis)), dtype=np.intp)
-    for rows, ranks in _pair_ranks(basis, basis):
-        table[rows] = ranks
+    for rows in _row_blocks(len(basis), len(basis)):
+        table[rows] = grlex_rank(basis[rows, None, :], basis[None, :, :])
     table.flags.writeable = False
     return table
 
 
-def _term_arrays(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent rows and float coefficients of a nonzero p, in ``p.terms``
-    order."""
-    exponents = np.array(list(p.terms), dtype=np.intp)
-    coefficients = np.array([float(c) for c in p.terms.values()])
-    return exponents, coefficients
+def _term_data(p: Polynomial) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rank data of a nonzero p, memoized in ``p._arrays``: the scaled suffix
+    sums ``(d + 1) * R`` with one row per variable and one column per term,
+    the float coefficients, and the degree. Terms are in sorted exponent
+    order, so equal polynomials give the same arrays however their terms
+    were inserted, and ``apply`` sums them in the same order.
+    """
+    if p._arrays is None:
+        keys = sorted(p.terms)
+        suffix = np.ascontiguousarray(_suffix_sums(np.array(keys, dtype=np.intp)).T)
+        scaled = (p.dimension + 1) * suffix
+        coefficients = np.array([float(p.terms[k]) for k in keys])
+        scaled.flags.writeable = False
+        coefficients.flags.writeable = False
+        p._arrays = (scaled, coefficients, int(suffix[0].max()))
+    return p._arrays
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,6 +185,19 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2 == 1:
         nodes[n // 2] = 0.0
     return nodes, weights
+
+
+def _multi_index(key, dimension: int) -> tuple:
+    """``key`` as a tuple of ints; ValueError unless it holds ``dimension``
+    nonnegative integral exponents."""
+    try:
+        index = tuple(map(int, key))
+        valid = len(index) == dimension and index == tuple(key) and min(index) >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"bad multi-index {key} for dimension {dimension}")
+    return index
 
 
 class MeasureSpec:
@@ -262,9 +307,7 @@ class MomentSequence:
             raise ValueError("max_degree must be an even nonnegative integer")
         table = {}
         for key, value in values.items():
-            index = tuple(int(e) for e in key)
-            if len(index) != dimension or any(e < 0 for e in index):
-                raise ValueError(f"bad multi-index {key} for dimension {dimension}")
+            index = _multi_index(key, dimension)
             if sum(index) > max_degree:
                 raise ValueError(f"index {index} exceeds max_degree {max_degree}")
             value = float(value)
@@ -302,7 +345,7 @@ class MomentSequence:
         return self.max_degree // 2
 
     def moment(self, index) -> float:
-        index = tuple(int(e) for e in index)
+        index = _multi_index(index, self.dimension)
         if sum(index) > self.max_degree:
             raise DegreeOverflowError(
                 f"moment of degree {sum(index)} beyond truncation {self.max_degree}"
@@ -313,9 +356,10 @@ class MomentSequence:
         """L(p), or L(p q) when ``q`` is given.
 
         The product is never formed: L(p q) is the bilinear form
-        ``sum p_a q_b y[rank(a + b)]``. Raises DegreeOverflowError when p (or
-        p q, of degree ``deg p + deg q``) needs unstored moments. A zero
-        factor gives 0.0.
+        ``sum p_a q_b y[rank(a + b)]``, in row blocks of at most PAIR_BLOCK
+        pairs, over the memoized term data of p and q (``_term_data``).
+        Raises DegreeOverflowError when p (or p q, of degree
+        ``deg p + deg q``) needs unstored moments. A zero factor gives 0.0.
         """
         for factor in (p,) if q is None else (p, q):
             if factor.dimension != self.dimension:
@@ -325,21 +369,23 @@ class MomentSequence:
                 )
         if p.is_zero() or (q is not None and q.is_zero()):
             return 0.0
-        degree = p.degree() if q is None else p.degree() + q.degree()
+        p_sums, p_coeffs, degree = _term_data(p)
+        if q is not None:
+            q_sums, q_coeffs, q_degree = _term_data(q)
+            degree += q_degree
         if degree > self.max_degree:
             raise DegreeOverflowError(
                 f"degree {degree} exceeds stored truncation {self.max_degree}"
             )
-        p_exps, p_coeffs = _term_arrays(p)
+        flat, offset = _rank_table(self.max_degree, self.dimension)
         if q is None:
-            return float(np.sum(p_coeffs * self.y[grlex_rank(p_exps)]))
-        q_exps, q_coeffs = _term_arrays(q)
+            ranks = flat.take(p_sums + offset[:, None]).sum(axis=0)
+            return float(np.sum(p_coeffs * self.y[ranks]))
+        q_sums = (q_sums + offset[:, None])[:, None, :]
         total = 0.0
-        for rows, ranks in _pair_ranks(p_exps, q_exps):
-            block = self.y[ranks]
-            block *= q_coeffs
-            block *= p_coeffs[rows, None]
-            total += float(np.sum(block))
+        for rows in _row_blocks(len(p_coeffs), len(q_coeffs)):
+            ranks = flat.take(p_sums[:, rows, None] + q_sums).sum(axis=0)
+            total += float(p_coeffs[rows] @ self.y[ranks] @ q_coeffs)
         return total
 
     def moment_matrix(self, order: int, shift: Polynomial | None = None) -> MomentMatrix:
@@ -392,6 +438,8 @@ class MomentSequence:
             values = {tuple(m["index"]): m["value"] for m in doc["moments"]}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed moment document: {exc}") from exc
+        if len(values) != len(doc["moments"]):
+            raise ValueError("moment document lists an index more than once")
         return cls(dimension, max_degree, values, origin=origin)
 
     def __repr__(self) -> str:

@@ -59,9 +59,15 @@ def _monomials(dimension: int, max_degree: int) -> tuple:
 
 
 class Polynomial:
-    """A term map from exponent tuples to nonzero coefficients."""
+    """A term map from exponent tuples to nonzero coefficients.
 
-    __slots__ = ("dimension", "terms")
+    ``_arrays`` is a private memo for the moment layer (see
+    ``moments._term_data``): array forms of the terms, filled on first use.
+    Polynomials are immutable values, so it never goes stale; equality and
+    hashing ignore it.
+    """
+
+    __slots__ = ("dimension", "terms", "_arrays")
 
     def __init__(self, dimension: int, terms: Mapping | None = None):
         if dimension < 1:
@@ -77,6 +83,7 @@ class Polynomial:
                 clean[tuple(int(e) for e in index)] = clean.get(index, 0) + coeff
         self.dimension = dimension
         self.terms = {k: v for k, v in clean.items() if v != 0}
+        self._arrays = None
 
     @classmethod
     def _trusted(cls, dimension: int, terms: dict) -> "Polynomial":
@@ -86,6 +93,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.dimension = dimension
         p.terms = {k: v for k, v in terms.items() if v != 0}
+        p._arrays = None
         return p
 
     # -- constructors ------------------------------------------------------

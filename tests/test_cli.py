@@ -256,3 +256,45 @@ def test_report_is_deterministic(tmp_path, box_measure):
     main(["analyze", str(moments), "--poly", "t", "--out", str(r1), "--quiet"])
     main(["analyze", str(moments), "--poly", "t", "--out", str(r2), "--quiet"])
     assert r1.read_text() == r2.read_text()
+
+
+def test_oracle_document_is_compact_sorted_json(tmp_path, box_measure):
+    out = tmp_path / "moments.json"
+    assert main(["oracle", box_measure, "--degree", "4", "--out", str(out), "--quiet"]) == 0
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def moment_doc_with(tmp_path, extra):
+    doc = {
+        "dimension": 2,
+        "max_degree": 2,
+        "moments": [
+            {"index": [i, j], "value": 1.0}
+            for i in range(3) for j in range(3) if i + j <= 2
+        ] + extra,
+    }
+    return write(tmp_path / "moments.json", doc)
+
+
+@pytest.mark.parametrize("extra", [
+    [{"index": [1.5, 0], "value": 9.0}],
+    [{"index": [1, 0], "value": 9.0}],
+    [{"index": [1.0, 0], "value": 9.0}],
+    [{"index": [1, 0, 0], "value": 9.0}],
+    [{"index": [-1, 1], "value": 9.0}],
+])
+def test_bad_moment_indices_are_usage_errors(tmp_path, capsys, extra):
+    moments = moment_doc_with(tmp_path, extra)
+    assert main(["analyze", moments, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_analyze_negative_order_is_usage_error(tmp_path, box_measure, capsys):
+    moments = tmp_path / "moments.json"
+    main(["oracle", box_measure, "--degree", "6", "--out", str(moments), "--quiet"])
+    capsys.readouterr()
+    assert main(["analyze", str(moments), "--order", "-1", "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err

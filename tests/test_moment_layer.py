@@ -1,6 +1,7 @@
 """The dense moment layer: graded-lex ranks, index-table moment matrices and
 the bilinear L(p q), each against a dict-loop reference kept in this file."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -47,14 +48,22 @@ def box_tables():
     ]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_grlex_rank_is_enumeration_position(dim):
-    exponents = np.array(enumerate_monomials(dim, 9))
+    degree = 9
+    monomials = enumerate_monomials(dim, degree)
+    exponents = np.array(monomials)
     assert np.array_equal(grlex_rank(exponents), np.arange(len(exponents)))
-    # a sum of parts ranks like the materialized sum
-    half = exponents[: len(exponents) // 3]
+    # a sum of parts ranks like the materialized sum, at its enumeration position
+    position = {m: r for r, m in enumerate(monomials)}
+    half = np.array(enumerate_monomials(dim, degree // 2))
+    sums = half[:, None, :] + half[None, :, :]
     pairs = grlex_rank(half[:, None, :], half[None, :, :])
-    assert np.array_equal(pairs, grlex_rank(half[:, None, :] + half[None, :, :]))
+    assert np.array_equal(pairs, grlex_rank(sums))
+    assert np.array_equal(pairs, [[position[tuple(s)] for s in row] for row in sums])
+    unit = np.eye(dim, dtype=int)[0]
+    assert np.array_equal(grlex_rank(half[:, None, :], half[None, :, :], unit),
+                          grlex_rank(sums + unit))
 
 
 def test_sequence_vector_follows_grlex_order(atom_corpus):
@@ -155,3 +164,57 @@ def test_apply_fraction_coefficients(lebesgue01):
     assert lebesgue01.apply(p, q) == lebesgue01.apply(p.as_float(), q.as_float())
     # L((3t - 1/2)(t^2 + 1/3)) on [0, 1] = 3/4 - 1/6 + 1/2 - 1/6 = 11/12
     assert abs(lebesgue01.apply(p, q) - 11.0 / 12.0) <= 1e-15
+
+
+def test_bilinear_apply_matches_product_for_every_construction():
+    atoms = [((0.4, -0.7), 0.3), ((-0.2, 0.9), 0.5), ((0.8, 0.1), 0.2)]
+    seq = from_measure(MeasureSpec(atoms=atoms), 12)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    public = [
+        Polynomial(2, {(0, 0): 0.5, (2, 1): -1.25, (0, 3): 0.75}),
+        Polynomial(2, {(1, 0): 2.0, (1.0, 1): -0.5}),
+    ]
+    arithmetic = [(x + 0.5 * y - 1.0) ** 3, (y - x) ** 2 * (x + 0.25)]
+    exact = [p.as_exact() for p in public + arithmetic]
+    factors = public + arithmetic + exact
+    for p in factors:
+        for q in factors:
+            expected = seq.apply(p * q)
+            assert abs(seq.apply(p, q) - expected) <= bilinear_bound(seq, p, q)
+    for p, p_exact in zip(public + arithmetic, exact):
+        for q, q_exact in zip(public + arithmetic, exact):
+            assert seq.apply(p_exact, q_exact) == seq.apply(p, q)
+
+
+def test_equal_polynomials_give_identical_values():
+    seq = box_tables()[2]
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        p = random_poly(rng, 3, 2, 10)
+        q = random_poly(rng, 3, 2, 10)
+        # the same term maps, inserted in reverse order and built by arithmetic
+        p_reversed = Polynomial(3, dict(reversed(list(p.terms.items()))))
+        q_arithmetic = sum(
+            (Polynomial(3, {k: v}) for k, v in reversed(list(q.terms.items()))),
+            Polynomial.zero(3),
+        )
+        assert p_reversed == p and q_arithmetic == q
+        assert seq.apply(p_reversed, q_arithmetic) == seq.apply(p, q)
+        assert seq.apply(p_reversed) == seq.apply(p)
+
+
+def test_memo_slot_does_not_change_value_semantics():
+    seq = box_tables()[1]
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p = (x - 0.5 * y + 0.25) ** 3
+    fresh = Polynomial(2, dict(p.terms))
+    before = hash(p)
+    value = seq.apply(p, p)
+    assert p._arrays is not None and fresh._arrays is None
+    assert p == fresh and hash(p) == before == hash(fresh)
+    assert len({p, fresh}) == 1
+    clone = copy.deepcopy(p)
+    assert clone == p and hash(clone) == before
+    assert seq.apply(clone, clone) == value == seq.apply(fresh, fresh)
+    # arithmetic results start with an empty memo
+    assert (p * 1.0)._arrays is None and (p + fresh)._arrays is None

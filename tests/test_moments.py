@@ -203,3 +203,36 @@ def test_malformed_documents_rejected():
         MeasureSpec(atoms=[((0.0,), -1.0)])
     with pytest.raises(ValueError):
         MeasureSpec(box=([[1.0, 1.0]], 3))
+
+
+def test_fractional_exponent_rejected():
+    # int() would truncate (1.5, 0) to (1, 0) and overwrite that moment
+    values = {idx: 1.0 for idx in enumerate_monomials(2, 2)}
+    values[(1.5, 0)] = 7.0
+    with pytest.raises(ValueError, match="bad multi-index"):
+        MomentSequence(2, 2, values)
+
+
+def test_non_numeric_and_infinite_exponents_rejected():
+    base = {idx: 1.0 for idx in enumerate_monomials(1, 2)}
+    for key in [("1",), (math.inf,), (math.nan,), (-1,), (0, 0)]:
+        with pytest.raises(ValueError, match="bad multi-index"):
+            MomentSequence(1, 2, {**base, key: 1.0})
+
+
+def test_repeated_document_index_rejected():
+    moments = [{"index": list(idx), "value": 1.0} for idx in enumerate_monomials(2, 2)]
+    for repeat in ([1, 0], [1.0, 0]):
+        doc = {"dimension": 2, "max_degree": 2, "moments": moments + [{"index": repeat, "value": 5.0}]}
+        with pytest.raises(ValueError, match="more than once"):
+            MomentSequence.from_document(doc)
+
+
+def test_moment_lookup_validates_index(lebesgue01):
+    assert lebesgue01.moment((2,)) == lebesgue01.values[(2,)]
+    assert lebesgue01.moment([2.0]) == lebesgue01.values[(2,)]
+    for bad in [(1, 0), (-1,), (1.5,), ()]:
+        with pytest.raises(ValueError):
+            lebesgue01.moment(bad)
+    with pytest.raises(DegreeOverflowError):
+        lebesgue01.moment((11,))
