@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 from .bounds import growth_bound
 from .exceptions import DegreeOverflowError
 from .linalg import psd_check
-from .moments import MomentSequence
+from .moments import MomentSequence, _integer
 from .polynomials import Polynomial, default_variable_names, format_polynomial
 
 
@@ -548,6 +548,22 @@ def polynomial_identity_suite() -> CheckReport:
     )
 
 
+def _number(value, name: str) -> float:
+    """``float(value)``; ValueError naming ``name`` when that fails."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _entries(item: dict, name: str, kind: type = dict) -> list:
+    """``item[name]``, which must be a list of objects (or of polynomial texts)."""
+    entries = item[name]
+    if not isinstance(entries, list) or not all(isinstance(e, kind) for e in entries):
+        raise ValueError(f"{name} must be a list of {'objects' if kind is dict else 'strings'}")
+    return entries
+
+
 def run_check_config(
     seq: MomentSequence,
     config: dict,
@@ -560,75 +576,83 @@ def run_check_config(
     polynomial is text in those variables. ``default_tol`` applies to checks
     without their own ``tol``; ``max_factors`` overrides the product length
     cap. Returns (name, report) pairs in document order. Raises ValueError
-    on malformed configuration, including an empty check list.
+    on malformed configuration, including an empty check list and a field
+    of the wrong type.
     """
     from .polynomials import parse_polynomial
 
+    if not isinstance(config, dict):
+        raise ValueError("check configuration must be an object")
     variables = config.get("variables") or default_variable_names(seq.dimension)
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ValueError("variables must be a list of strings")
     if len(variables) != seq.dimension:
         raise ValueError(
             f"{len(variables)} variables declared for dimension {seq.dimension}"
         )
 
-    def poly(text: str) -> Polynomial:
+    def poly(text) -> Polynomial:
+        if not isinstance(text, str):
+            raise ValueError(f"polynomial must be text, got {text!r}")
         return parse_polynomial(text, variables)
 
     checks = config.get("checks")
     if not checks:
         raise ValueError("no checks requested")
+    if not isinstance(checks, list) or not all(isinstance(item, dict) for item in checks):
+        raise ValueError("checks must be a list of objects")
     results = []
     for item in checks:
         kind = item.get("check")
         tol = item.get("tol", default_tol)
+        tol = None if tol is None else _number(tol, "tol")
+        order = _integer(item.get("order", 1), "order")
         if kind == "products":
             factors = [
-                FactorPair(poly(f["upper"]), poly(f["lower"])) for f in item["factors"]
+                FactorPair(poly(f["upper"]), poly(f["lower"])) for f in _entries(item, "factors")
             ]
-            cap = max_factors if max_factors is not None else int(item.get("max_factors", 6))
+            cap = max_factors if max_factors is not None else item.get("max_factors", 6)
+            cap = _integer(cap, "max_factors")
             report = product_positivity_check(seq, factors, max_factors=cap, tol=tol)
         elif kind == "cone":
             report = cone_positivity_check(
                 seq,
                 poly(item["a"]),
                 poly(item.get("b", item["a"])),
-                jk_max=int(item.get("jk_max", 4)),
+                jk_max=_integer(item.get("jk_max", 4), "jk_max"),
                 tol=tol,
             )
         elif kind == "ball":
-            coords = item.get("coordinates")
+            coords = item.get("coordinates") and _entries(item, "coordinates", str)
             report = ball_check(
                 seq,
-                radius=float(item["radius"]),
-                order=int(item.get("order", 1)),
+                radius=_number(item["radius"], "radius"),
+                order=order,
                 coordinates=[poly(c) for c in coords] if coords else None,
                 tol=tol,
             )
         elif kind == "growth":
             generators = [
-                (poly(g["poly"]), float(g["bound"]), float(g.get("prefactor", 1.0)))
-                for g in item["generators"]
+                (poly(g["poly"]), _number(g["bound"], "bound"),
+                 _number(g.get("prefactor", 1.0), "prefactor"))
+                for g in _entries(item, "generators")
             ]
             report = growth_check(seq, generators, tol=tol)
         elif kind == "weak_absolute_value":
-            entries = [(poly(e["poly"]), float(e["value"])) for e in item["entries"]]
-            report = weak_absolute_value_check(
-                seq, entries, functional_bound=float(item["functional_bound"]), tol=tol
-            )
+            entries = [
+                (poly(e["poly"]), _number(e["value"], "value")) for e in _entries(item, "entries")
+            ]
+            bound = _number(item["functional_bound"], "functional_bound")
+            report = weak_absolute_value_check(seq, entries, functional_bound=bound, tol=tol)
         elif kind == "schmudgen":
-            report = schmudgen_check(
-                seq,
-                [poly(c) for c in item["constraints"]],
-                order=int(item.get("order", 1)),
-                tol=tol,
-            )
+            constraints = [poly(c) for c in _entries(item, "constraints", str)]
+            report = schmudgen_check(seq, constraints, order=order, tol=tol)
         elif kind == "interval":
             entries = [
-                (poly(e["poly"]), float(e["lower"]), float(e["upper"]))
-                for e in item["entries"]
+                (poly(e["poly"]), _number(e["lower"], "lower"), _number(e["upper"], "upper"))
+                for e in _entries(item, "entries")
             ]
-            report = interval_membership_check(
-                seq, entries, order=int(item.get("order", 1)), tol=tol
-            )
+            report = interval_membership_check(seq, entries, order=order, tol=tol)
         else:
             raise ValueError(f"unknown check kind {kind!r}")
         results.append((kind, report))

@@ -102,7 +102,7 @@ def _cmd_oracle(args) -> int:
     _write_json(args.out, seq.to_document())
     if not args.quiet:
         print(
-            f"wrote {len(seq.values)} moments (dimension {seq.dimension}, "
+            f"wrote {len(seq.y)} moments (dimension {seq.dimension}, "
             f"max degree {seq.max_degree}) to {args.out}"
         )
     return EXIT_PASS
@@ -295,6 +295,8 @@ def _cmd_spectral(args) -> int:
         vector = np.array(doc["vector"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from exc
+    if matrix.ndim != 2:
+        raise ValueError(f"operator matrix must be two-dimensional, got shape {matrix.shape}")
     k = args.nodes if args.nodes is not None else matrix.shape[0]
     report = _report_skeleton("spectral", {"operator": args.operator}, {"nodes": k})
     warnings = report["warnings"]

@@ -1,4 +1,4 @@
-"""Dense Hermitian eigendecomposition, PSD testing, and pencil extremes.
+"""Dense Hermitian eigendecomposition, PSD testing, pencil extremes and Gauss rules.
 
 Every eigensolve in the package goes through ``sym_eig``, which calls LAPACK
 through ``numpy.linalg.eigh``. Real symmetric and complex Hermitian input
@@ -113,6 +113,17 @@ def psd_check(a, tol: float | None = None) -> PsdVerdict:
     return PsdVerdict(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, tolerance_used=tol)
 
 
+def gauss_rule(alphas, betas, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Welsch: the ascending eigenvalues of the Jacobi matrix with
+    diagonal ``alphas`` and off-diagonal ``betas`` are the nodes, and each
+    weight is ``mass`` times the squared first component of its eigenvector."""
+    jacobi = np.diag(np.asarray(alphas, dtype=float))
+    below = np.arange(len(jacobi) - 1)
+    jacobi[below, below + 1] = jacobi[below + 1, below] = betas
+    decomp = sym_eig(jacobi)
+    return decomp.eigenvalues, mass * decomp.eigenvectors[0] ** 2
+
+
 def range_whitener(
     decomp: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
@@ -177,6 +188,7 @@ __all__ = [
     "SymMatrix",
     "as_matrix",
     "default_psd_tol",
+    "gauss_rule",
     "pencil_extremes",
     "psd_check",
     "range_whitener",

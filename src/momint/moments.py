@@ -2,16 +2,20 @@
 
 A :class:`MomentSequence` stores the values of a linear functional on every
 monomial up to an even truncation degree. Sequences are built either from a
-known measure (the oracle direction: finitely many atoms, or the uniform
-density on a box integrated by Gauss-Legendre quadrature) or ingested from a
-document. On ingest the mass L(1) is rescaled to 1 whenever it is positive;
-operations that assume unit mass must check the ``normalized`` flag.
+known measure (the oracle direction) or ingested from a document. On ingest
+the mass L(1) is rescaled to 1 whenever it is positive; operations that
+assume unit mass must check the ``normalized`` flag.
 
-Storage is dense: ``y[r]`` is the moment of the monomial with graded-lex
-rank ``r``, the position it has in ``enumerate_monomials``; ``values`` keeps
-the same numbers as a mapping from exponent tuples. Because graded-lex order
-sorts by degree first, the monomials of degree <= k are a prefix of ``y``
-for every k.
+Storage is dense and single: ``y[r]`` is the moment of the monomial with
+graded-lex rank ``r``, the position it has in ``enumerate_monomials``, and
+``moment(index)`` reads ``y`` at the rank of ``index``. Because graded-lex
+order sorts by degree first, the monomials of degree <= k are a prefix of
+``y`` for every k.
+
+The oracle measures are weighted sums of product measures, so over the
+exponent table ``E`` of the stored monomials ``y = sum_c w_c prod_j
+T_(c,j)[E[:, j]]``, where ``T_(c,j)`` holds the powers of coordinate j of
+atom c, or the Gauss-Legendre integrals over side j of a box (``w = 1``).
 
 The rank is additive. With the suffix sums ``R_j = e_j + ... + e_(d-1)`` of
 an exponent ``e``, ``rank(e) = sum_j C(R_j + d - j - 1, d - j)``, and suffix
@@ -41,16 +45,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DegreeOverflowError
-from .linalg import PsdVerdict, SymMatrix, psd_check
+from .linalg import PsdVerdict, SymMatrix, gauss_rule, psd_check
 from .polynomials import Polynomial, enumerate_monomials
-
-GAUSS_NEWTON_TOL = 1e-14
 
 
 @functools.lru_cache(maxsize=64)
@@ -109,6 +112,17 @@ def _monomial_array(dimension: int, degree: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def _monomial_positions(dimension: int, degree: int) -> np.ndarray:
+    """``(d + 1) * R + offset`` over ``_monomial_array``: positions in the
+    flat rank table, shifted to ``x^delta`` times each row by adding
+    ``(d + 1) * R(delta)``."""
+    suffix = _suffix_sums(_monomial_array(dimension, degree))
+    positions = (dimension + 1) * suffix + _rank_table(degree, dimension)[1]
+    positions.flags.writeable = False
+    return positions
+
+
 #: entries per block of pairwise ranks; bounds the temporaries of
 #: ``_gram_index`` and ``MomentSequence.apply`` (a few arrays of this many
 #: exponent rows) whatever the sizes
@@ -152,39 +166,13 @@ def _term_data(p: Polynomial) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Nodes are found by Newton iteration on the three-term recurrence,
-    polished to 1e-14; the rule is exact through degree ``2*order - 1``.
-    """
+    """Gauss-Legendre nodes and weights on [-1, 1], exact through degree
+    ``2*order - 1``: the Gauss rule of the Legendre recurrence
+    (``alpha_k = 0``, ``beta_k = k / sqrt(4 k^2 - 1)``, mass 2)."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    n = order
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    for i in range((n + 1) // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            deriv = n * (x * p - p_prev) / (x * x - 1.0)
-            step = p / deriv
-            x -= step
-            if abs(step) <= GAUSS_NEWTON_TOL:
-                break
-        p_prev, p = 1.0, x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        deriv = n * (x * p - p_prev) / (x * x - 1.0)
-        w = 2.0 / ((1.0 - x * x) * deriv * deriv)
-        nodes[n - 1 - i] = x
-        nodes[i] = -x
-        weights[i] = w
-        weights[n - 1 - i] = w
-    if n % 2 == 1:
-        nodes[n // 2] = 0.0
-    return nodes, weights
+    k = np.arange(1, order)
+    return gauss_rule(np.zeros(order), k / np.sqrt(4.0 * k * k - 1.0), 2.0)
 
 
 def _multi_index(key, dimension: int) -> tuple:
@@ -198,6 +186,42 @@ def _multi_index(key, dimension: int) -> tuple:
     if not valid:
         raise ValueError(f"bad multi-index {key} for dimension {dimension}")
     return index
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is integral."""
+    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dense_moments(dimension: int, max_degree: int, pairs) -> np.ndarray:
+    """The grlex moment vector of (index, value) pairs; ValueError on a bad
+    index or value, and unless each index up to max_degree is listed once."""
+    monomials = _monomial_array(dimension, max_degree)
+    exponents, values = [], []
+    for key, value in pairs:
+        index = _multi_index(key, dimension)
+        if sum(index) > max_degree:
+            raise ValueError(f"index {index} exceeds max_degree {max_degree}")
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"moment value at {index} must be a number, got {value!r}") from None
+        exponents.extend(index)
+    ranks = grlex_rank(np.array(exponents, dtype=np.intp).reshape(-1, dimension))
+    counts = np.bincount(ranks, minlength=len(monomials))
+    repeated, missing = np.flatnonzero(counts > 1), np.flatnonzero(counts == 0)
+    if repeated.size:
+        raise ValueError(f"moment index {monomials[repeated[0]].tolist()} listed more than once")
+    if missing.size:
+        raise ValueError(
+            f"moment table incomplete: {missing.size} of {len(monomials)} "
+            f"indices missing, first {tuple(monomials[missing[0]].tolist())}"
+        )
+    y = np.empty(len(monomials))
+    y[ranks] = values
+    return y
 
 
 class MeasureSpec:
@@ -237,7 +261,7 @@ class MeasureSpec:
             for lo, hi in bounds:
                 if not lo < hi:
                     raise ValueError(f"box interval [{lo}, {hi}] must have lo < hi")
-            order = int(order)
+            order = _integer(order, "quadrature order")
             if order < 1:
                 raise ValueError("quadrature order must be >= 1")
             self.atoms = None
@@ -251,11 +275,13 @@ class MeasureSpec:
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "MeasureSpec":
-        if "atoms" in doc:
-            atoms = [(entry["point"], entry["weight"]) for entry in doc["atoms"]]
-            return cls(atoms=atoms)
-        if "box" in doc:
-            return cls(box=(doc["box"]["bounds"], doc["box"]["order"]))
+        try:
+            if "atoms" in doc:
+                return cls(atoms=[(entry["point"], entry["weight"]) for entry in doc["atoms"]])
+            if "box" in doc:
+                return cls(box=(doc["box"]["bounds"], doc["box"]["order"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed measure document: {exc}") from exc
         raise ValueError("measure document needs an 'atoms' or 'box' field")
 
     def to_document(self) -> dict:
@@ -292,47 +318,42 @@ class MomentMatrix:
 class MomentSequence:
     """Values of a linear functional on all monomials of degree <= max_degree.
 
-    ``normalized`` records whether the stored values have unit mass; ``scale``
-    keeps the original L(1) so oracle provenance is not lost.
+    ``y`` holds them in graded-lex order. ``normalized`` records whether they
+    have unit mass; ``scale`` keeps the original L(1) so oracle provenance is
+    not lost.
     """
 
-    __slots__ = (
-        "dimension", "max_degree", "values", "y", "normalized", "scale", "origin", "_cache",
-    )
+    __slots__ = ("dimension", "max_degree", "y", "normalized", "scale", "origin", "_cache")
 
     def __init__(self, dimension: int, max_degree: int, values: Mapping, origin: str = ""):
+        y = _dense_moments(dimension, max_degree, values.items())
+        self._store(dimension, max_degree, y, origin)
+
+    @classmethod
+    def _from_dense(cls, dimension: int, max_degree: int, y, origin: str) -> "MomentSequence":
+        """A sequence from its grlex moment vector (no indices to check)."""
+        seq = cls.__new__(cls)
+        seq._store(dimension, max_degree, y, origin)
+        return seq
+
+    def _store(self, dimension: int, max_degree: int, y, origin: str):
+        """Check the truncation and finiteness, rescale a positive mass to 1
+        and fill the slots."""
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if max_degree < 0 or max_degree % 2 != 0:
             raise ValueError("max_degree must be an even nonnegative integer")
-        table = {}
-        for key, value in values.items():
-            index = _multi_index(key, dimension)
-            if sum(index) > max_degree:
-                raise ValueError(f"index {index} exceeds max_degree {max_degree}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite moment at {index}")
-            table[index] = value
-        expected = enumerate_monomials(dimension, max_degree)
-        missing = [idx for idx in expected if idx not in table]
-        if missing:
-            raise ValueError(
-                f"moment table incomplete: {len(missing)} of {len(expected)} "
-                f"indices missing, first {missing[0]}"
-            )
-        mass = table[(0,) * dimension]
-        if mass > 0.0:
-            if mass != 1.0:
-                table = {k: v / mass for k, v in table.items()}
-            normalized = True
-        else:
-            normalized = False
-        y = np.array([table[idx] for idx in expected])
+        y = np.array(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            index = _monomial_array(dimension, max_degree)[np.argmin(np.isfinite(y))]
+            raise ValueError(f"non-finite moment at {tuple(index.tolist())}")
+        mass = float(y[0])
+        normalized = mass > 0.0
+        if normalized and mass != 1.0:
+            y = y / mass
         y.flags.writeable = False
         self.dimension = dimension
         self.max_degree = int(max_degree)
-        self.values = table
         self.y = y
         self.normalized = normalized
         self.scale = mass
@@ -350,7 +371,7 @@ class MomentSequence:
             raise DegreeOverflowError(
                 f"moment of degree {sum(index)} beyond truncation {self.max_degree}"
             )
-        return self.values[index]
+        return float(self.y[grlex_rank(index)])
 
     def apply(self, p: Polynomial, q: Polynomial | None = None) -> float:
         """L(p), or L(p q) when ``q`` is given.
@@ -402,10 +423,12 @@ class MomentSequence:
                 f"matrix order {order} with shift degree {shift_degree} needs "
                 f"moments of degree {2 * order + shift_degree} > {self.max_degree}"
             )
-        gammas = _monomial_array(self.dimension, 2 * order)
-        shifted = np.zeros(len(gammas))
+        flat = _rank_table(self.max_degree, self.dimension)[0]
+        positions = _monomial_positions(self.dimension, 2 * order)
+        shifted = np.zeros(len(positions))
         for delta, coeff in shift.terms.items():
-            shifted = shifted + float(coeff) * self.y[grlex_rank(gammas, delta)]
+            delta_positions = (self.dimension + 1) * _suffix_sums(np.array(delta))
+            shifted = shifted + float(coeff) * self.y[flat.take(positions + delta_positions).sum(1)]
         return MomentMatrix(
             basis=tuple(enumerate_monomials(self.dimension, order)),
             matrix=SymMatrix(shifted[_gram_index(self.dimension, order)]),
@@ -420,10 +443,8 @@ class MomentSequence:
     # -- documents ----------------------------------------------------------
 
     def to_document(self) -> dict:
-        moments = [
-            {"index": list(idx), "value": self.values[idx]}
-            for idx in enumerate_monomials(self.dimension, self.max_degree)
-        ]
+        indices = enumerate_monomials(self.dimension, self.max_degree)
+        moments = [{"index": list(i), "value": v} for i, v in zip(indices, self.y.tolist())]
         return {
             "dimension": self.dimension,
             "max_degree": self.max_degree,
@@ -433,14 +454,13 @@ class MomentSequence:
     @classmethod
     def from_document(cls, doc: Mapping, origin: str = "document") -> "MomentSequence":
         try:
-            dimension = int(doc["dimension"])
-            max_degree = int(doc["max_degree"])
-            values = {tuple(m["index"]): m["value"] for m in doc["moments"]}
+            dimension = _integer(doc["dimension"], "dimension")
+            max_degree = _integer(doc["max_degree"], "max_degree")
+            pairs = [(m["index"], m["value"]) for m in doc["moments"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed moment document: {exc}") from exc
-        if len(values) != len(doc["moments"]):
-            raise ValueError("moment document lists an index more than once")
-        return cls(dimension, max_degree, values, origin=origin)
+        y = _dense_moments(dimension, max_degree, pairs)
+        return cls._from_dense(dimension, max_degree, y, origin)
 
     def __repr__(self) -> str:
         return (
@@ -452,32 +472,15 @@ class MomentSequence:
 def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
     """Moment sequence of a known measure, exact through ``max_degree``.
 
-    Atomic measures are summed directly. Box measures use per-dimension
-    Gauss-Legendre rules (the uniform density factorizes), which requires
-    ``order >= max_degree // 2 + 1`` so every stored monomial is integrated
-    exactly.
+    Atoms and boxes take the one product-measure path of the module
+    docstring. A box needs Gauss-Legendre ``order >= max_degree // 2 + 1``
+    so every stored monomial is integrated exactly.
     """
-    if max_degree < 0 or max_degree % 2 != 0:
-        raise ValueError("max_degree must be an even nonnegative integer")
-    d = spec.dimension
-    indices = enumerate_monomials(d, max_degree)
+    powers = range(max_degree + 1)
     if spec.atoms is not None:
-        powers = []
-        for point, weight in spec.atoms:
-            per_dim = [
-                [coord**e for e in range(max_degree + 1)] for coord in point
-            ]
-            powers.append((per_dim, weight))
-        values = {}
-        for idx in indices:
-            total = 0.0
-            for per_dim, weight in powers:
-                prod = weight
-                for j, e in enumerate(idx):
-                    if e:
-                        prod *= per_dim[j][e]
-                total += prod
-            values[idx] = total
+        components = [
+            (weight, [[x**e for e in powers] for x in point]) for point, weight in spec.atoms
+        ]
         origin = f"atoms({len(spec.atoms)})"
     else:
         bounds, order = spec.box
@@ -488,22 +491,23 @@ def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
                 f"need order >= max_degree/2 + 1 = {needed}"
             )
         base_nodes, base_weights = gauss_legendre(order)
-        per_dim_integrals = []
+        sides = []
         for lo, hi in bounds:
             half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            xs = mid + half * base_nodes
-            ws = half * base_weights
-            integrals = [float(np.sum(ws * xs**e)) for e in range(max_degree + 1)]
-            per_dim_integrals.append(integrals)
-        values = {}
-        for idx in indices:
-            prod = 1.0
-            for j, e in enumerate(idx):
-                prod *= per_dim_integrals[j][e]
-            values[idx] = prod
+            xs, ws = 0.5 * (hi + lo) + half * base_nodes, half * base_weights
+            sides.append([float(np.sum(ws * xs**e)) for e in powers])
+        components = [(1.0, sides)]
         origin = f"box(order={order})"
-    return MomentSequence(d, max_degree, values, origin=origin)
+    exponents = _monomial_array(spec.dimension, max_degree)
+    y = np.zeros(len(exponents))
+    # components in spec order, factors left to right from the weight: the
+    # same floating-point operations as summing atom by atom
+    for weight, tables in components:
+        term = np.full(len(exponents), weight)
+        for column, table in zip(exponents.T, tables):
+            term *= np.array(table)[column]
+        y += term
+    return MomentSequence._from_dense(spec.dimension, max_degree, y, origin)
 
 
 __all__ = [

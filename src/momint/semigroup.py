@@ -24,6 +24,7 @@ from .bounds import GrowthBound
 from .certify import CheckReport, Violation
 from .exceptions import CoverageError
 from .linalg import PsdVerdict, psd_check
+from .moments import _integer, _multi_index
 
 HERMITIAN_INGEST_TOL = 1e-12
 
@@ -56,8 +57,8 @@ class ComplexMomentFunction:
             raise ValueError("max_level must be >= 0")
         table: dict = {}
         for key, raw in values.items():
-            m, n = int(key[0]), int(key[1])
-            if m < 0 or n < 0 or m > max_level or n > max_level:
+            m, n = _multi_index(key, 2)
+            if m > max_level or n > max_level:
                 raise ValueError(f"index {key} outside level bound {max_level}")
             table[(m, n)] = complex(raw)
         scale = max((abs(v) for v in table.values()), default=0.0)
@@ -103,10 +104,12 @@ class ComplexMomentFunction:
     @classmethod
     def from_document(cls, doc: Mapping) -> "ComplexMomentFunction":
         try:
-            max_level = int(doc["max_level"])
+            max_level = _integer(doc["max_level"], "max_level")
             values = {(e["m"], e["n"]): complex(e["re"], e.get("im", 0.0)) for e in doc["values"]}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed complex moment document: {exc}") from exc
+        if len(values) != len(doc["values"]):
+            raise ValueError("complex moment document lists an entry more than once")
         return cls(max_level, values)
 
     def __repr__(self) -> str:
@@ -145,7 +148,7 @@ def from_complex_atoms(
 def complex_atoms_from_document(doc: Mapping) -> tuple[list[tuple[complex, float]], int]:
     """Atoms document: {"max_level": M, "atoms": [{"re", "im", "weight"}]}."""
     try:
-        max_level = int(doc["max_level"])
+        max_level = _integer(doc["max_level"], "max_level")
         atoms = [
             (complex(e["re"], e.get("im", 0.0)), float(e["weight"]))
             for e in doc["atoms"]
@@ -223,13 +226,14 @@ def disc_check(
     tol: float | None = None,
 ) -> CheckReport:
     """Disc criterion: the kernel is PSD at the maximal coverable level and
-    the diagonal obeys f(n, n) <= constant * radius^(2n) for every stored n."""
+    the diagonal obeys f(n, n) <= constant * radius^(2n) for every stored n.
+    A given ``tol`` applies to both; with None each part uses its default."""
     if radius <= 0 or constant <= 0:
         raise ValueError("radius and constant must be positive")
+    verdict = psd_kernel_check(f, tol=tol)
     if tol is None:
         peak = max(abs(v) for v in f.values.values())
         tol = 1e-9 * (1.0 + peak)
-    verdict = psd_kernel_check(f)
     violations = []
     if not verdict.is_psd:
         violations.append(

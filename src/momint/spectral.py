@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import RankDeficiencyError
-from .linalg import SymMatrix, as_matrix, sym_eig
+from .linalg import SymMatrix, as_matrix, gauss_rule, sym_eig
 from .moments import MomentSequence
 
 WEIGHT_PRUNE_TOL = 1e-12
@@ -39,8 +39,7 @@ class OperatorMomentData:
 
     def to_moment_sequence(self) -> MomentSequence:
         """Repackage as a one-dimensional moment sequence."""
-        values = {(k,): float(m) for k, m in enumerate(self.moments)}
-        return MomentSequence(1, self.max_degree, values, origin="operator")
+        return MomentSequence._from_dense(1, self.max_degree, self.moments, "operator")
 
 
 @dataclass(frozen=True)
@@ -96,24 +95,18 @@ def _hankel_cholesky(moments: np.ndarray, k: int, pivot_rel_tol: float):
     to index 2k-1), so only their pivots must be positive; a failure at row j
     means the measure has numerical rank j.
     """
-    size = k + 1
-    h = np.empty((k, size))
-    for i in range(k):
-        for j in range(size):
-            h[i, j] = moments[i + j]
-    diag = np.array([moments[2 * i] for i in range(k)])
-    pivot_floor = pivot_rel_tol * max(float(np.max(diag)), 1.0)
-    r = np.zeros((k, size))
+    pivot_floor = pivot_rel_tol * max(float(np.max(moments[: 2 * k : 2])), 1.0)
+    r = np.zeros((k, k + 1))
     for j in range(k):
-        d = h[j, j] - float(r[:j, j] @ r[:j, j])
+        d = moments[2 * j] - float(r[:j, j] @ r[:j, j])
         if d <= pivot_floor:
             raise RankDeficiencyError(
                 f"moment data supports only {j} quadrature nodes, {k} requested",
                 achievable=j,
             )
         r[j, j] = math.sqrt(d)
-        for col in range(j + 1, size):
-            r[j, col] = (h[j, col] - float(r[:j, j] @ r[:j, col])) / r[j, j]
+        for col in range(j + 1, k + 1):
+            r[j, col] = (moments[j + col] - float(r[:j, j] @ r[:j, col])) / r[j, j]
     return r
 
 
@@ -134,9 +127,7 @@ def quadrature_from_moments(
     elif isinstance(moments, MomentSequence):
         if moments.dimension != 1:
             raise ValueError("quadrature reconstruction needs a one-dimensional sequence")
-        values = np.array(
-            [moments.values[(k,)] for k in range(moments.max_degree + 1)]
-        )
+        values = moments.y
     else:
         values = np.asarray(list(moments), dtype=float)
     k = int(node_count)
@@ -149,22 +140,10 @@ def quadrature_from_moments(
     if values[0] <= 0:
         raise ValueError("total mass m_0 must be positive")
     r = _hankel_cholesky(values, k, pivot_rel_tol)
-    alphas = np.empty(k)
-    betas = np.empty(max(k - 1, 0))
-    for j in range(k):
-        alphas[j] = r[j, j + 1] / r[j, j]
-        if j > 0:
-            alphas[j] -= r[j - 1, j] / r[j - 1, j - 1]
-            betas[j - 1] = r[j, j] / r[j - 1, j - 1]
-    jacobi = np.zeros((k, k))
-    for j in range(k):
-        jacobi[j, j] = alphas[j]
-    for j in range(k - 1):
-        jacobi[j, j + 1] = betas[j]
-        jacobi[j + 1, j] = betas[j]
-    decomp = sym_eig(jacobi)
-    nodes = decomp.eigenvalues.copy()
-    weights = values[0] * decomp.eigenvectors[0, :] ** 2
+    pivots = np.diagonal(r)
+    ratios = np.diagonal(r, 1) / pivots  # r[j, j + 1] / r[j, j]
+    alphas = np.concatenate([ratios[:1], ratios[1:] - ratios[:-1]])
+    nodes, weights = gauss_rule(alphas, pivots[1:] / pivots[:-1], values[0])
     keep = weights > WEIGHT_PRUNE_TOL
     return DiscreteMeasure(nodes=nodes[keep], weights=weights[keep])
 

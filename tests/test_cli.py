@@ -298,3 +298,61 @@ def test_analyze_negative_order_is_usage_error(tmp_path, box_measure, capsys):
     capsys.readouterr()
     assert main(["analyze", str(moments), "--order", "-1", "--quiet"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def one_dim_moments(**fields):
+    doc = {
+        "dimension": 1,
+        "max_degree": 2,
+        "moments": [{"index": [k], "value": v} for k, v in enumerate([1.0, 0.5, 0.4])],
+    }
+    doc.update(fields)
+    return doc
+
+
+def complex_table(*extra):
+    from momint.semigroup import from_complex_atoms
+
+    doc = from_complex_atoms([(0.5 + 0j, 1.0)], 2).to_document()
+    doc["values"] += list(extra)
+    return doc
+
+
+CONE = {"checks": [{"check": "cone", "a": "t"}]}
+NULL_VALUE = one_dim_moments(moments=[
+    {"index": [0], "value": None}, {"index": [1], "value": 0.5}, {"index": [2], "value": 0.4},
+])
+
+
+@pytest.mark.parametrize("command, doc, config, message", [
+    ("analyze", NULL_VALUE, None, "moment value at (0,) must be a number"),
+    ("certify", NULL_VALUE, CONE, "moment value at (0,) must be a number"),
+    ("analyze", one_dim_moments(max_degree=2.5), None, "max_degree must be an integer"),
+    ("analyze", one_dim_moments(dimension=1.5), None, "dimension must be an integer"),
+    ("certify", one_dim_moments(), [CONE], "configuration must be an object"),
+    ("certify", one_dim_moments(), {"checks": [5]}, "checks must be a list of objects"),
+    ("certify", one_dim_moments(), {"checks": [{"check": "products", "factors": 5}]},
+     "factors must be a list"),
+    ("certify", one_dim_moments(),
+     {"checks": [{"check": "growth", "generators": [{"poly": "t", "bound": None}]}]},
+     "bound must be a number"),
+    ("disc", {"max_level": 2.5, "atoms": [{"re": 0.5, "weight": 1.0}]}, None,
+     "max_level must be an integer"),
+    ("disc", complex_table({"m": 0.5, "n": 0, "re": 5.0}), None, "bad multi-index (0.5, 0)"),
+    ("disc", complex_table({"m": 0, "n": 0, "re": 5.0}), None, "more than once"),
+    ("disc", complex_table({"m": 1.0, "n": 1, "re": 0.25}), None, "more than once"),
+], ids=[
+    "null-value-analyze", "null-value-certify", "fractional-max-degree", "fractional-dimension",
+    "config-not-object", "check-not-object", "factors-not-list", "null-bound",
+    "fractional-max-level", "complex-fractional-key", "complex-repeated-key",
+    "complex-repeated-float-key",
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, message):
+    argv = [command, write(tmp_path / "doc.json", doc)]
+    if config is not None:
+        argv.append(write(tmp_path / "config.json", config))
+    if command == "disc":
+        argv += ["--radius", "1", "--constant", "1"]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err

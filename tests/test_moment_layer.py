@@ -2,6 +2,7 @@
 the bilinear L(p q), each against a dict-loop reference kept in this file."""
 
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,17 +15,24 @@ from momint.polynomials import Polynomial, enumerate_monomials
 EPS = np.finfo(float).eps
 
 
+def moment_map(seq):
+    """Exponent tuple -> moment, by enumeration position."""
+    return dict(zip(enumerate_monomials(seq.dimension, seq.max_degree), seq.y.tolist()))
+
+
 def dict_loop_moment_matrix(seq, order, shift):
-    """Term-by-term moment matrix over ``seq.values``: the shifted value of
-    every gamma with |gamma| <= 2*order, accumulated in ``shift.terms``
-    order from 0.0, then read off at alpha + beta."""
+    """Term-by-term moment matrix over a map from exponent tuples to moments,
+    built from ``enumerate_monomials`` and ``seq.y`` without ``grlex_rank``:
+    the shifted value of every gamma with |gamma| <= 2*order, accumulated in
+    ``shift.terms`` order from 0.0, then read off at alpha + beta."""
+    values = moment_map(seq)
     basis = enumerate_monomials(seq.dimension, order)
     table = {}
     for gamma in enumerate_monomials(seq.dimension, 2 * order):
         total = 0.0
         for delta, coeff in shift.terms.items():
             key = tuple(g + d for g, d in zip(gamma, delta))
-            total += float(coeff) * seq.values[key]
+            total += float(coeff) * values[key]
         table[gamma] = total
     n = len(basis)
     entries = np.empty((n, n))
@@ -32,6 +40,23 @@ def dict_loop_moment_matrix(seq, order, shift):
         for j, beta in enumerate(basis):
             entries[i, j] = table[tuple(a + b for a, b in zip(alpha, beta))]
     return entries
+
+
+def dict_loop_atom_moments(atoms, max_degree):
+    """Moments of weighted atoms one monomial at a time: the atoms in spec
+    order, each a product of coordinate powers taken left to right from the
+    weight, rescaled to unit mass."""
+    raw = []
+    for index in enumerate_monomials(len(atoms[0][0]), max_degree):
+        total = 0.0
+        for point, weight in atoms:
+            prod = weight
+            for x, e in zip(point, index):
+                if e:
+                    prod *= x**e
+            total += prod
+        raw.append(total)
+    return [value / raw[0] for value in raw]
 
 
 def random_poly(rng, dim, max_exp, n_terms):
@@ -70,8 +95,18 @@ def test_sequence_vector_follows_grlex_order(atom_corpus):
     for _, seq in atom_corpus[:6]:
         monomials = enumerate_monomials(seq.dimension, seq.max_degree)
         assert seq.y.shape == (len(monomials),)
-        assert [seq.values[m] for m in monomials] == list(seq.y)
+        assert [seq.moment(m) for m in monomials] == list(seq.y)
         assert not seq.y.flags.writeable
+
+
+def test_atom_oracle_bit_identical_to_dict_loop(atom_corpus):
+    signed_zeros = MeasureSpec(atoms=[((-0.0, 1.5), 0.5), ((0.0, -2.0), 0.25), ((3.0, -0.0), 2.0)])
+    for spec in [spec for spec, _ in atom_corpus] + [signed_zeros]:
+        for max_degree in (0, 6, 12):
+            got = from_measure(spec, max_degree).y.tolist()
+            want = dict_loop_atom_moments(spec.atoms, max_degree)
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
 def test_moment_matrix_bit_identical_to_dict_loop(atom_corpus):
@@ -97,10 +132,11 @@ def test_moment_matrix_zero_shift(lebesgue01):
 def bilinear_bound(seq, p, q):
     """64 eps * sum |p_a| |q_b| |y_(a+b)|: the rounding allowance between
     two summation orders of the same bilinear form."""
+    values = moment_map(seq)
     total = 0.0
     for a, pa in p.terms.items():
         for b, qb in q.terms.items():
-            total += abs(pa) * abs(qb) * abs(seq.values[tuple(x + y for x, y in zip(a, b))])
+            total += abs(pa) * abs(qb) * abs(values[tuple(x + y for x, y in zip(a, b))])
     return 64.0 * EPS * total
 
 

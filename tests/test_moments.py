@@ -16,6 +16,14 @@ def test_gauss_legendre_integrates_monomials_exactly():
             assert abs(float(weights @ nodes**k) - exact) <= 1e-13
 
 
+def test_gauss_legendre_matches_numpy_leggauss():
+    for order in range(1, 41):
+        nodes, weights = gauss_legendre(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+
+
 def test_gauss_legendre_nodes_sorted_in_open_interval():
     nodes, weights = gauss_legendre(9)
     assert np.all(np.diff(nodes) > 0)
@@ -25,17 +33,17 @@ def test_gauss_legendre_nodes_sorted_in_open_interval():
 
 def test_symmetric_two_atoms_parity():
     seq = from_measure(MeasureSpec(atoms=[((-1.0,), 0.5), ((1.0,), 0.5)]), 4)
-    assert seq.values[(0,)] == 1.0
-    assert seq.values[(1,)] == 0.0
-    assert seq.values[(2,)] == 1.0
-    assert seq.values[(3,)] == 0.0
-    assert seq.values[(4,)] == 1.0
+    assert seq.moment((0,)) == 1.0
+    assert seq.moment((1,)) == 0.0
+    assert seq.moment((2,)) == 1.0
+    assert seq.moment((3,)) == 0.0
+    assert seq.moment((4,)) == 1.0
 
 
 def test_box_moments_match_analytic_integrals():
     seq = from_measure(MeasureSpec(box=([[0.0, 1.0]], 3)), 4)
     for k in range(5):
-        assert abs(seq.values[(k,)] - 1.0 / (k + 1)) <= 1e-14
+        assert abs(seq.moment((k,)) - 1.0 / (k + 1)) <= 1e-14
 
 
 def test_multidim_box_moments_match_analytic_integrals():
@@ -47,20 +55,20 @@ def test_multidim_box_moments_match_analytic_integrals():
 
     for idx in enumerate_monomials(2, 8):
         exact = one_dim(0.0, 1.0, idx[0]) * one_dim(-1.0, 2.0, idx[1])
-        assert abs(seq.values[idx] - exact) <= 1e-12 * (1.0 + abs(exact))
+        assert abs(seq.moment(idx) - exact) <= 1e-12 * (1.0 + abs(exact))
 
 
 def test_dirac_at_origin():
     seq = from_measure(MeasureSpec(atoms=[((0.0, 0.0), 1.0)]), 6)
-    assert seq.values[(0, 0)] == 1.0
-    assert all(v == 0.0 for k, v in seq.values.items() if k != (0, 0))
+    assert seq.moment((0, 0)) == 1.0
+    assert all(seq.moment(k) == 0.0 for k in enumerate_monomials(2, 6) if k != (0, 0))
 
 
 def test_mass_rescaled_on_ingest():
     seq = from_measure(MeasureSpec(atoms=[((2.0,), 3.0)]), 4)
     assert seq.normalized and seq.scale == 3.0
-    assert seq.values[(0,)] == 1.0
-    assert abs(seq.values[(1,)] - 2.0) <= 1e-15
+    assert seq.moment((0,)) == 1.0
+    assert abs(seq.moment((1,)) - 2.0) <= 1e-15
 
 
 def test_atomic_apply_matches_direct_summation():
@@ -170,6 +178,16 @@ def test_incomplete_table_rejected():
         MomentSequence(1, 4, {(0,): 1.0, (1,): 0.0})
 
 
+def test_non_finite_moment_rejected():
+    from momint.spectral import OperatorMomentData
+
+    with pytest.raises(ValueError, match=r"non-finite moment at \(1,\)"):
+        MomentSequence(1, 2, {(0,): 1.0, (1,): math.nan, (2,): 1.0})
+    data = OperatorMomentData(None, np.ones(1), np.array([1.0, 0.5, math.inf]))
+    with pytest.raises(ValueError, match=r"non-finite moment at \(2,\)"):
+        data.to_moment_sequence()
+
+
 def test_odd_max_degree_rejected():
     with pytest.raises(ValueError):
         MomentSequence(1, 3, {(k,): 1.0 for k in range(4)})
@@ -184,7 +202,7 @@ def test_document_round_trip(lebesgue01):
     doc = lebesgue01.to_document()
     assert doc["dimension"] == 1 and doc["max_degree"] == 10
     back = MomentSequence.from_document(doc)
-    assert back.values == lebesgue01.values
+    assert back.y.tolist() == lebesgue01.y.tolist()
 
     spec = MeasureSpec(atoms=[((1.0, 2.0), 0.5), ((0.0, 0.0), 0.5)])
     again = MeasureSpec.from_document(spec.to_document())
@@ -229,8 +247,8 @@ def test_repeated_document_index_rejected():
 
 
 def test_moment_lookup_validates_index(lebesgue01):
-    assert lebesgue01.moment((2,)) == lebesgue01.values[(2,)]
-    assert lebesgue01.moment([2.0]) == lebesgue01.values[(2,)]
+    assert lebesgue01.moment((2,)) == lebesgue01.y[2]
+    assert lebesgue01.moment([2.0]) == lebesgue01.y[2]
     for bad in [(1, 0), (-1,), (1.5,), ()]:
         with pytest.raises(ValueError):
             lebesgue01.moment(bad)

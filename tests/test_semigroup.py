@@ -164,6 +164,20 @@ def test_disc_check_examples():
     assert disc_check(origin, radius=0.3, constant=1.0).passed
 
 
+def test_disc_check_tolerance_applies_to_kernel():
+    psd = from_complex_atoms([(0.3 + 0.1j, 0.5), (-0.2 + 0.3j, 0.5)], 4)
+    negative = from_complex_atoms([(0.4j, 1.0)], 4)
+    signed = ComplexMomentFunction(
+        4, {k: v - 1e-3 * negative.values[k] for k, v in psd.values.items()}
+    )
+    min_eigenvalue = psd_kernel_check(signed).min_eigenvalue
+    assert -1e-3 < min_eigenvalue < -1e-6
+    loose = disc_check(signed, radius=0.5, constant=1.0, tol=1e-2)
+    assert loose.passed and loose.details[0]["kernel_psd"]
+    default = disc_check(signed, radius=0.5, constant=1.0)
+    assert not default.passed and not default.details[0]["kernel_psd"]
+
+
 def test_disc_check_rejects_bad_parameters():
     f = from_complex_atoms([(0.5 + 0j, 1.0)], 4)
     with pytest.raises(ValueError):
