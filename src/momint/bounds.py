@@ -15,7 +15,7 @@ that produced them (no operation extrapolates):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .exceptions import (
     NotNormalizedError,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL,
     EigenDecomposition,
     PsdVerdict,
     pencil_extremes,
@@ -71,7 +70,7 @@ class RayleighBounds:
 class MembershipVerdict:
     """Growth-route membership test for {a : L(b^2 a) >= 0 for all b}.
 
-    ``holds`` applies the configured slack; ``raw_holds`` is the unslacked
+    ``holds`` applies the slack MEMBERSHIP_SLACK; ``raw_holds`` is the unslacked
     comparison ``growth_shift <= growth_a``. Both estimates converge from
     below, so the raw comparison is exact only in the limit.
     """
@@ -156,29 +155,36 @@ def _growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
         raise DegreeOverflowError(
             f"degree {deg} exceeds n_max {seq.n_max}: no even power fits"
         )
-    n_used = seq.max_degree // (2 * deg)
-    per = []
-    clamped = False
+    return _even_power_bound(_even_power_values(seq, a, seq.max_degree // (2 * deg)))
+
+
+def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> Iterator[float]:
+    """L(a^2), L(a^4), ..., L(a^(2 count)), each as the bilinear form
+    L(a^n a^n), so only the powers up to a^count are formed."""
     power = a
-    for n in range(1, n_used + 1):
+    for n in range(1, count + 1):
         if n > 1:
             power = power * a
-        value = seq.apply(power, power)
+        yield seq.apply(power, power)
+
+
+def _even_power_bound(values: Iterable[float]) -> GrowthBound:
+    """The growth bound of the even-power values v_1, v_2, ... (v_n standing
+    for L(a^(2n))): the largest v_n^(1/(2n)), with negative values clamped
+    to zero and flagged."""
+    per = []
+    clamped = False
+    for n, value in enumerate(values, start=1):
         if value < 0.0:
             clamped = True
             value = 0.0
         per.append(value ** (1.0 / (2 * n)))
     return GrowthBound(
-        value=max(per), n_used=n_used, per_power=tuple(per), clamped=clamped
+        value=max(per), n_used=len(per), per_power=tuple(per), clamped=clamped
     )
 
 
-def rayleigh_bounds(
-    seq: MomentSequence,
-    a: Polynomial,
-    order: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> RayleighBounds:
+def rayleigh_bounds(seq: MomentSequence, a: Polynomial, order: int) -> RayleighBounds:
     """Extremes of L(a b^2) / L(b^2) over b of degree <= order.
 
     Computed as the extreme generalized eigenvalues of the pencil formed by
@@ -187,20 +193,13 @@ def rayleigh_bounds(
     """
     localized = seq.moment_matrix(order, a).matrix
     plain = seq.moment_matrix(order).matrix
-    lo, hi, rank = pencil_extremes(
-        localized, plain, rank_tol=rank_tol, b_eig=_plain_matrix_eig(seq, order)
-    )
+    lo, hi, rank = pencil_extremes(localized, plain, b_eig=_plain_matrix_eig(seq, order))
     return RayleighBounds(lower=lo, upper=hi, order_used=order, effective_rank=rank)
 
 
-def square_norm_bound(
-    seq: MomentSequence,
-    a: Polynomial,
-    order: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> float:
+def square_norm_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
     """Upper Rayleigh bound for a^2: estimates the squared sup-norm of a."""
-    return rayleigh_bounds(seq, a * a, order, rank_tol=rank_tol).upper
+    return rayleigh_bounds(seq, a * a, order).upper
 
 
 def quadratic_module_psd(
@@ -213,28 +212,24 @@ def quadratic_module_psd(
     return psd_check(seq.moment_matrix(order, a).matrix, tol)
 
 
-def quadratic_module_growth(
-    seq: MomentSequence,
-    a: Polynomial,
-    slack: float = MEMBERSHIP_SLACK,
-) -> MembershipVerdict:
+def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVerdict:
     """Growth-route membership test: growth bound of (c - a) stays below c.
 
     ``c`` is the growth bound of ``a`` itself; membership holds in the limit
     exactly when the shifted bound does not exceed it. Both estimates rise
-    toward their limits, so a configured slack factor is applied and the raw
-    comparison is reported alongside.
+    toward their limits, so the slack factor MEMBERSHIP_SLACK is applied and
+    the raw comparison is reported alongside.
     """
     c_a = growth_bound(seq, a)
     shifted = Polynomial.constant(seq.dimension, c_a.value) - a
     c_shift = growth_bound(seq, shifted)
     raw = c_shift.value <= c_a.value
     return MembershipVerdict(
-        holds=c_shift.value <= c_a.value * (1.0 + slack),
+        holds=c_shift.value <= c_a.value * (1.0 + MEMBERSHIP_SLACK),
         growth_a=c_a.value,
         growth_shift=c_shift.value,
         raw_holds=raw,
-        slack=slack,
+        slack=MEMBERSHIP_SLACK,
     )
 
 
@@ -243,24 +238,22 @@ def archimedean_bound(
     a: Polynomial,
     order: int,
     mode: str = "linear",
-    tol: float = BISECTION_TOL,
-    ceiling: float = BISECTION_CEILING,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Smallest M with the localized matrix of (M - a), or (M - a^2) in
     ``square`` mode, positive semidefinite at the given order.
 
     The search runs on the range of the plain moment matrix (rank-deficient
     directions are quotiented out, never perturbed), bisecting to absolute
-    tolerance ``tol``. The result coincides with the upper Rayleigh bound of
-    ``a`` (resp. ``a^2``); keeping the bisection route makes that equality a
-    checkable property rather than a definition.
+    tolerance BISECTION_TOL below BISECTION_CEILING. The result coincides
+    with the upper Rayleigh bound of ``a`` (resp. ``a^2``); keeping the
+    bisection route makes that equality a checkable property rather than a
+    definition.
     """
     if mode not in ("linear", "square"):
         raise ValueError(f"mode must be 'linear' or 'square', got {mode!r}")
     shift = a if mode == "linear" else a * a
     localized = seq.moment_matrix(order, shift).matrix
-    w = range_whitener(_plain_matrix_eig(seq, order), rank_tol)
+    w = range_whitener(_plain_matrix_eig(seq, order))
     if w.shape[1] == 0:
         raise CeilingExceededError("moment form is zero at this truncation")
     compressed = w.T @ localized.data @ w
@@ -272,18 +265,18 @@ def archimedean_bound(
     hi = 1.0
     while not admissible(hi):
         hi *= 2.0
-        if hi > ceiling:
+        if hi > BISECTION_CEILING:
             raise CeilingExceededError(
-                f"no admissible bound below ceiling {ceiling:g}"
+                f"no admissible bound below ceiling {BISECTION_CEILING:g}"
             )
     lo = -1.0
     while admissible(lo):
         lo *= 2.0
-        if lo < -ceiling:
+        if lo < -BISECTION_CEILING:
             raise CeilingExceededError(
-                f"bound lies below -ceiling {ceiling:g}; data looks degenerate"
+                f"bound lies below -ceiling {BISECTION_CEILING:g}; data looks degenerate"
             )
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             hi = mid
@@ -296,7 +289,6 @@ def support_box(
     seq: MomentSequence,
     polys: Sequence[Polynomial] | None = None,
     order: int = 1,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SupportBox:
     """Rayleigh interval per polynomial; defaults to the coordinate variables.
 
@@ -310,7 +302,7 @@ def support_box(
     failures = []
     for p in polys:
         try:
-            rb = rayleigh_bounds(seq, p, order, rank_tol=rank_tol)
+            rb = rayleigh_bounds(seq, p, order)
         except DegreeOverflowError as exc:
             failures.append((p, str(exc)))
             continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .bounds import growth_bound
+from .bounds import _even_power_values, growth_bound
 from .exceptions import DegreeOverflowError
 from .linalg import psd_check
 from .moments import MomentSequence, _integer
@@ -296,11 +296,7 @@ def growth_check(
         if n_reachable == 0:
             skipped += 1
             continue
-        power = a
-        for n in range(1, n_reachable + 1):
-            if n > 1:
-                power = power * a
-            value = seq.apply(power, power)
+        for n, value in enumerate(_even_power_values(seq, a, n_reachable), start=1):
             limit = prefactor * bound ** (2 * n)
             attempted += 1
             if value > limit + tol:
@@ -576,8 +572,8 @@ def run_check_config(
     polynomial is text in those variables. ``default_tol`` applies to checks
     without their own ``tol``; ``max_factors`` overrides the product length
     cap. Returns (name, report) pairs in document order. Raises ValueError
-    on malformed configuration, including an empty check list and a field
-    of the wrong type.
+    on malformed configuration, including an empty check list, a field of
+    the wrong type and a negative tolerance.
     """
     from .polynomials import parse_polynomial
 
@@ -605,7 +601,10 @@ def run_check_config(
     for item in checks:
         kind = item.get("check")
         tol = item.get("tol", default_tol)
-        tol = None if tol is None else _number(tol, "tol")
+        if tol is not None:
+            tol = _number(tol, "tol")
+            if tol < 0:
+                raise ValueError("tol must be >= 0")
         order = _integer(item.get("order", 1), "order")
         if kind == "products":
             factors = [

@@ -124,40 +124,34 @@ def gauss_rule(alphas, betas, mass: float) -> tuple[np.ndarray, np.ndarray]:
     return decomp.eigenvalues, mass * decomp.eigenvectors[0] ** 2
 
 
-def range_whitener(
-    decomp: EigenDecomposition, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
     """Columns ``V[:, keep] / sqrt(lambda[keep])`` whitening the range of B.
 
     ``decomp`` is B's eigendecomposition; an eigenpair is kept when its
-    eigenvalue exceeds ``rank_tol * max(max_eig(B), 0)``. For the returned W,
-    ``W.T @ B @ W`` is the identity on the kept range, so ``W.T @ A @ W`` is
-    A compressed to that range. W has no columns when nothing is kept; the
+    eigenvalue exceeds ``DEFAULT_RANK_TOL * max(max_eig(B), 0)``. For the
+    returned W, ``W.T @ B @ W`` is the identity on the kept range, so
+    ``W.T @ A @ W`` is A compressed to that range. W has no columns when nothing is kept; the
     caller decides which error that is.
     """
     values = decomp.eigenvalues
     scale = max(float(values[-1]), 0.0) if values.size else 0.0
-    keep = values > rank_tol * scale
+    keep = values > DEFAULT_RANK_TOL * scale
     return decomp.eigenvectors[:, keep] / np.sqrt(values[keep])
 
 
-def pencil_extremes(
-    a,
-    b,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    b_eig: EigenDecomposition | None = None,
-) -> tuple[float, float, int]:
+def pencil_extremes(a, b, b_eig: EigenDecomposition | None = None) -> tuple[float, float, int]:
     """Extreme generalized eigenvalues of the pencil (A, B), B PSD.
 
     B may be singular: its eigenpairs with eigenvalue above
-    ``rank_tol * max_eig(B)`` define the range, A is whitened on that range,
-    and the extremes of the whitened matrix are returned together with the
-    retained rank. Deflation, never regularization: the quotient out of
-    B's null space is exact.
+    ``DEFAULT_RANK_TOL * max_eig(B)`` define the range, A is whitened on that
+    range, and the extremes of the whitened matrix are returned together
+    with the retained rank. Deflation, never regularization: the quotient
+    out of B's null space is exact.
 
-    Raises NotPsdError if B has an eigenvalue below ``-rank_tol * max_eig(B)``
-    and RankDeficiencyError if nothing is retained (the form is zero at this
-    truncation). A precomputed ``b_eig`` decomposition may be supplied.
+    Raises NotPsdError if B has an eigenvalue below
+    ``-DEFAULT_RANK_TOL * max_eig(B)`` and RankDeficiencyError if nothing is
+    retained (the form is zero at this truncation). A precomputed ``b_eig``
+    decomposition may be supplied.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -167,11 +161,11 @@ def pencil_extremes(
         b_eig = sym_eig(bm)
     values = b_eig.eigenvalues
     scale = max(float(values[-1]), 0.0) if values.size else 0.0
-    if values.size and float(values[0]) < -rank_tol * scale:
+    if values.size and float(values[0]) < -DEFAULT_RANK_TOL * scale:
         raise NotPsdError(
             f"pencil base matrix is not PSD: min eigenvalue {float(values[0]):.3e}"
         )
-    w = range_whitener(b_eig, rank_tol)
+    w = range_whitener(b_eig)
     rank = w.shape[1]
     if rank == 0:
         raise RankDeficiencyError(

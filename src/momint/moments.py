@@ -198,7 +198,6 @@ def _integer(value, name: str) -> int:
 def _dense_moments(dimension: int, max_degree: int, pairs) -> np.ndarray:
     """The grlex moment vector of (index, value) pairs; ValueError on a bad
     index or value, and unless each index up to max_degree is listed once."""
-    monomials = _monomial_array(dimension, max_degree)
     exponents, values = [], []
     for key, value in pairs:
         index = _multi_index(key, dimension)
@@ -209,6 +208,16 @@ def _dense_moments(dimension: int, max_degree: int, pairs) -> np.ndarray:
         except (TypeError, ValueError):
             raise ValueError(f"moment value at {index} must be a number, got {value!r}") from None
         exponents.extend(index)
+    # C(max_degree + j, j) grows with j to the size of a complete table: a
+    # short list fails at the first j past it, before anything is enumerated
+    needed = 1
+    for j in range(1, dimension + 1):
+        needed = needed * (max_degree + j) // j
+        if needed > len(values):
+            raise ValueError(
+                f"moment table incomplete: {len(values)} indices listed, at least {needed} needed"
+            )
+    monomials = _monomial_array(dimension, max_degree)
     ranks = grlex_rank(np.array(exponents, dtype=np.intp).reshape(-1, dimension))
     counts = np.bincount(ranks, minlength=len(monomials))
     repeated, missing = np.flatnonzero(counts > 1), np.flatnonzero(counts == 0)

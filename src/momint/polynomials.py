@@ -18,10 +18,6 @@ from .exceptions import PolynomialParseError
 MultiIndex = tuple  # tuple of nonnegative ints, one exponent per variable
 
 
-def total_degree(index: MultiIndex) -> int:
-    return sum(index)
-
-
 def grlex_key(index: MultiIndex):
     """Sort key realizing graded lexicographic order (degree, then lex with
     the first variable largest)."""

@@ -9,9 +9,10 @@ function f assigns f(m, n) = sum of w * z^n * conj(z)^m over the measure;
 positive semidefiniteness of the kernel f(s* t) plus a growth bound on the
 diagonal f(n, n) characterizes measures supported on a closed disc.
 
-Hermitian PSD tests pass the complex kernel straight to the package's
-Hermitian eigensolver, so one eigensolver and one tolerance policy cover both
-the real and the complex pipelines.
+The one storage of f is ``table[m, n] = f(m, n)``, a read-only Hermitian
+``(max_level + 1)^2`` complex array. The Hermitian kernel gathered from it
+goes to the package's eigensolver, so one eigensolver and one tolerance
+policy cover both the real and the complex pipelines.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import GrowthBound
+from .bounds import GrowthBound, _even_power_bound
 from .certify import CheckReport, Violation
 from .exceptions import CoverageError
 from .linalg import PsdVerdict, psd_check
@@ -44,60 +45,80 @@ class SemigroupElement(NamedTuple):
 
 
 class ComplexMomentFunction:
-    """Table (m, n) -> complex value for 0 <= m, n <= max_level.
+    """Values f(m, n) for 0 <= m, n <= max_level, as the read-only complex
+    array ``table`` with ``table[m, n] = f(m, n)``.
 
-    Hermitian symmetry f(n, m) = conj(f(m, n)) is enforced on ingest and
-    f(0, 0) must be real and positive.
+    Ingest takes a mapping (m, n) -> value that lists each entry or its
+    mirror (n, m); a listed pair must be conjugate, the mirror fills in
+    what is missing, and f(0, 0) must be real and positive.
     """
 
-    __slots__ = ("max_level", "values")
+    __slots__ = ("max_level", "table")
 
     def __init__(self, max_level: int, values: Mapping):
         if max_level < 0:
             raise ValueError("max_level must be >= 0")
-        table: dict = {}
+        rows, columns, entries = [], [], []
         for key, raw in values.items():
             m, n = _multi_index(key, 2)
             if m > max_level or n > max_level:
                 raise ValueError(f"index {key} outside level bound {max_level}")
-            table[(m, n)] = complex(raw)
-        scale = max((abs(v) for v in table.values()), default=0.0)
-        for m in range(max_level + 1):
-            for n in range(max_level + 1):
-                direct = table.get((m, n))
-                mirror = table.get((n, m))
-                if direct is None and mirror is None:
-                    raise CoverageError(f"missing table entry ({m}, {n})")
-                if direct is None:
-                    table[(m, n)] = mirror.conjugate()
-                elif mirror is not None and abs(
-                    direct - mirror.conjugate()
-                ) > HERMITIAN_INGEST_TOL * (1.0 + scale):
-                    raise ValueError(
-                        f"entries ({m}, {n}) and ({n}, {m}) are not conjugate"
-                    )
-        mass = table[(0, 0)]
-        if abs(mass.imag) > HERMITIAN_INGEST_TOL * (1.0 + scale) or mass.real <= 0:
+            rows.append(m)
+            columns.append(n)
+            entries.append(complex(raw))
+        size = max_level + 1
+        # the entries with m <= n fix a Hermitian table
+        if len(entries) < size * (size + 1) // 2:
+            raise CoverageError(f"complex moment table incomplete at level {max_level}")
+        tol = HERMITIAN_INGEST_TOL * (1.0 + max(map(abs, entries), default=0.0))
+        table = np.zeros((size, size), dtype=complex)
+        given = np.zeros((size, size), dtype=bool)
+        table[rows, columns] = entries
+        given[rows, columns] = True
+        mirror = table.T.conj()
+        missing = ~(given | given.T)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, never a clash
+            clash = given & given.T & (np.abs(table - mirror) > tol)
+        bad = np.flatnonzero(missing | clash)
+        if bad.size:
+            m, n = divmod(int(bad[0]), size)
+            if missing[m, n]:
+                raise CoverageError(f"missing table entry ({m}, {n})")
+            raise ValueError(f"entries ({m}, {n}) and ({n}, {m}) are not conjugate")
+        table = np.where(given, table, mirror)
+        if abs(table[0, 0].imag) > tol:
             raise ValueError("f(0, 0) must be real and positive")
-        table[(0, 0)] = complex(mass.real, 0.0)
+        table[0, 0] = table[0, 0].real
+        self._store(max_level, table)
+
+    @classmethod
+    def _from_dense(cls, max_level: int, table: np.ndarray) -> "ComplexMomentFunction":
+        """A function from its exactly Hermitian dense table."""
+        f = cls.__new__(cls)
+        f._store(max_level, table)
+        return f
+
+    def _store(self, max_level: int, table: np.ndarray):
+        """Check that f(0, 0) is positive, freeze the table, fill the slots."""
+        if table[0, 0].real <= 0:
+            raise ValueError("f(0, 0) must be real and positive")
+        table.flags.writeable = False
         self.max_level = int(max_level)
-        self.values = table
+        self.table = table
 
     def value(self, element) -> complex:
-        m, n = int(element[0]), int(element[1])
-        try:
-            return self.values[(m, n)]
-        except KeyError:
-            raise CoverageError(
-                f"entry ({m}, {n}) beyond table level {self.max_level}"
-            ) from None
+        m, n = _multi_index(element, 2)
+        if m > self.max_level or n > self.max_level:
+            raise CoverageError(f"entry ({m}, {n}) beyond table level {self.max_level}")
+        return complex(self.table[m, n])
 
     # -- documents ----------------------------------------------------------
 
     def to_document(self) -> dict:
         entries = [
             {"m": m, "n": n, "re": v.real, "im": v.imag}
-            for (m, n), v in sorted(self.values.items())
+            for m, row in enumerate(self.table.tolist())
+            for n, v in enumerate(row)
         ]
         return {"max_level": self.max_level, "values": entries}
 
@@ -120,29 +141,36 @@ def from_complex_atoms(
     atoms: Sequence[tuple[complex, float]], max_level: int
 ) -> ComplexMomentFunction:
     """Moment function of finitely many weighted points in the plane:
-    f(m, n) = sum of w * z^n * conj(z)^m. Hermitian symmetry is exact."""
+    f(m, n) = sum of w * z^n * conj(z)^m. Hermitian symmetry is exact.
+
+    Atom by atom the table adds (z^n * conj(z)^m) * complex(w, 0) in real
+    arithmetic, step for step as Python's complex product (numpy's complex
+    multiply may round differently): grouping the powers before the weight
+    lets conjugation commute exactly through every step.
+    """
     cleaned = []
     for z, w in atoms:
         if not w > 0:
             raise ValueError(f"atom weight must be positive, got {w}")
         cleaned.append((complex(z), float(w)))
-    values: dict = {}
-    powers = []
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    table = np.zeros((max_level + 1, max_level + 1), dtype=complex)
     for z, w in cleaned:
-        zp = [1.0 + 0.0j]
-        cp = [1.0 + 0.0j]
+        zp, cp = [1.0 + 0.0j], [1.0 + 0.0j]
         zc = z.conjugate()
         for _ in range(max_level):
             zp.append(zp[-1] * z)
             cp.append(cp[-1] * zc)
-        powers.append((zp, cp, w))
-    for m in range(max_level + 1):
-        for n in range(max_level + 1):
-            # group the powers before the real scaling: conjugation then
-            # commutes exactly through every operation, so the table is
-            # Hermitian to the last bit
-            values[(m, n)] = sum((zp[n] * cp[m]) * w for zp, cp, w in powers)
-    return ComplexMomentFunction(max_level, values)
+        zp, cp = np.array(zp), np.array(cp)
+        # the products with 0.0 are the cross terms of complex(w, 0); like the
+        # scalar product they turn an overflowed part into NaN, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            re = np.multiply.outer(cp.real, zp.real) - np.multiply.outer(cp.imag, zp.imag)
+            im = np.multiply.outer(cp.imag, zp.real) + np.multiply.outer(cp.real, zp.imag)
+            table.real += re * w - im * 0.0
+            table.imag += re * 0.0 + im * w
+    return ComplexMomentFunction._from_dense(max_level, table)
 
 
 def complex_atoms_from_document(doc: Mapping) -> tuple[list[tuple[complex, float]], int]:
@@ -167,7 +195,7 @@ def psd_kernel_check(
 
     ``level`` defaults to the largest coverable one, max_level // 2. With
     s = (m1, n1) and t = (m2, n2), s* t = (n1 + m2, m1 + n2), so the kernel
-    is read off the dense table by fancy indexing.
+    is gathered from ``f.table`` by fancy indexing.
     """
     if level is None:
         level = f.max_level // 2
@@ -177,12 +205,10 @@ def psd_kernel_check(
         raise CoverageError(
             f"level {level} needs entries up to {2 * level} > {f.max_level}"
         )
-    span = range(2 * level + 1)
-    table = np.array([[f.values[(m, n)] for n in span] for m in span])
     # elements ordered (m, n) for m, then n, in 0..level
     ms = np.repeat(np.arange(level + 1), level + 1)
     ns = np.tile(np.arange(level + 1), level + 1)
-    kernel = table[ns[:, None] + ms[None, :], ms[:, None] + ns[None, :]]
+    kernel = f.table[ns[:, None] + ms[None, :], ms[:, None] + ns[None, :]]
     return psd_check(kernel, tol)
 
 
@@ -193,30 +219,17 @@ def diagonal_growth_bound(
 
     The products s^n (s*)^n sit on the diagonal of the table, so the entries
     are real for a Hermitian f; negative values (non-PSD data) are clamped
-    to zero and flagged.
+    to zero and flagged. The neutral element gives sqrt(f(0, 0)).
     """
     element = SemigroupElement(*element)
     step = element.m + element.n
-    if step == 0:
-        root = float(f.value((0, 0)).real) ** 0.5
-        return GrowthBound(value=root, n_used=1, per_power=(root,))
-    n_used = f.max_level // step
+    n_used = f.max_level // step if step else 1
     if n_used < 1:
         raise CoverageError(
             f"table level {f.max_level} cannot reach s s* for s=({element.m}, {element.n})"
         )
-    per = []
-    clamped = False
-    for n in range(1, n_used + 1):
-        k = n * step
-        value = float(f.value((k, k)).real)
-        if value < 0.0:
-            clamped = True
-            value = 0.0
-        per.append(value ** (1.0 / (2 * n)))
-    return GrowthBound(
-        value=max(per), n_used=n_used, per_power=tuple(per), clamped=clamped
-    )
+    diagonal = f.table.diagonal().real.tolist()
+    return _even_power_bound([diagonal[n * step] for n in range(1, n_used + 1)])
 
 
 def disc_check(
@@ -232,8 +245,7 @@ def disc_check(
         raise ValueError("radius and constant must be positive")
     verdict = psd_kernel_check(f, tol=tol)
     if tol is None:
-        peak = max(abs(v) for v in f.values.values())
-        tol = 1e-9 * (1.0 + peak)
+        tol = 1e-9 * (1.0 + float(np.abs(f.table).max()))
     violations = []
     if not verdict.is_psd:
         violations.append(
@@ -243,8 +255,7 @@ def disc_check(
             )
         )
     diagonal = []
-    for n in range(f.max_level + 1):
-        value = float(f.value((n, n)).real)
+    for n, value in enumerate(f.table.diagonal().real.tolist()):
         limit = constant * radius ** (2 * n)
         diagonal.append({"n": n, "value": value, "limit": limit})
         if value > limit + tol:

@@ -88,14 +88,14 @@ def rayleigh_interval(t) -> tuple[float, float]:
     return float(decomp.eigenvalues[0]), float(decomp.eigenvalues[-1])
 
 
-def _hankel_cholesky(moments: np.ndarray, k: int, pivot_rel_tol: float):
+def _hankel_cholesky(moments: np.ndarray, k: int):
     """Partial upper Cholesky factor of the Hankel form, rows 0..k-1.
 
     Only those rows feed the recurrence coefficients (entries use moments up
     to index 2k-1), so only their pivots must be positive; a failure at row j
     means the measure has numerical rank j.
     """
-    pivot_floor = pivot_rel_tol * max(float(np.max(moments[: 2 * k : 2])), 1.0)
+    pivot_floor = PIVOT_REL_TOL * max(float(np.max(moments[: 2 * k : 2])), 1.0)
     r = np.zeros((k, k + 1))
     for j in range(k):
         d = moments[2 * j] - float(r[:j, j] @ r[:j, j])
@@ -110,11 +110,7 @@ def _hankel_cholesky(moments: np.ndarray, k: int, pivot_rel_tol: float):
     return r
 
 
-def quadrature_from_moments(
-    moments,
-    node_count: int,
-    pivot_rel_tol: float = PIVOT_REL_TOL,
-) -> DiscreteMeasure:
+def quadrature_from_moments(moments, node_count: int) -> DiscreteMeasure:
     """Discrete measure with ``node_count`` nodes matching the leading moments.
 
     Accepts a plain moment list, an OperatorMomentData, or a one-dimensional
@@ -139,7 +135,7 @@ def quadrature_from_moments(
         )
     if values[0] <= 0:
         raise ValueError("total mass m_0 must be positive")
-    r = _hankel_cholesky(values, k, pivot_rel_tol)
+    r = _hankel_cholesky(values, k)
     pivots = np.diagonal(r)
     ratios = np.diagonal(r, 1) / pivots  # r[j, j + 1] / r[j, j]
     alphas = np.concatenate([ratios[:1], ratios[1:] - ratios[:-1]])

@@ -265,6 +265,13 @@ def test_run_check_config_rejects_empty(lebesgue01):
         run_check_config(lebesgue01, {"checks": [{"check": "nope"}]})
 
 
+def test_run_check_config_rejects_negative_default_tol(lebesgue01):
+    # the value certify --tol passes; a negative tolerance would demand a margin
+    config = {"checks": [{"check": "cone", "a": "t"}]}
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        run_check_config(lebesgue01, config, default_tol=-1.0)
+
+
 def naive_products(seq, factors, max_factors, tol):
     """From-scratch reference: expand every product and apply L to it."""
     import itertools

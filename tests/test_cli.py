@@ -341,11 +341,20 @@ NULL_VALUE = one_dim_moments(moments=[
     ("disc", complex_table({"m": 0.5, "n": 0, "re": 5.0}), None, "bad multi-index (0.5, 0)"),
     ("disc", complex_table({"m": 0, "n": 0, "re": 5.0}), None, "more than once"),
     ("disc", complex_table({"m": 1.0, "n": 1, "re": 0.25}), None, "more than once"),
+    ("certify", one_dim_moments(), {"checks": [{"check": "cone", "a": "t", "tol": -1}]},
+     "tol must be >= 0"),
+    # incomplete documents whose full tables would be far too large to enumerate
+    ("analyze", {"dimension": 2, "max_degree": 10**30, "moments": [
+        {"index": [0, 0], "value": 1.0}, {"index": [1, 0], "value": 0.5},
+        {"index": [0, 1], "value": 0.5}]}, None, "moment table incomplete"),
+    ("disc", {"max_level": 10**9, "values": [{"m": 0, "n": 0, "re": 1.0}]}, None,
+     "complex moment table incomplete"),
 ], ids=[
     "null-value-analyze", "null-value-certify", "fractional-max-degree", "fractional-dimension",
     "config-not-object", "check-not-object", "factors-not-list", "null-bound",
     "fractional-max-level", "complex-fractional-key", "complex-repeated-key",
-    "complex-repeated-float-key",
+    "complex-repeated-float-key", "negative-tol", "huge-incomplete-real",
+    "huge-incomplete-complex",
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, message):
     argv = [command, write(tmp_path / "doc.json", doc)]

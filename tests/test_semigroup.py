@@ -46,23 +46,79 @@ def test_from_atoms_single_imaginary_point():
 
 def test_from_atoms_real_points_give_symmetric_table():
     f = from_complex_atoms([(0.7 + 0j, 0.5), (-0.2 + 0j, 0.5)], 4)
-    for (m, n), v in f.values.items():
-        assert v.imag == 0.0
-        assert f.value((n, m)) == v
+    assert not f.table.imag.any()
+    assert np.array_equal(f.table.T, f.table)
 
 
 def test_from_atoms_plus_minus_one():
     f = from_complex_atoms([(1.0 + 0j, 0.5), (-1.0 + 0j, 0.5)], 3)
-    for (m, n), v in f.values.items():
-        expected = 0.0 if (m + n) % 2 else 1.0
-        assert v == complex(expected, 0.0)
+    m, n = np.indices(f.table.shape)
+    assert np.array_equal(f.table, np.where((m + n) % 2, 0.0, 1.0) + 0j)
 
 
 def test_hermitian_symmetry_exact(complex_corpus):
     for atoms in complex_corpus:
         f = from_complex_atoms(atoms, 6)
-        for (m, n), v in f.values.items():
-            assert f.value((n, m)) == v.conjugate()
+        assert np.array_equal(f.table.T, f.table.conj())
+
+
+def dict_loop_table(atoms, max_level):
+    """Reference for from_complex_atoms in Python complex scalars: f(m, n)
+    sums (z^n * conj(z)^m) * complex(w, 0) over the atoms in order, from 0j,
+    with the powers formed by repeated multiplication."""
+    powers = []
+    for z, w in atoms:
+        zp, cp = [1.0 + 0.0j], [1.0 + 0.0j]
+        for _ in range(max_level):
+            zp.append(zp[-1] * z)
+            cp.append(cp[-1] * z.conjugate())
+        powers.append((zp, cp, complex(w, 0.0)))
+    span = range(max_level + 1)
+    table = {}
+    for m in span:
+        for n in span:
+            total = complex(0.0, 0.0)
+            for zp, cp, w in powers:
+                total = total + (zp[n] * cp[m]) * w
+            table[(m, n)] = total
+    return np.array([[table[(m, n)] for n in span] for m in span])
+
+
+def test_from_atoms_bit_identical_to_dict_loop(complex_corpus):
+    rng = np.random.default_rng(41)
+
+    def coordinate():
+        return [0.0, -0.0, float(rng.uniform(-1.4, 1.4))][rng.integers(3)]
+
+    cases = [(atoms, 8) for atoms in complex_corpus]
+    for level in range(13):
+        for _ in range(4):
+            atoms = [
+                (complex(coordinate(), coordinate()), float(rng.uniform(0.2, 1.5)))
+                for _ in range(rng.integers(1, 5))
+            ]
+            cases.append((atoms, level))
+    for atoms, level in cases:
+        f = from_complex_atoms(atoms, level)
+        assert f.table.tobytes() == dict_loop_table(atoms, level).tobytes()
+    # overflow: the infinities and NaNs of the scalar sums, part by part
+    for atoms, level in [([(1e60j, 1.0)], 7), ([(1e200 + 0j, 0.5), (0.5 - 0.5j, 0.5)], 3)]:
+        got = from_complex_atoms(atoms, level).table.view(float)
+        assert np.array_equal(got, dict_loop_table(atoms, level).view(float), equal_nan=True)
+
+
+def test_value_validates_element_and_table_is_read_only():
+    f = from_complex_atoms([(0.5 + 0.2j, 1.0)], 2)
+    assert f.value((1, 2)) == f.table[1, 2]
+    with pytest.raises(ValueError):
+        f.value((0.5, 0))
+    with pytest.raises(ValueError):
+        f.value((-1, 0))
+    with pytest.raises(CoverageError):
+        f.value((3, 0))
+    for table in (f.table, ComplexMomentFunction.from_document(f.to_document()).table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
 
 
 def test_psd_kernel_rank_one():
@@ -101,14 +157,14 @@ def test_psd_kernel_against_mpmath(mp_eigenvalues):
     # a signed table: the last atom enters with a negative weight
     negative = from_complex_atoms(atoms[-1:], 8)
     signed = ComplexMomentFunction(
-        8, {k: v - 1.5 * negative.values[k] for k, v in psd.values.items()}
+        8, {k: psd.value(k) - 1.5 * negative.value(k) for k in np.ndindex(9, 9)}
     )
     elements = [SemigroupElement(m, n) for m in range(5) for n in range(5)]
     for f, expected in ((psd, True), (signed, False)):
         verdict = psd_kernel_check(f)
         # the kernel H[s, t] = f(s* t), built element by element
         oracle = mp_eigenvalues([[f.value(s.star * t) for t in elements] for s in elements])[0]
-        scale = 1.0 + max(abs(v) for v in f.values.values())
+        scale = 1.0 + float(np.abs(f.table).max())
         assert abs(verdict.min_eigenvalue - oracle) <= 1e-12 * scale
         assert verdict.is_psd == (oracle >= -verdict.tolerance_used) == expected
 
@@ -163,12 +219,18 @@ def test_disc_check_examples():
     origin = from_complex_atoms([(0.0 + 0j, 1.0)], 6)
     assert disc_check(origin, radius=0.3, constant=1.0).passed
 
+    # f(2, 2) = 1e4 exceeds its limit by 1e-8: inside the default diagonal
+    # tolerance 1e-9 * (1 + largest |entry|), which scales with the table
+    large = from_complex_atoms([(10.0 + 0j, 1.0)], 2)
+    assert disc_check(large, radius=10.0, constant=1.0 - 1e-12).passed
+    assert not disc_check(large, radius=10.0, constant=1.0 - 1e-12, tol=1e-9).passed
+
 
 def test_disc_check_tolerance_applies_to_kernel():
     psd = from_complex_atoms([(0.3 + 0.1j, 0.5), (-0.2 + 0.3j, 0.5)], 4)
     negative = from_complex_atoms([(0.4j, 1.0)], 4)
     signed = ComplexMomentFunction(
-        4, {k: v - 1e-3 * negative.values[k] for k, v in psd.values.items()}
+        4, {k: psd.value(k) - 1e-3 * negative.value(k) for k in np.ndindex(5, 5)}
     )
     min_eigenvalue = psd_kernel_check(signed).min_eigenvalue
     assert -1e-3 < min_eigenvalue < -1e-6
@@ -220,7 +282,10 @@ def test_document_round_trip():
     doc = f.to_document()
     back = ComplexMomentFunction.from_document(doc)
     assert back.max_level == 4
-    assert all(back.value(k) == v for k, v in f.values.items())
+    assert back.table.tobytes() == f.table.tobytes()
+    upper = [e for e in doc["values"] if e["m"] <= e["n"]]
+    mirrored = ComplexMomentFunction.from_document({"max_level": 4, "values": upper})
+    assert np.array_equal(mirrored.table, f.table)
 
     atoms_doc = {
         "max_level": 3,
