@@ -9,14 +9,12 @@ quadrature, and the complex disc criterion on the pair semigroup.
 
 from .bounds import (
     GrowthBound,
-    GrowthRayleighComparison,
     MembershipVerdict,
     RayleighBounds,
     SupportBox,
     SupportInterval,
     archimedean_bound,
     growth_bound,
-    growth_vs_rayleigh,
     quadratic_module_growth,
     quadratic_module_psd,
     rayleigh_bounds,
@@ -31,7 +29,6 @@ from .certify import (
     cone_positivity_check,
     growth_check,
     interval_membership_check,
-    polynomial_identity_suite,
     product_positivity_check,
     run_check_config,
     schmudgen_check,
@@ -75,11 +72,9 @@ from .semigroup import (
 )
 from .spectral import (
     DiscreteMeasure,
-    OperatorMomentData,
     operator_moments,
     quadrature_from_moments,
     rayleigh_interval,
-    spectral_measure,
 )
 
 __version__ = "0.1.0"

@@ -102,13 +102,6 @@ class SupportBox:
     failures: tuple = field(default=())
 
 
-class GrowthRayleighComparison(NamedTuple):
-    growth: float
-    upper: float
-    lower: float
-    gap: float
-
-
 def _require_normalized(seq: MomentSequence):
     if not seq.normalized:
         raise NotNormalizedError(
@@ -318,30 +311,10 @@ def support_box(
     return SupportBox(entries=tuple(entries), failures=tuple(failures))
 
 
-def growth_vs_rayleigh(
-    seq: MomentSequence,
-    a: Polynomial,
-    order: int,
-) -> GrowthRayleighComparison:
-    """Growth bound against max(upper, -lower) of the Rayleigh interval.
-
-    In the limit the two agree, so the gap measures truncation error only.
-    """
-    g = growth_bound(seq, a).value
-    rb = rayleigh_bounds(seq, a, order)
-    return GrowthRayleighComparison(
-        growth=g,
-        upper=rb.upper,
-        lower=rb.lower,
-        gap=abs(g - max(rb.upper, -rb.lower)),
-    )
-
-
 __all__ = [
     "BISECTION_CEILING",
     "BISECTION_TOL",
     "GrowthBound",
-    "GrowthRayleighComparison",
     "MembershipVerdict",
     "MEMBERSHIP_SLACK",
     "RayleighBounds",
@@ -349,7 +322,6 @@ __all__ = [
     "SupportInterval",
     "archimedean_bound",
     "growth_bound",
-    "growth_vs_rayleigh",
     "quadratic_module_growth",
     "quadratic_module_psd",
     "rayleigh_bounds",

@@ -6,10 +6,8 @@ families, ball and growth conditions, subset-localized PSD tests, interval
 membership) and reports every violation found, together with how many
 evaluations ran and how many were skipped for degree-budget reasons. The
 reports are deterministic for a fixed input, whatever the evaluation order.
-
-``polynomial_identity_suite`` is separate in kind: it verifies two exact
-polynomial identities in rational arithmetic (the algebra those checks lean
-on) and belongs to the default test battery rather than to runtime analysis.
+The exact identities that the interval and cone checks rest on are verified
+in rational arithmetic by the test suite, not at run time.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .bounds import _even_power_values, growth_bound
@@ -89,6 +86,16 @@ def _powers(p: Polynomial, top: int) -> list[Polynomial]:
 
 def _names(seq: MomentSequence) -> list[str]:
     return default_variable_names(seq.dimension)
+
+
+def _limit(factor: float, base: float, exponent: int) -> float:
+    """``factor * base ** exponent``, saturated to inf where the power leaves
+    the float range (Python's float ``**`` raises OverflowError there): such
+    a limit cannot be exceeded."""
+    try:
+        return factor * base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def product_positivity_check(
@@ -222,7 +229,8 @@ def ball_check(
 
     (i) the localized matrix of radius^2 - (a_1^2 + ... + a_m^2) at the given
     order is PSD; (ii) the growth bound of the coordinate square sum is at
-    most radius^2. The two agree in the limit; the report carries both.
+    most radius^2. The two agree in the limit; the report carries both. A
+    given ``tol`` applies to both; with None each part uses its default.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -230,13 +238,13 @@ def ball_check(
         coordinates = [
             Polynomial.variable(seq.dimension, i) for i in range(seq.dimension)
         ]
-    if tol is None:
-        tol = default_check_tol(seq)
     square_sum = Polynomial.zero(seq.dimension)
     for c in coordinates:
         square_sum = square_sum + c * c
     shift = Polynomial.constant(seq.dimension, radius * radius) - square_sum
-    verdict = psd_check(seq.moment_matrix(order, shift).matrix)
+    verdict = psd_check(seq.moment_matrix(order, shift).matrix, tol)
+    if tol is None:
+        tol = default_check_tol(seq)
     bound = growth_bound(seq, square_sum)
     growth_ok = bound.value <= radius * radius + tol
     violations = []
@@ -297,7 +305,7 @@ def growth_check(
             skipped += 1
             continue
         for n, value in enumerate(_even_power_values(seq, a, n_reachable), start=1):
-            limit = prefactor * bound ** (2 * n)
+            limit = _limit(prefactor, bound, 2 * n)
             attempted += 1
             if value > limit + tol:
                 violations.append(
@@ -483,67 +491,6 @@ def interval_membership_check(
     return CheckReport.build(violations, attempted, skipped, details)
 
 
-def polynomial_identity_suite() -> CheckReport:
-    """Exact verification, over the rationals, of the two expansion identities
-    the interval and cone checks rely on.
-
-    In the polynomial ring Q[m, a]:
-    (i)  (m - a)(m + a)^2 + (m + a)(m - a)^2 = 2m(m^2 - a^2);
-    (ii) for each n in {2, 3, 4, 5}, the double binomial sum
-         sum_{j,k=0..n} [ (j^2 + k^2)(2m)^2 / (n(n-1)) - 2jk(2m)^2 / n^2 ]
-         * C(n,j) C(n,k) (m+a)^j (m-a)^(n-j) (m-a)^k (m+a)^(n-k)
-         equals (2m)^(2n) 4a^2 + (2m)^(2n+1)/(n-1) (m+a)
-                + (2m)^(2n+1)/(n-1) (m-a).
-
-    Any mismatch is a build-blocking defect: these are theorems, not
-    estimates, so no tolerance is involved.
-    """
-    m = Polynomial.variable(2, 0, Fraction(1))
-    a = Polynomial.variable(2, 1, Fraction(1))
-    violations = []
-    details = []
-
-    plus = m + a
-    minus = m - a
-    lhs = minus * plus**2 + plus * minus**2
-    rhs = (m * (m**2 - a**2)) * Fraction(2)
-    details.append({"identity": "two-sided interval composite", "exact": lhs == rhs})
-    if lhs != rhs:
-        violations.append(
-            Violation(description="interval composite identity failed", value=float("nan"))
-        )
-
-    two_m = m * Fraction(2)
-    for n in range(2, 6):
-        total = Polynomial.zero(2)
-        for j in range(n + 1):
-            for k in range(n + 1):
-                coeff = Fraction(4 * (j * j + k * k), n * (n - 1)) - Fraction(
-                    8 * j * k, n * n
-                )
-                coeff *= math.comb(n, j) * math.comb(n, k)
-                if coeff == 0:
-                    continue
-                total = total + (m * m) * plus ** (j + n - k) * minus ** (n - j + k) * coeff
-        rhs = (
-            two_m ** (2 * n) * (a * a) * Fraction(4)
-            + two_m ** (2 * n + 1) * plus * Fraction(1, n - 1)
-            + two_m ** (2 * n + 1) * minus * Fraction(1, n - 1)
-        )
-        exact = total == rhs
-        details.append({"identity": f"binomial square certificate n={n}", "exact": exact})
-        if not exact:
-            violations.append(
-                Violation(
-                    description=f"binomial square certificate failed at n={n}",
-                    value=float("nan"),
-                )
-            )
-    return CheckReport.build(
-        violations, attempted=len(details), skipped=0, details=details
-    )
-
-
 def _number(value, name: str) -> float:
     """``float(value)``; ValueError naming ``name`` when that fails."""
     try:
@@ -667,7 +614,6 @@ __all__ = [
     "default_check_tol",
     "growth_check",
     "interval_membership_check",
-    "polynomial_identity_suite",
     "product_positivity_check",
     "run_check_config",
     "schmudgen_check",

@@ -26,6 +26,7 @@ from .exceptions import (
     NotNormalizedError,
     RankDeficiencyError,
 )
+from .linalg import psd_check
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .polynomials import Polynomial, default_variable_names, parse_polynomial
 from .semigroup import (
@@ -145,7 +146,7 @@ def _cmd_analyze(args) -> int:
     lines = []
 
     psd_order = _admissible_order(seq, 0, args.order, warnings, "psd")
-    verdict = seq.psd_check(psd_order, tol=args.tol)
+    verdict = psd_check(seq.moment_matrix(psd_order).matrix, args.tol)
     report["results"]["psd"] = {
         "order": psd_order,
         "is_psd": verdict.is_psd,
@@ -228,25 +229,26 @@ def _cmd_analyze(args) -> int:
             }
         except MomintError as exc:
             entry["membership_growth"] = {"error": str(exc)}
-        try:
-            cv = bounds_mod.growth_vs_rayleigh(seq, poly, order)
+        # the growth bound against max(upper, -lower) of the Rayleigh
+        # interval: in the limit they agree, so the gap is truncation error
+        growth, rayleigh = entry["growth_bound"], entry["rayleigh"]
+        failed = growth if "error" in growth else rayleigh
+        if "error" in failed:
+            entry["growth_vs_rayleigh"] = {"error": failed["error"]}
+        else:
             entry["growth_vs_rayleigh"] = {
-                "growth": cv.growth,
-                "upper": cv.upper,
-                "lower": cv.lower,
-                "gap": cv.gap,
+                "growth": growth["value"],
+                "upper": rayleigh["upper"],
+                "lower": rayleigh["lower"],
+                "gap": abs(growth["value"] - max(rayleigh["upper"], -rayleigh["lower"])),
             }
-        except MomintError as exc:
-            entry["growth_vs_rayleigh"] = {"error": str(exc)}
         per_poly[text] = entry
 
-        rayleigh = entry.get("rayleigh", {})
         if "error" not in rayleigh:
             lines.append(
                 f"{text}: range [{rayleigh['lower']:.6g}, {rayleigh['upper']:.6g}] "
                 f"(order {rayleigh['order']}, rank {rayleigh['effective_rank']})"
             )
-        growth = entry.get("growth_bound", {})
         if "error" not in growth:
             lines.append(
                 f"{text}: growth bound {growth['value']:.6g} (n_used {growth['n_used']})"
@@ -300,10 +302,10 @@ def _cmd_spectral(args) -> int:
     k = args.nodes if args.nodes is not None else matrix.shape[0]
     report = _report_skeleton("spectral", {"operator": args.operator}, {"nodes": k})
     warnings = report["warnings"]
-    data = operator_moments(matrix, vector, 2 * k)
+    seq = operator_moments(matrix, vector, 2 * k)
     alpha, beta = rayleigh_interval(matrix)
     try:
-        measure = quadrature_from_moments(data, k)
+        measure = quadrature_from_moments(seq, k)
     except RankDeficiencyError as exc:
         if not exc.achievable:
             raise
@@ -311,15 +313,15 @@ def _cmd_spectral(args) -> int:
             f"requested {k} nodes but rank supports {exc.achievable}; reduced"
         )
         k = exc.achievable
-        measure = quadrature_from_moments(data, k)
+        measure = quadrature_from_moments(seq, k)
+    moments = seq.y.tolist()
     residual = max(
-        abs(measure.integrate_power(j) - data.moments[j]) / (1.0 + abs(data.moments[j]))
+        abs(measure.integrate_power(j) - moments[j]) / (1.0 + abs(moments[j]))
         for j in range(2 * k)
     )
     contained = bool(
         np.all(measure.nodes >= alpha - 1e-9) and np.all(measure.nodes <= beta + 1e-9)
     )
-    seq = data.to_moment_sequence()
     pencil_order = k - 1
     rb = bounds_mod.rayleigh_bounds(seq, Polynomial.variable(1, 0), pencil_order)
     pencil_residual = max(
@@ -327,7 +329,7 @@ def _cmd_spectral(args) -> int:
     )
     passed = residual <= 1e-8 and contained and pencil_residual <= 1e-8
     report["results"] = {
-        "moments": [float(x) for x in data.moments],
+        "moments": moments,
         "rayleigh_interval": [alpha, beta],
         "nodes": [float(x) for x in measure.nodes],
         "weights": [float(x) for x in measure.weights],

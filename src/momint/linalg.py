@@ -2,7 +2,9 @@
 
 Every eigensolve in the package goes through ``sym_eig``, which calls LAPACK
 through ``numpy.linalg.eigh``. Real symmetric and complex Hermitian input
-share it, together with one PSD tolerance policy. The accuracy is the usual
+share it, together with one PSD tolerance policy. Each public entry point
+normalizes its input once through ``SymMatrix`` (shape, symmetrization,
+finiteness) and passes the SymMatrix inward. The accuracy is the usual
 backward-stable one: eigenvalue errors are a small multiple of machine
 epsilon times ``||A||``, so small eigenvalues of ill-conditioned Hankel-type
 moment matrices carry only absolute accuracy. The PSD tolerance below is sized
@@ -22,15 +24,31 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 class SymMatrix:
-    """Square real matrix, symmetrized on ingest and then read-only."""
+    """Square real symmetric or complex Hermitian matrix, read-only.
+
+    The one normalizer of eigensolver input: it checks the shape, then
+    symmetrizes once with the conjugate transpose (real input stays real),
+    then checks that every entry is finite. A non-finite input entry, or a
+    sum that overflows, raises ValueError and no numpy warning. Built from a
+    SymMatrix it shares the data, so a matrix is normalized once however
+    many entry points it passes through. For an exactly Hermitian A,
+    ``0.5 * (A + A^H)`` is A bit for bit.
+    """
 
     __slots__ = ("data",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        if isinstance(entries, SymMatrix):
+            self.data = entries.data
+            return
+        arr = np.asarray(entries)
+        arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        arr = 0.5 * (arr + arr.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = 0.5 * (arr + arr.conj().T)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix has non-finite entries")
         arr.flags.writeable = False
         self.data = arr
 
@@ -40,21 +58,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix(order={self.order})"
-
-
-def as_matrix(a) -> np.ndarray:
-    """Hermitian ndarray view of a SymMatrix or array-like input.
-
-    Real input stays real; complex input keeps its complex dtype and is
-    symmetrized with the conjugate transpose.
-    """
-    if isinstance(a, SymMatrix):
-        return a.data
-    arr = np.asarray(a)
-    arr = arr.astype(complex if np.iscomplexobj(arr) else float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return 0.5 * (arr + arr.conj().T)
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,10 @@ def sym_eig(a, vectors: bool = True) -> EigenDecomposition:
 
     With ``vectors=False`` only the eigenvalues are computed (LAPACK through
     ``numpy.linalg.eigvalsh``) and ``eigenvectors`` is None. Raises
-    ValueError on non-finite entries and EigensolverError if LAPACK fails to
-    converge.
+    ValueError on a non-square shape or non-finite entries (from SymMatrix)
+    and EigensolverError if LAPACK fails to converge.
     """
-    m = as_matrix(a)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    m = SymMatrix(a).data
     try:
         if vectors:
             return EigenDecomposition(*np.linalg.eigh(m))
@@ -96,14 +97,14 @@ def default_psd_tol(a) -> float:
     """Relative tolerance guarding against false negatives on ill-conditioned
     Hankel-type matrices: 1e-9 * (1 + max |entry|), where a complex entry
     counts with max(|Re|, |Im|)."""
-    m = as_matrix(a)
+    m = SymMatrix(a).data
     peak = float(np.max(np.maximum(np.abs(m.real), np.abs(m.imag)))) if m.size else 0.0
     return 1e-9 * (1.0 + peak)
 
 
 def psd_check(a, tol: float | None = None) -> PsdVerdict:
     """PSD verdict: is the smallest eigenvalue at least ``-tol``?"""
-    m = as_matrix(a)
+    m = SymMatrix(a)
     if tol is None:
         tol = default_psd_tol(m)
     if tol < 0:
@@ -153,10 +154,10 @@ def pencil_extremes(a, b, b_eig: EigenDecomposition | None = None) -> tuple[floa
     retained (the form is zero at this truncation). A precomputed ``b_eig``
     decomposition may be supplied.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"pencil shape mismatch: {am.shape} vs {bm.shape}")
+    am = SymMatrix(a).data
+    bm = SymMatrix(b)
+    if am.shape != bm.data.shape:
+        raise ValueError(f"pencil shape mismatch: {am.shape} vs {bm.data.shape}")
     if b_eig is None:
         b_eig = sym_eig(bm)
     values = b_eig.eigenvalues
@@ -180,7 +181,6 @@ __all__ = [
     "EigenDecomposition",
     "PsdVerdict",
     "SymMatrix",
-    "as_matrix",
     "default_psd_tol",
     "gauss_rule",
     "pencil_extremes",

@@ -47,12 +47,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .exceptions import DegreeOverflowError
-from .linalg import PsdVerdict, SymMatrix, gauss_rule, psd_check
+from .linalg import SymMatrix, gauss_rule
 from .polynomials import Polynomial, enumerate_monomials
 
 
@@ -312,16 +312,11 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Localized moment matrix: entry (alpha, beta) = L(shift * x^(alpha+beta)).
+    """Localized moment matrix: entry (alpha, beta) = L(shift * x^(alpha+beta))
+    over the monomials of degree <= order in graded-lex order; equal
+    alpha+beta always produces equal entries (Hankel-type structure)."""
 
-    ``basis`` lists the row/column monomials in graded-lex order; equal
-    alpha+beta always produces equal entries (Hankel-type structure).
-    """
-
-    basis: tuple
     matrix: SymMatrix
-    shift: Polynomial
-    order: int
 
 
 class MomentSequence:
@@ -438,16 +433,7 @@ class MomentSequence:
         for delta, coeff in shift.terms.items():
             delta_positions = (self.dimension + 1) * _suffix_sums(np.array(delta))
             shifted = shifted + float(coeff) * self.y[flat.take(positions + delta_positions).sum(1)]
-        return MomentMatrix(
-            basis=tuple(enumerate_monomials(self.dimension, order)),
-            matrix=SymMatrix(shifted[_gram_index(self.dimension, order)]),
-            shift=shift,
-            order=order,
-        )
-
-    def psd_check(self, order: int, tol: float | None = None) -> PsdVerdict:
-        """PSD verdict of the plain moment matrix at the given order."""
-        return psd_check(self.moment_matrix(order).matrix, tol)
+        return MomentMatrix(SymMatrix(shifted[_gram_index(self.dimension, order)]))
 
     # -- documents ----------------------------------------------------------
 

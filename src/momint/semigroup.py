@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import GrowthBound, _even_power_bound
-from .certify import CheckReport, Violation
+from .certify import CheckReport, Violation, _limit
 from .exceptions import CoverageError
 from .linalg import PsdVerdict, psd_check
 from .moments import _integer, _multi_index
@@ -50,7 +50,8 @@ class ComplexMomentFunction:
 
     Ingest takes a mapping (m, n) -> value that lists each entry or its
     mirror (n, m); a listed pair must be conjugate, the mirror fills in
-    what is missing, and f(0, 0) must be real and positive.
+    what is missing, every entry must be finite, and f(0, 0) must be real
+    and positive.
     """
 
     __slots__ = ("max_level", "table")
@@ -99,7 +100,12 @@ class ComplexMomentFunction:
         return f
 
     def _store(self, max_level: int, table: np.ndarray):
-        """Check that f(0, 0) is positive, freeze the table, fill the slots."""
+        """Check that every entry is finite and f(0, 0) is positive, freeze
+        the table, fill the slots."""
+        finite = np.isfinite(table)
+        if not finite.all():
+            m, n = divmod(int(np.argmin(finite)), table.shape[1])
+            raise ValueError(f"non-finite moment at ({m}, {n})")
         if table[0, 0].real <= 0:
             raise ValueError("f(0, 0) must be real and positive")
         table.flags.writeable = False
@@ -146,7 +152,9 @@ def from_complex_atoms(
     Atom by atom the table adds (z^n * conj(z)^m) * complex(w, 0) in real
     arithmetic, step for step as Python's complex product (numpy's complex
     multiply may round differently): grouping the powers before the weight
-    lets conjugation commute exactly through every step.
+    lets conjugation commute exactly through every step. A table whose
+    powers overflow is rejected with ValueError naming its first non-finite
+    entry.
     """
     cleaned = []
     for z, w in atoms:
@@ -256,7 +264,7 @@ def disc_check(
         )
     diagonal = []
     for n, value in enumerate(f.table.diagonal().real.tolist()):
-        limit = constant * radius ** (2 * n)
+        limit = _limit(constant, radius, 2 * n)
         diagonal.append({"n": n, "value": value, "limit": limit})
         if value > limit + tol:
             violations.append(

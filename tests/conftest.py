@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from momint import MeasureSpec, from_measure
+from momint import CheckReport, MeasureSpec, Polynomial, Violation, from_measure
 
 CORPUS_SEED = 20260808
 #: working precision of the mpmath eigenvalue oracle
@@ -145,3 +148,70 @@ def _mp_eigenvalues(matrix) -> np.ndarray:
 def mp_eigenvalues():
     """The independent eigenvalue oracle, as a function of a matrix."""
     return _mp_eigenvalues
+
+
+def polynomial_identity_suite() -> CheckReport:
+    """Exact verification, over the rationals, of the two expansion identities
+    the interval and cone checks rely on.
+
+    In the polynomial ring Q[m, a]:
+    (i)  (m - a)(m + a)^2 + (m + a)(m - a)^2 = 2m(m^2 - a^2);
+    (ii) for each n in {2, 3, 4, 5}, the double binomial sum
+         sum_{j,k=0..n} [ (j^2 + k^2)(2m)^2 / (n(n-1)) - 2jk(2m)^2 / n^2 ]
+         * C(n,j) C(n,k) (m+a)^j (m-a)^(n-j) (m-a)^k (m+a)^(n-k)
+         equals (2m)^(2n) 4a^2 + (2m)^(2n+1)/(n-1) (m+a)
+                + (2m)^(2n+1)/(n-1) (m-a).
+
+    Any mismatch is a defect: these are theorems, not estimates, so no
+    tolerance is involved.
+    """
+    m = Polynomial.variable(2, 0, Fraction(1))
+    a = Polynomial.variable(2, 1, Fraction(1))
+    violations = []
+    details = []
+
+    plus = m + a
+    minus = m - a
+    lhs = minus * plus**2 + plus * minus**2
+    rhs = (m * (m**2 - a**2)) * Fraction(2)
+    details.append({"identity": "two-sided interval composite", "exact": lhs == rhs})
+    if lhs != rhs:
+        violations.append(
+            Violation(description="interval composite identity failed", value=float("nan"))
+        )
+
+    two_m = m * Fraction(2)
+    for n in range(2, 6):
+        total = Polynomial.zero(2)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                coeff = Fraction(4 * (j * j + k * k), n * (n - 1)) - Fraction(
+                    8 * j * k, n * n
+                )
+                coeff *= math.comb(n, j) * math.comb(n, k)
+                if coeff == 0:
+                    continue
+                total = total + (m * m) * plus ** (j + n - k) * minus ** (n - j + k) * coeff
+        rhs = (
+            two_m ** (2 * n) * (a * a) * Fraction(4)
+            + two_m ** (2 * n + 1) * plus * Fraction(1, n - 1)
+            + two_m ** (2 * n + 1) * minus * Fraction(1, n - 1)
+        )
+        exact = total == rhs
+        details.append({"identity": f"binomial square certificate n={n}", "exact": exact})
+        if not exact:
+            violations.append(
+                Violation(
+                    description=f"binomial square certificate failed at n={n}",
+                    value=float("nan"),
+                )
+            )
+    return CheckReport.build(
+        violations, attempted=len(details), skipped=0, details=details
+    )
+
+
+@pytest.fixture
+def identity_suite():
+    """The exact identity suite, as a function returning its CheckReport."""
+    return polynomial_identity_suite

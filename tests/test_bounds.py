@@ -6,7 +6,6 @@ import pytest
 from momint.bounds import (
     archimedean_bound,
     growth_bound,
-    growth_vs_rayleigh,
     quadratic_module_growth,
     quadratic_module_psd,
     rayleigh_bounds,
@@ -247,22 +246,23 @@ def test_support_box_reports_budget_failures(lebesgue01):
 
 
 def test_growth_vs_rayleigh_examples(two_atoms, dirac3):
-    cmp1 = growth_vs_rayleigh(two_atoms, T, 1)
-    assert abs(cmp1.growth - 1.0) <= 1e-12
-    assert cmp1.gap <= 1e-12
-
-    cmp2 = growth_vs_rayleigh(dirac3, T, 1)
-    assert abs(cmp2.growth - 3.0) <= 1e-12
-    assert cmp2.gap <= 1e-10
+    # the gap between the growth bound and max(upper, -lower) of the
+    # Rayleigh interval, as the analyze report computes it
+    for seq, growth, gap_tol in ((two_atoms, 1.0, 1e-12), (dirac3, 3.0, 1e-10)):
+        g = growth_bound(seq, T).value
+        rb = rayleigh_bounds(seq, T, 1)
+        assert abs(g - growth) <= 1e-12
+        assert abs(g - max(rb.upper, -rb.lower)) <= gap_tol
 
 
 def test_growth_vs_rayleigh_lebesgue(lebesgue01_deep):
     # growth rises slowly: max_n (1/(2n+1))^(1/(2n)) at n = 8
-    cmp = growth_vs_rayleigh(lebesgue01_deep, T, 4)
+    g = growth_bound(lebesgue01_deep, T).value
+    rb = rayleigh_bounds(lebesgue01_deep, T, 4)
     expected_growth = (1.0 / 17.0) ** (1.0 / 16.0)
-    assert abs(cmp.growth - expected_growth) <= 1e-12
-    assert cmp.upper > cmp.growth
-    assert cmp.gap == pytest.approx(cmp.upper - cmp.growth, abs=1e-12)
+    assert abs(g - expected_growth) <= 1e-12
+    assert rb.upper > g
+    assert abs(g - max(rb.upper, -rb.lower)) == pytest.approx(rb.upper - g, abs=1e-12)
 
 
 def test_truncated_chain_against_limits(atom_corpus):

@@ -9,7 +9,6 @@ from momint.certify import (
     cone_positivity_check,
     growth_check,
     interval_membership_check,
-    polynomial_identity_suite,
     product_positivity_check,
     run_check_config,
     schmudgen_check,
@@ -30,9 +29,9 @@ def signed_sequence():
     return MomentSequence(1, 8, values)
 
 
-def test_identity_suite_exact_and_fast():
+def test_identity_suite_exact_and_fast(identity_suite):
     start = time.perf_counter()
-    report = polynomial_identity_suite()
+    report = identity_suite()
     elapsed = time.perf_counter() - start
     assert report.passed
     assert report.attempted == 5
@@ -151,6 +150,18 @@ def test_ball_conditions_agree_with_geometry(atom_corpus):
             assert not outside.passed
             assert not outside.details[0]["passed"]
             assert not outside.details[1]["passed"]
+
+
+def test_ball_psd_half_uses_the_callers_tol():
+    # atoms at (0, 0) and (1.02, 0): the localized matrix of 1 - x^2 - y^2 at
+    # order 2 has min eigenvalue about -0.0445, the growth bound stays below 1
+    seq = from_measure(MeasureSpec(atoms=[((0.0, 0.0), 0.5), ((1.02, 0.0), 0.5)]), 8)
+    strict = ball_check(seq, 1.0, 2)
+    assert not strict.passed and not strict.details[0]["passed"]
+    assert strict.details[1]["passed"]
+    assert -0.05 < strict.details[0]["min_eigenvalue"] < -0.04
+    loose = ball_check(seq, 1.0, 2, tol=0.05)
+    assert loose.passed and loose.details[0]["passed"]
 
 
 def test_ball_rejects_bad_radius(circle4):

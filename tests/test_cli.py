@@ -211,6 +211,45 @@ def test_disc_moment_document(tmp_path):
     assert report["results"]["diagonal_growth"]["value"] <= 0.5
 
 
+def test_disc_radius_beyond_the_float_range_passes(tmp_path, capsys):
+    # radius^(2n) overflows a float from n = 6: the limit saturates to
+    # infinity instead of raising OverflowError
+    table = write(
+        tmp_path / "atoms.json",
+        {"max_level": 12, "atoms": [{"re": 0.5, "im": 0.25, "weight": 1.0}]},
+    )
+    assert main(["disc", table, "--radius", "1e30", "--constant", "1", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_growth_bound_beyond_the_float_range_passes(tmp_path, capsys):
+    # bound^2 already overflows a float: the limit saturates to infinity
+    moments = write(tmp_path / "moments.json", one_dim_moments())
+    config = write(tmp_path / "growth.json", {"checks": [
+        {"check": "growth", "generators": [{"poly": "t", "bound": 1e200}]}]})
+    assert main(["certify", moments, config, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_growth_vs_rayleigh_from_its_entries(tmp_path, two_atom_measure):
+    moments = tmp_path / "moments.json"
+    main(["oracle", two_atom_measure, "--degree", "8", "--out", str(moments), "--quiet"])
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(moments), "--poly", "t", "--poly", "t^5",
+                 "--out", str(report_path), "--quiet"]) == 0
+    entries = json.loads(report_path.read_text())["results"]["polynomials"]
+    growth, rayleigh = entries["t"]["growth_bound"], entries["t"]["rayleigh"]
+    assert entries["t"]["growth_vs_rayleigh"] == {
+        "growth": growth["value"],
+        "upper": rayleigh["upper"],
+        "lower": rayleigh["lower"],
+        "gap": abs(growth["value"] - max(rayleigh["upper"], -rayleigh["lower"])),
+    }
+    # t^5 has no even power within degree 8: the growth error is reported
+    assert entries["t^5"]["growth_vs_rayleigh"] == entries["t^5"]["growth_bound"]
+    assert "error" in entries["t^5"]["growth_vs_rayleigh"]
+
+
 def test_disc_empty_table_is_usage_error(tmp_path, capsys):
     doc = write(tmp_path / "empty.json", {"max_level": 2, "values": []})
     assert main(["disc", doc, "--radius", "1.0", "--constant", "1.0", "--quiet"]) == 2
@@ -349,12 +388,26 @@ NULL_VALUE = one_dim_moments(moments=[
         {"index": [0, 1], "value": 0.5}]}, None, "moment table incomplete"),
     ("disc", {"max_level": 10**9, "values": [{"m": 0, "n": 0, "re": 1.0}]}, None,
      "complex moment table incomplete"),
+    # non-finite tables and operators fail with one error line and no numpy warning
+    ("disc", {"max_level": 1, "values": [{"m": 0, "n": 0, "re": 1.0},
+                                         {"m": 1, "n": 1, "re": math.nan},
+                                         {"m": 0, "n": 1, "re": 0.1}]}, None,
+     "non-finite moment at (1, 1)"),
+    ("disc", {"max_level": 1, "values": [{"m": 0, "n": 0, "re": math.inf},
+                                         {"m": 1, "n": 1, "re": 1.0},
+                                         {"m": 0, "n": 1, "re": 0.1}]}, None,
+     "non-finite moment at (0, 0)"),
+    ("spectral", {"matrix": [[1.0, math.inf], [-math.inf, 1.0]], "vector": [1.0, 1.0]}, None,
+     "matrix has non-finite entries"),
+    ("spectral", {"matrix": [[1e200, 0.0], [0.0, 1.0]], "vector": [1.0, 1.0]}, None,
+     "non-finite moment at (2,)"),
 ], ids=[
     "null-value-analyze", "null-value-certify", "fractional-max-degree", "fractional-dimension",
     "config-not-object", "check-not-object", "factors-not-list", "null-bound",
     "fractional-max-level", "complex-fractional-key", "complex-repeated-key",
     "complex-repeated-float-key", "negative-tol", "huge-incomplete-real",
-    "huge-incomplete-complex",
+    "huge-incomplete-complex", "complex-nan", "complex-infinite-mass",
+    "operator-infinite", "operator-overflow",
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, message):
     argv = [command, write(tmp_path / "doc.json", doc)]
@@ -363,5 +416,5 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, 
     if command == "disc":
         argv += ["--radius", "1", "--constant", "1"]
     assert main(argv + ["--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err and "Traceback" not in err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]

@@ -6,7 +6,6 @@ import pytest
 from momint.exceptions import NotPsdError, RankDeficiencyError
 from momint.linalg import (
     SymMatrix,
-    as_matrix,
     default_psd_tol,
     pencil_extremes,
     psd_check,
@@ -61,7 +60,7 @@ def test_sym_eig_rejects_non_finite():
 
 
 def test_hermitian_input_stays_complex():
-    h = as_matrix([[2.0, 1.0 + 1.0j], [0.0, 2.0]])
+    h = SymMatrix([[2.0, 1.0 + 1.0j], [0.0, 2.0]]).data
     assert h.dtype == complex
     assert h[0, 1] == 0.5 + 0.5j and h[1, 0] == 0.5 - 0.5j
     # eigenvalues 2 -+ |h01| = 2 -+ 1/sqrt(2)
@@ -169,9 +168,23 @@ def test_pencil_rejects_zero_base():
         pencil_extremes(np.eye(2), np.zeros((2, 2)))
 
 
-def test_as_matrix_symmetrizes():
-    m = as_matrix([[0.0, 2.0], [0.0, 0.0]])
-    assert m[0, 1] == m[1, 0] == 1.0
+def test_sym_matrix_normalizes_once():
+    m = SymMatrix([[0.0, 2.0], [0.0, 0.0]])
+    assert m.data[0, 1] == m.data[1, 0] == 1.0
+    assert m.data.dtype == float and not m.data.flags.writeable
+    # built from a SymMatrix it shares the data: no second symmetrization
+    assert SymMatrix(m).data is m.data
+    # an exactly Hermitian matrix comes back bit for bit
+    rng = np.random.default_rng(59)
+    raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    hermitian = raw + raw.conj().T
+    assert SymMatrix(hermitian).data.tobytes() == hermitian.tobytes()
+    # non-finite entries and overflowing sums are errors, with no warning
+    # (the suite turns warnings into errors)
+    for bad in ([[np.inf, 0.0], [-np.inf, 1.0]], [[1.0, np.nan], [0.0, 1.0]],
+                [[1.0, 1e308], [1e308, 1.0]], [[1.0, complex(np.inf, 1.0)], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymMatrix(bad)
 
 
 def test_eigenvalues_only_path(mp_eigenvalues):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momint.exceptions import DegreeOverflowError
+from momint.linalg import psd_check
 from momint.moments import MeasureSpec, MomentSequence, from_measure, gauss_legendre
 from momint.polynomials import Polynomial, enumerate_monomials
 
@@ -121,18 +122,19 @@ def test_hankel_structure():
     pts = rng.uniform(-1.0, 1.0, size=(3, 2))
     seq = from_measure(MeasureSpec(atoms=[(tuple(p), 1 / 3) for p in pts]), 8)
     shift = Polynomial.variable(2, 0) + 2.0
-    mm = seq.moment_matrix(2, shift)
-    data = mm.matrix.data
+    data = seq.moment_matrix(2, shift).matrix.data
+    basis = enumerate_monomials(2, 2)
+    assert data.shape == (len(basis), len(basis))
     by_sum = {}
-    for i, alpha in enumerate(mm.basis):
-        for j, beta in enumerate(mm.basis):
+    for i, alpha in enumerate(basis):
+        for j, beta in enumerate(basis):
             key = tuple(a + b for a, b in zip(alpha, beta))
             by_sum.setdefault(key, set()).add(round(data[i, j], 12))
     assert all(len(vals) == 1 for vals in by_sum.values())
 
 
 def test_psd_check_examples(lebesgue01, mp_eigenvalues):
-    verdict = lebesgue01.psd_check(2)
+    verdict = psd_check(lebesgue01.moment_matrix(2).matrix)
     assert verdict.is_psd
     # independent oracle for the 3x3 Hilbert spectrum
     hilbert = np.array([[1 / (i + j + 1) for j in range(3)] for i in range(3)])
@@ -140,15 +142,15 @@ def test_psd_check_examples(lebesgue01, mp_eigenvalues):
     assert abs(verdict.min_eigenvalue - expected) <= 1e-10
 
     bad = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): -1.0})
-    assert not bad.psd_check(1).is_psd
+    assert not psd_check(bad.moment_matrix(1).matrix).is_psd
 
 
 def test_measure_outputs_always_psd(atom_corpus, lebesgue01):
     for order in range(lebesgue01.n_max + 1):
-        assert lebesgue01.psd_check(order).is_psd
+        assert psd_check(lebesgue01.moment_matrix(order).matrix).is_psd
     for _, seq in atom_corpus[:6]:
         for order in range(min(seq.n_max, 3) + 1):
-            assert seq.psd_check(order).is_psd
+            assert psd_check(seq.moment_matrix(order).matrix).is_psd
 
 
 def test_nonnegative_shift_gives_psd_matrix(atom_corpus):
@@ -158,16 +160,12 @@ def test_nonnegative_shift_gives_psd_matrix(atom_corpus):
         shift = Polynomial.constant(d, 1.0)
         for i in range(d):
             shift = shift + Polynomial.variable(d, i) ** 2
-        from momint.linalg import psd_check
-
         assert psd_check(seq.moment_matrix(2, shift).matrix).is_psd
 
 
 def test_shift_nonnegative_on_atoms_only(unit_box_corpus):
     # x1 is negative on half the ambient space but nonnegative on every atom:
     # the localized matrix is still PSD
-    from momint.linalg import psd_check
-
     for _, seq in unit_box_corpus[:6]:
         shift = Polynomial.variable(seq.dimension, 0)
         assert psd_check(seq.moment_matrix(2, shift).matrix).is_psd
@@ -179,13 +177,10 @@ def test_incomplete_table_rejected():
 
 
 def test_non_finite_moment_rejected():
-    from momint.spectral import OperatorMomentData
-
     with pytest.raises(ValueError, match=r"non-finite moment at \(1,\)"):
         MomentSequence(1, 2, {(0,): 1.0, (1,): math.nan, (2,): 1.0})
-    data = OperatorMomentData(None, np.ones(1), np.array([1.0, 0.5, math.inf]))
     with pytest.raises(ValueError, match=r"non-finite moment at \(2,\)"):
-        data.to_moment_sequence()
+        MomentSequence._from_dense(1, 2, np.array([1.0, 0.5, math.inf]), "operator")
 
 
 def test_odd_max_degree_rejected():

@@ -1,35 +1,38 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from momint.bounds import rayleigh_bounds
+from momint.cli import main
 from momint.exceptions import RankDeficiencyError
+from momint.linalg import psd_check
+from momint.moments import MomentSequence
 from momint.polynomials import Polynomial
 from momint.spectral import (
     operator_moments,
     quadrature_from_moments,
     rayleigh_interval,
-    spectral_measure,
 )
 
 
 def test_operator_moments_diag():
-    data = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
+    seq = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
     for k in range(7):
         expected = (1.0 + 2.0**k + 3.0**k) / 3.0
-        assert abs(data.moments[k] - expected) <= 1e-12 * (1.0 + expected)
+        assert abs(seq.y[k] - expected) <= 1e-12 * (1.0 + expected)
 
 
 def test_operator_moments_identity():
-    data = operator_moments(np.eye(4), np.array([1.0, 2.0, 0.0, -1.0]), 8)
-    assert np.allclose(data.moments, 1.0, atol=1e-14)
+    seq = operator_moments(np.eye(4), np.array([1.0, 2.0, 0.0, -1.0]), 8)
+    assert np.allclose(seq.y, 1.0, atol=1e-14)
 
 
 def test_operator_moments_reflection():
-    data = operator_moments(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), 8)
-    assert np.allclose(data.moments[::2], 1.0, atol=0)
-    assert np.allclose(data.moments[1::2], 0.0, atol=0)
+    seq = operator_moments(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]), 8)
+    assert np.allclose(seq.y[::2], 1.0, atol=0)
+    assert np.allclose(seq.y[1::2], 0.0, atol=0)
 
 
 def test_operator_moments_validations():
@@ -58,8 +61,8 @@ def test_rayleigh_interval_matches_eigensolver(mp_eigenvalues):
 
 
 def test_quadrature_diag_fixture():
-    data = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
-    measure = quadrature_from_moments(data, 3)
+    seq = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
+    measure = quadrature_from_moments(seq, 3)
     assert np.allclose(measure.nodes, [1.0, 2.0, 3.0], atol=1e-8)
     assert np.allclose(measure.weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-8)
 
@@ -93,11 +96,11 @@ def test_quadrature_rank_deficiency_reports_achievable():
     # h orthogonal to the first eigenvector: only 5 of 6 spectral lines remain
     t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     h = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    data = operator_moments(t, h, 12)
+    seq = operator_moments(t, h, 12)
     with pytest.raises(RankDeficiencyError) as excinfo:
-        quadrature_from_moments(data, 6)
+        quadrature_from_moments(seq, 6)
     assert excinfo.value.achievable == 5
-    reduced = quadrature_from_moments(data, 5)
+    reduced = quadrature_from_moments(seq, 5)
     assert np.allclose(reduced.nodes, [2.0, 3.0, 4.0, 5.0, 6.0], atol=1e-7)
 
 
@@ -106,19 +109,25 @@ def test_quadrature_needs_enough_moments():
         quadrature_from_moments([1.0, 0.0, 1.0], 2)
 
 
-def test_spectral_measure_wrapper_reduces():
+def test_spectral_command_reduces_to_achievable(tmp_path):
     t = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     h = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    measure = spectral_measure(t, h)
-    assert len(measure.nodes) == 5
+    operator = tmp_path / "operator.json"
+    operator.write_text(json.dumps({"matrix": t.tolist(), "vector": h.tolist()}))
+    out = tmp_path / "report.json"
+    # the retry in the command line; the verdict is not under test here
+    assert main(["spectral", str(operator), "--out", str(out), "--quiet"]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert len(report["results"]["nodes"]) == 5
+    assert report["warnings"] == ["requested 6 nodes but rank supports 5; reduced"]
 
 
 def test_random_operators_match_eigen_oracle(operator_corpus):
     for t, h in operator_corpus:
         eigenvalues, eigenvectors = np.linalg.eigh(t)  # independent oracle
         overlaps = (eigenvectors.T @ h) ** 2
-        data = operator_moments(t, h, 12)
-        measure = quadrature_from_moments(data, 6)
+        seq = operator_moments(t, h, 12)
+        measure = quadrature_from_moments(seq, 6)
         assert np.max(np.abs(measure.nodes - eigenvalues)) <= 1e-6
         assert np.max(np.abs(measure.weights - overlaps)) <= 1e-6
         lo, hi = rayleigh_interval(t)
@@ -131,18 +140,26 @@ def test_pencil_agreement_with_quadrature(operator_corpus):
     # (N+1)-point reconstruction: same data, two routes
     coordinate = Polynomial.variable(1, 0)
     for t, h in operator_corpus[:8]:
-        data = operator_moments(t, h, 12)
-        seq = data.to_moment_sequence()
+        seq = operator_moments(t, h, 12)
         for order in (2, 5):
-            measure = quadrature_from_moments(data, order + 1)
+            measure = quadrature_from_moments(seq, order + 1)
             rb = rayleigh_bounds(seq, coordinate, order)
             assert abs(rb.lower - measure.nodes[0]) <= 1e-8
             assert abs(rb.upper - measure.nodes[-1]) <= 1e-8
 
 
 def test_moment_sequence_packaging():
-    data = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
-    seq = data.to_moment_sequence()
+    seq = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
+    assert isinstance(seq, MomentSequence)
     assert seq.dimension == 1 and seq.max_degree == 6
-    assert seq.normalized
-    assert seq.psd_check(3).is_psd
+    assert seq.normalized and seq.origin == "operator"
+    assert psd_check(seq.moment_matrix(3).matrix).is_psd
+
+
+def test_operator_moments_overflow_is_one_error():
+    # the powers leave the float range at k = 2; no numpy warning comes first
+    # (the suite turns warnings into errors)
+    with pytest.raises(ValueError, match=r"non-finite moment at \(2,\)"):
+        operator_moments(np.diag([1e200, 1.0]), np.ones(2), 4)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        operator_moments([[1.0, np.inf], [-np.inf, 1.0]], np.ones(2), 4)
