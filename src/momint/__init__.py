@@ -11,15 +11,12 @@ from .bounds import (
     GrowthBound,
     MembershipVerdict,
     RayleighBounds,
-    SupportBox,
-    SupportInterval,
     archimedean_bound,
     growth_bound,
     quadratic_module_growth,
     quadratic_module_psd,
     rayleigh_bounds,
     square_norm_bound,
-    support_box,
 )
 from .certify import (
     CheckReport,

@@ -14,8 +14,8 @@ that produced them (no operation extrapolates):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,26 +80,6 @@ class MembershipVerdict:
     growth_shift: float
     raw_holds: bool
     slack: float
-
-
-class SupportInterval(NamedTuple):
-    poly: Polynomial
-    lower: float
-    upper: float
-    order_used: int
-    effective_rank: int
-
-
-@dataclass(frozen=True)
-class SupportBox:
-    """Per-polynomial Rayleigh intervals bounding the support.
-
-    Entries whose degree budget does not fit are reported in ``failures``
-    rather than aborting the whole box.
-    """
-
-    entries: tuple
-    failures: tuple = field(default=())
 
 
 def _require_normalized(seq: MomentSequence):
@@ -185,8 +165,7 @@ def rayleigh_bounds(seq: MomentSequence, a: Polynomial, order: int) -> RayleighB
     plain matrix.
     """
     localized = seq.moment_matrix(order, a).matrix
-    plain = seq.moment_matrix(order).matrix
-    lo, hi, rank = pencil_extremes(localized, plain, b_eig=_plain_matrix_eig(seq, order))
+    lo, hi, rank = pencil_extremes(localized, _plain_matrix_eig(seq, order))
     return RayleighBounds(lower=lo, upper=hi, order_used=order, effective_rank=rank)
 
 
@@ -197,12 +176,14 @@ def square_norm_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
 
 def quadratic_module_psd(
     seq: MomentSequence,
-    a: Polynomial,
+    shift: Polynomial,
     order: int,
     tol: float | None = None,
 ) -> PsdVerdict:
-    """Localized-matrix membership test: is L(b^2 a) >= 0 for b up to order?"""
-    return psd_check(seq.moment_matrix(order, a).matrix, tol)
+    """Localized-matrix membership test: is L(shift b^2) >= 0 for b up to
+    order? The one place where a real moment matrix meets ``psd_check``;
+    shift 1 gives the plain PSD verdict."""
+    return psd_check(seq.moment_matrix(order, shift).matrix, tol)
 
 
 def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVerdict:
@@ -278,39 +259,6 @@ def archimedean_bound(
     return hi
 
 
-def support_box(
-    seq: MomentSequence,
-    polys: Sequence[Polynomial] | None = None,
-    order: int = 1,
-) -> SupportBox:
-    """Rayleigh interval per polynomial; defaults to the coordinate variables.
-
-    Degree overflows are collected per entry instead of aborting the box.
-    """
-    if polys is None:
-        polys = [
-            Polynomial.variable(seq.dimension, i) for i in range(seq.dimension)
-        ]
-    entries = []
-    failures = []
-    for p in polys:
-        try:
-            rb = rayleigh_bounds(seq, p, order)
-        except DegreeOverflowError as exc:
-            failures.append((p, str(exc)))
-            continue
-        entries.append(
-            SupportInterval(
-                poly=p,
-                lower=rb.lower,
-                upper=rb.upper,
-                order_used=rb.order_used,
-                effective_rank=rb.effective_rank,
-            )
-        )
-    return SupportBox(entries=tuple(entries), failures=tuple(failures))
-
-
 __all__ = [
     "BISECTION_CEILING",
     "BISECTION_TOL",
@@ -318,13 +266,10 @@ __all__ = [
     "MembershipVerdict",
     "MEMBERSHIP_SLACK",
     "RayleighBounds",
-    "SupportBox",
-    "SupportInterval",
     "archimedean_bound",
     "growth_bound",
     "quadratic_module_growth",
     "quadratic_module_psd",
     "rayleigh_bounds",
     "square_norm_bound",
-    "support_box",
 ]

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .bounds import _even_power_values, growth_bound
+from .bounds import _even_power_values, growth_bound, quadratic_module_psd
 from .exceptions import DegreeOverflowError
-from .linalg import psd_check
 from .moments import MomentSequence, _integer
 from .polynomials import Polynomial, default_variable_names, format_polynomial
 
@@ -242,7 +241,7 @@ def ball_check(
     for c in coordinates:
         square_sum = square_sum + c * c
     shift = Polynomial.constant(seq.dimension, radius * radius) - square_sum
-    verdict = psd_check(seq.moment_matrix(order, shift).matrix, tol)
+    verdict = quadratic_module_psd(seq, shift, order, tol)
     if tol is None:
         tol = default_check_tol(seq)
     bound = growth_bound(seq, square_sum)
@@ -399,7 +398,7 @@ def schmudgen_check(
                     f"stored truncation {seq.max_degree} even at order zero"
                 )
             sub_order = min(order, (seq.max_degree - shift_degree) // 2)
-            verdict = psd_check(seq.moment_matrix(sub_order, shift).matrix, tol)
+            verdict = quadratic_module_psd(seq, shift, sub_order, tol)
             attempted += 1
             label = (
                 "{" + ", ".join(format_polynomial(constraints[j], names) for j in subset) + "}"
@@ -457,7 +456,7 @@ def interval_membership_check(
         entry_detail = {"poly": label, "order_linear": order}
         ok = True
         for shift_label, shift in linear_shifts:
-            verdict = psd_check(seq.moment_matrix(order, shift).matrix, tol)
+            verdict = quadratic_module_psd(seq, shift, order, tol)
             attempted += 1
             entry_detail[shift_label] = verdict.min_eigenvalue
             if not verdict.is_psd:
@@ -474,7 +473,7 @@ def interval_membership_check(
             skipped += 1
             entry_detail["square"] = "degree budget"
         else:
-            verdict = psd_check(seq.moment_matrix(square_order, square_shift).matrix, tol)
+            verdict = quadratic_module_psd(seq, square_shift, square_order, tol)
             attempted += 1
             entry_detail["order_square"] = square_order
             entry_detail[f"{m:g}^2 - ({label})^2"] = verdict.min_eigenvalue

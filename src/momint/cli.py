@@ -26,7 +26,6 @@ from .exceptions import (
     NotNormalizedError,
     RankDeficiencyError,
 )
-from .linalg import psd_check
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .polynomials import Polynomial, default_variable_names, parse_polynomial
 from .semigroup import (
@@ -146,7 +145,8 @@ def _cmd_analyze(args) -> int:
     lines = []
 
     psd_order = _admissible_order(seq, 0, args.order, warnings, "psd")
-    verdict = psd_check(seq.moment_matrix(psd_order).matrix, args.tol)
+    one = Polynomial.constant(seq.dimension, 1.0)
+    verdict = bounds_mod.quadratic_module_psd(seq, one, psd_order, args.tol)
     report["results"]["psd"] = {
         "order": psd_order,
         "is_psd": verdict.is_psd,

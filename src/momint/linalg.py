@@ -140,8 +140,9 @@ def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
     return decomp.eigenvectors[:, keep] / np.sqrt(values[keep])
 
 
-def pencil_extremes(a, b, b_eig: EigenDecomposition | None = None) -> tuple[float, float, int]:
-    """Extreme generalized eigenvalues of the pencil (A, B), B PSD.
+def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:
+    """Extreme generalized eigenvalues of the pencil (A, B), B PSD, from A
+    and B's eigendecomposition ``b_eig`` (``sym_eig(b)``, with vectors).
 
     B may be singular: its eigenpairs with eigenvalue above
     ``DEFAULT_RANK_TOL * max_eig(B)`` define the range, A is whitened on that
@@ -149,17 +150,14 @@ def pencil_extremes(a, b, b_eig: EigenDecomposition | None = None) -> tuple[floa
     with the retained rank. Deflation, never regularization: the quotient
     out of B's null space is exact.
 
-    Raises NotPsdError if B has an eigenvalue below
+    Raises ValueError unless ``b_eig`` has eigenvectors of A's order,
+    NotPsdError if B has an eigenvalue below
     ``-DEFAULT_RANK_TOL * max_eig(B)`` and RankDeficiencyError if nothing is
-    retained (the form is zero at this truncation). A precomputed ``b_eig``
-    decomposition may be supplied.
+    retained (the form is zero at this truncation).
     """
     am = SymMatrix(a).data
-    bm = SymMatrix(b)
-    if am.shape != bm.data.shape:
-        raise ValueError(f"pencil shape mismatch: {am.shape} vs {bm.data.shape}")
-    if b_eig is None:
-        b_eig = sym_eig(bm)
+    if b_eig.eigenvectors is None or b_eig.eigenvectors.shape != am.shape:
+        raise ValueError(f"pencil base decomposition does not match shape {am.shape}")
     values = b_eig.eigenvalues
     scale = max(float(values[-1]), 0.0) if values.size else 0.0
     if values.size and float(values[0]) < -DEFAULT_RANK_TOL * scale:

@@ -18,7 +18,6 @@ from momint.bounds import (
     quadratic_module_psd,
     rayleigh_bounds,
     square_norm_bound,
-    support_box,
 )
 from momint.certify import ball_check, schmudgen_check
 from momint.moments import from_measure
@@ -76,8 +75,7 @@ def test_criterion_2_gauss_nodes(lebesgue01):
         jacobi[k, k - 1] = beta
     oracle_nodes = np.linalg.eigvalsh(jacobi)
 
-    box = support_box(lebesgue01, order=4)
-    (entry,) = box.entries
+    entry = rayleigh_bounds(lebesgue01, T, 4)
     assert abs(entry.lower - oracle_nodes[0]) <= 1e-8
     assert abs(entry.upper - oracle_nodes[-1]) <= 1e-8
     _passed(2, "Gauss nodes of the uniform measure")

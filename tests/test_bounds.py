@@ -10,7 +10,6 @@ from momint.bounds import (
     quadratic_module_psd,
     rayleigh_bounds,
     square_norm_bound,
-    support_box,
 )
 from momint.exceptions import DegreeOverflowError, NotNormalizedError
 from momint.moments import MeasureSpec, MomentSequence, from_measure
@@ -203,9 +202,17 @@ def test_archimedean_rejects_bad_mode(lebesgue01):
         archimedean_bound(lebesgue01, T, 1, "cubic")
 
 
+def coordinate_box(seq, order):
+    """The per-coordinate Rayleigh intervals of the analyze report's
+    support box."""
+    return [
+        rayleigh_bounds(seq, Polynomial.variable(seq.dimension, i), order)
+        for i in range(seq.dimension)
+    ]
+
+
 def test_support_box_lebesgue(lebesgue01):
-    box = support_box(lebesgue01, order=4)
-    (entry,) = box.entries
+    (entry,) = coordinate_box(lebesgue01, 4)
     root = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
     assert abs(entry.lower - (1.0 - root) / 2.0) <= 1e-8
     assert abs(entry.upper - (1.0 + root) / 2.0) <= 1e-8
@@ -214,35 +221,30 @@ def test_support_box_lebesgue(lebesgue01):
 def test_support_box_finite_atoms():
     spec = MeasureSpec(atoms=[((1.0, 1.0), 0.5), ((2.0, 3.0), 0.5)])
     seq = from_measure(spec, 8)
-    box = support_box(seq, order=1)
-    (x_entry, y_entry) = box.entries
+    (x_entry, y_entry) = coordinate_box(seq, 1)
     assert abs(x_entry.lower - 1.0) <= 1e-8 and abs(x_entry.upper - 2.0) <= 1e-8
     assert abs(y_entry.lower - 1.0) <= 1e-8 and abs(y_entry.upper - 3.0) <= 1e-8
 
 
 def test_support_box_dirac_plane():
     seq = from_measure(MeasureSpec(atoms=[((2.0, 5.0), 1.0)]), 6)
-    box = support_box(seq, order=1)
-    (x_entry, y_entry) = box.entries
+    (x_entry, y_entry) = coordinate_box(seq, 1)
     assert abs(x_entry.lower - 2.0) <= 1e-9 and abs(x_entry.upper - 2.0) <= 1e-9
     assert abs(y_entry.lower - 5.0) <= 1e-9 and abs(y_entry.upper - 5.0) <= 1e-9
 
 
 def test_support_box_exact_for_atom_corpus(atom_corpus):
     for spec, seq in atom_corpus[:10]:
-        d = seq.dimension
-        box = support_box(seq, order=3)
-        for i, entry in enumerate(box.entries):
+        for i, entry in enumerate(coordinate_box(seq, 3)):
             values = [pt[i] for pt, _ in spec.atoms]
             assert abs(entry.lower - min(values)) <= 1e-8
             assert abs(entry.upper - max(values)) <= 1e-8
 
 
 def test_support_box_reports_budget_failures(lebesgue01):
-    box = support_box(lebesgue01, polys=[T, T**9], order=1)
-    assert len(box.entries) == 1
-    assert len(box.failures) == 1
-    assert "degree" in box.failures[0][1]
+    assert rayleigh_bounds(lebesgue01, T, 1).order_used == 1
+    with pytest.raises(DegreeOverflowError, match="degree"):
+        rayleigh_bounds(lebesgue01, T**9, 1)
 
 
 def test_growth_vs_rayleigh_examples(two_atoms, dirac3):

@@ -94,7 +94,7 @@ def test_pencil_identity_base_matches_sym_eig():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(6, 6))
     a = raw + raw.T
-    lo, hi, rank = pencil_extremes(a, np.eye(6))
+    lo, hi, rank = pencil_extremes(a, sym_eig(np.eye(6)))
     d = sym_eig(a)
     assert rank == 6
     assert abs(lo - d.eigenvalues[0]) <= 1e-10
@@ -104,7 +104,7 @@ def test_pencil_identity_base_matches_sym_eig():
 def test_pencil_two_point_rule():
     a = [[0.5, 1.0 / 3.0], [1.0 / 3.0, 0.25]]
     b = [[1.0, 0.5], [0.5, 1.0 / 3.0]]
-    lo, hi, rank = pencil_extremes(a, b)
+    lo, hi, rank = pencil_extremes(a, sym_eig(b))
     assert rank == 2
     assert abs(lo - (3.0 - math.sqrt(3.0)) / 6.0) <= 1e-12
     assert abs(hi - (3.0 + math.sqrt(3.0)) / 6.0) <= 1e-12
@@ -114,7 +114,7 @@ def test_pencil_proportional():
     rng = np.random.default_rng(13)
     raw = rng.normal(size=(4, 4))
     b = raw @ raw.T + np.eye(4)
-    lo, hi, rank = pencil_extremes(2.0 * b, b)
+    lo, hi, rank = pencil_extremes(2.0 * b, sym_eig(b))
     assert rank == 4
     assert abs(lo - 2.0) <= 1e-10 and abs(hi - 2.0) <= 1e-10
 
@@ -126,9 +126,9 @@ def test_pencil_scaling_invariance():
         a = raw + raw.T
         rb = rng.normal(size=(5, 5))
         b = rb @ rb.T
-        base = pencil_extremes(a, b)
+        base = pencil_extremes(a, sym_eig(b))
         for s in (1e-3, 7.0, 1e4):
-            scaled = pencil_extremes(s * a, s * b)
+            scaled = pencil_extremes(s * a, sym_eig(s * b))
             assert abs(scaled[0] - base[0]) <= 1e-10 * (1.0 + abs(base[0]))
             assert abs(scaled[1] - base[1]) <= 1e-10 * (1.0 + abs(base[1]))
             assert scaled[2] == base[2]
@@ -141,9 +141,9 @@ def test_pencil_shift_invariance():
         a = raw + raw.T
         rb = rng.normal(size=(5, 5))
         b = rb @ rb.T
-        base = pencil_extremes(a, b)
+        base = pencil_extremes(a, sym_eig(b))
         for c in (-3.0, 0.25, 10.0):
-            shifted = pencil_extremes(a + c * b, b)
+            shifted = pencil_extremes(a + c * b, sym_eig(b))
             assert abs(shifted[0] - (base[0] + c)) <= 1e-9 * (1.0 + abs(base[0] + c))
             assert abs(shifted[1] - (base[1] + c)) <= 1e-9 * (1.0 + abs(base[1] + c))
 
@@ -153,19 +153,26 @@ def test_pencil_deflates_singular_base():
     phi = np.array([1.0, 3.0])
     b = np.outer(phi, phi)
     a = 3.0 * b
-    lo, hi, rank = pencil_extremes(a, b)
+    lo, hi, rank = pencil_extremes(a, sym_eig(b))
     assert rank == 1
     assert abs(lo - 3.0) <= 1e-12 and abs(hi - 3.0) <= 1e-12
 
 
 def test_pencil_rejects_indefinite_base():
     with pytest.raises(NotPsdError):
-        pencil_extremes(np.eye(2), [[1.0, 0.0], [0.0, -1.0]])
+        pencil_extremes(np.eye(2), sym_eig([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_pencil_rejects_zero_base():
     with pytest.raises(RankDeficiencyError):
-        pencil_extremes(np.eye(2), np.zeros((2, 2)))
+        pencil_extremes(np.eye(2), sym_eig(np.zeros((2, 2))))
+
+
+def test_pencil_rejects_decomposition_of_wrong_order():
+    with pytest.raises(ValueError, match="does not match"):
+        pencil_extremes(np.eye(3), sym_eig(np.eye(2)))
+    with pytest.raises(ValueError, match="does not match"):
+        pencil_extremes(np.eye(2), sym_eig(np.eye(2), vectors=False))
 
 
 def test_sym_matrix_normalizes_once():
