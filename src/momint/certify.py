@@ -108,7 +108,10 @@ def product_positivity_check(
     Each slot of a product picks one pair from ``factors`` and one of its two
     sides; products are enumerated as multisets since multiplication
     commutes. Products whose degree exceeds the stored truncation are
-    counted as skipped. A product is evaluated as the bilinear form
+    counted as skipped: when every letter has positive degree, the products
+    longer than ``max_degree // (smallest letter degree)`` are counted in
+    closed form (there are C(m + L, m) - 1 multisets of 1 to L of m letters)
+    and not enumerated. A product is evaluated as the bilinear form
     L(P(first half) P(second half)); the half products are memoized by
     prefix, P(combo) = P(combo[:-1]) * letter, so each is formed once.
     """
@@ -135,11 +138,15 @@ def product_positivity_check(
             partial[combo] = product(combo[:-1]) * alphabet[combo[-1]][2]
         return partial[combo]
 
+    longest = max_factors
+    if min(degrees) > 0:
+        longest = min(max_factors, seq.max_degree // min(degrees))
+    m = len(alphabet)
     violations = []
     attempted = 0
-    skipped = 0
-    for length in range(1, max_factors + 1):
-        for combo in itertools.combinations_with_replacement(range(len(alphabet)), length):
+    skipped = math.comb(m + max_factors, m) - math.comb(m + longest, m)
+    for length in range(1, longest + 1):
+        for combo in itertools.combinations_with_replacement(range(m), length):
             if sum(degrees[k] for k in combo) > seq.max_degree:
                 skipped += 1
                 continue
@@ -166,7 +173,11 @@ def cone_positivity_check(
     With c the growth bound of ``a`` and cb the growth bound of ``b``:
     L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must both
     be >= -tol for all j + k <= jk_max. The powers of c - a and c + a are
-    formed once; each value is the bilinear form L(left * (c + a)^k).
+    formed once; each value is the bilinear form L(left * (c + a)^k). When
+    ``a`` has positive degree g and the prefactor is nonzero, the
+    2 C(J + 2, 2) - 2 C(top + 2, 2) members with j + k > top =
+    max_degree // g (J = jk_max) are counted as skipped in closed form and
+    not formed.
     """
     if tol is None:
         tol = default_check_tol(seq)
@@ -176,17 +187,20 @@ def cone_positivity_check(
     minus = Polynomial.constant(seq.dimension, c_a) - a
     plus = Polynomial.constant(seq.dimension, c_a) + a
     prefactor = Polynomial.constant(seq.dimension, c_b * c_b) - b * b
-    minus_powers = _powers(minus, jk_max)
-    plus_powers = _powers(plus, jk_max)
+    top, skipped = jk_max, 0
+    if a.degree() > 0 and not prefactor.is_zero() and jk_max > seq.max_degree // a.degree():
+        top = seq.max_degree // a.degree()
+        skipped = 2 * (math.comb(jk_max + 2, 2) - math.comb(top + 2, 2))
+    minus_powers = _powers(minus, top)
+    plus_powers = _powers(plus, top)
     lefts = {
         False: minus_powers,
         True: [prefactor * power for power in minus_powers],
     }
     violations = []
     attempted = 0
-    skipped = 0
-    for j in range(jk_max + 1):
-        for k in range(jk_max + 1 - j):
+    for j in range(top + 1):
+        for k in range(top + 1 - j):
             for with_prefactor in (False, True):
                 if not with_prefactor and j == 0 and k == 0:
                     continue
@@ -498,11 +512,23 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
-def _entries(item: dict, name: str, kind: type = dict) -> list:
-    """``item[name]``, which must be a list of objects (or of polynomial texts)."""
+def _known_keys(item: dict, where: str, *keys: str):
+    """ValueError naming the first key of ``item`` that is not in ``keys``:
+    a misspelt key would otherwise silently leave its default in force."""
+    for key in item:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def _entries(item: dict, name: str, *keys: str) -> list:
+    """``item[name]``: a list of objects with only ``keys``, or a list of
+    polynomial texts when no keys are given."""
     entries = item[name]
+    kind = dict if keys else str
     if not isinstance(entries, list) or not all(isinstance(e, kind) for e in entries):
-        raise ValueError(f"{name} must be a list of {'objects' if kind is dict else 'strings'}")
+        raise ValueError(f"{name} must be a list of {'objects' if keys else 'strings'}")
+    for entry in entries if keys else ():
+        _known_keys(entry, f"{name} entry", *keys)
     return entries
 
 
@@ -519,12 +545,14 @@ def run_check_config(
     without their own ``tol``; ``max_factors`` overrides the product length
     cap. Returns (name, report) pairs in document order. Raises ValueError
     on malformed configuration, including an empty check list, a field of
-    the wrong type and a negative tolerance.
+    the wrong type, a negative tolerance and a key that the document, its
+    check kind or its entry objects do not know.
     """
     from .polynomials import parse_polynomial
 
     if not isinstance(config, dict):
         raise ValueError("check configuration must be an object")
+    _known_keys(config, "check configuration", "variables", "checks")
     variables = config.get("variables") or default_variable_names(seq.dimension)
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ValueError("variables must be a list of strings")
@@ -538,6 +566,12 @@ def run_check_config(
             raise ValueError(f"polynomial must be text, got {text!r}")
         return parse_polynomial(text, variables)
 
+    def known(item: dict, *keys: str):
+        _known_keys(item, f"{item['check']} check", "check", "tol", *keys)
+
+    def order(item: dict) -> int:
+        return _integer(item.get("order", 1), "order")
+
     checks = config.get("checks")
     if not checks:
         raise ValueError("no checks requested")
@@ -549,17 +583,20 @@ def run_check_config(
         tol = item.get("tol", default_tol)
         if tol is not None:
             tol = _number(tol, "tol")
-            if tol < 0:
+            if not tol >= 0:
                 raise ValueError("tol must be >= 0")
-        order = _integer(item.get("order", 1), "order")
+
         if kind == "products":
+            known(item, "factors", "max_factors")
             factors = [
-                FactorPair(poly(f["upper"]), poly(f["lower"])) for f in _entries(item, "factors")
+                FactorPair(poly(f["upper"]), poly(f["lower"]))
+                for f in _entries(item, "factors", "upper", "lower")
             ]
             cap = max_factors if max_factors is not None else item.get("max_factors", 6)
             cap = _integer(cap, "max_factors")
             report = product_positivity_check(seq, factors, max_factors=cap, tol=tol)
         elif kind == "cone":
+            known(item, "a", "b", "jk_max")
             report = cone_positivity_check(
                 seq,
                 poly(item["a"]),
@@ -568,36 +605,42 @@ def run_check_config(
                 tol=tol,
             )
         elif kind == "ball":
-            coords = item.get("coordinates") and _entries(item, "coordinates", str)
+            known(item, "radius", "order", "coordinates")
+            coords = item.get("coordinates") and _entries(item, "coordinates")
             report = ball_check(
                 seq,
                 radius=_number(item["radius"], "radius"),
-                order=order,
+                order=order(item),
                 coordinates=[poly(c) for c in coords] if coords else None,
                 tol=tol,
             )
         elif kind == "growth":
+            known(item, "generators")
             generators = [
                 (poly(g["poly"]), _number(g["bound"], "bound"),
                  _number(g.get("prefactor", 1.0), "prefactor"))
-                for g in _entries(item, "generators")
+                for g in _entries(item, "generators", "poly", "bound", "prefactor")
             ]
             report = growth_check(seq, generators, tol=tol)
         elif kind == "weak_absolute_value":
+            known(item, "entries", "functional_bound")
             entries = [
-                (poly(e["poly"]), _number(e["value"], "value")) for e in _entries(item, "entries")
+                (poly(e["poly"]), _number(e["value"], "value"))
+                for e in _entries(item, "entries", "poly", "value")
             ]
             bound = _number(item["functional_bound"], "functional_bound")
             report = weak_absolute_value_check(seq, entries, functional_bound=bound, tol=tol)
         elif kind == "schmudgen":
-            constraints = [poly(c) for c in _entries(item, "constraints", str)]
-            report = schmudgen_check(seq, constraints, order=order, tol=tol)
+            known(item, "constraints", "order")
+            constraints = [poly(c) for c in _entries(item, "constraints")]
+            report = schmudgen_check(seq, constraints, order=order(item), tol=tol)
         elif kind == "interval":
+            known(item, "entries", "order")
             entries = [
                 (poly(e["poly"]), _number(e["lower"], "lower"), _number(e["upper"], "upper"))
-                for e in _entries(item, "entries")
+                for e in _entries(item, "entries", "poly", "lower", "upper")
             ]
-            report = interval_membership_check(seq, entries, order=order, tol=tol)
+            report = interval_membership_check(seq, entries, order=order(item), tol=tol)
         else:
             raise ValueError(f"unknown check kind {kind!r}")
         results.append((kind, report))

@@ -57,10 +57,13 @@ def _digest(path: str) -> str:
 
 
 def _write_json(path: str, doc: dict):
-    """One line of sorted-key JSON. ``json.dumps`` without ``indent`` runs
-    the C encoder; ``json.dump`` and any ``indent`` fall back to Python's."""
+    """One line of sorted-key, strict JSON: a non-finite number raises
+    ValueError before the file is opened. ``json.dumps`` without ``indent``
+    runs the C encoder; ``json.dump`` and any ``indent`` fall back to
+    Python's."""
+    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, sort_keys=True) + "\n")
+        handle.write(text)
 
 
 def _emit(report: dict, out: str | None, quiet: bool, lines: list[str]):
@@ -449,8 +452,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, MomintError) as exc:
+        # an overflow ends in the ValueError of a finiteness check, not in
+        # a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, OverflowError,
+            MomintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

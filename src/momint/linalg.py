@@ -107,7 +107,7 @@ def psd_check(a, tol: float | None = None) -> PsdVerdict:
     m = SymMatrix(a)
     if tol is None:
         tol = default_psd_tol(m)
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     values = sym_eig(m, vectors=False).eigenvalues
     min_eig = float(values[0]) if values.size else 0.0

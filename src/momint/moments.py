@@ -237,8 +237,9 @@ class MeasureSpec:
     """A desk-scale representable measure: weighted atoms, or uniform on a box.
 
     Exactly one of ``atoms`` and ``box`` is set. Atoms are (point, weight)
-    pairs with positive weights; a box is a list of [lo, hi] intervals plus a
-    Gauss-Legendre order per dimension.
+    pairs with finite coordinates and positive finite weights; a box is a
+    list of finite [lo, hi] intervals plus a Gauss-Legendre order per
+    dimension.
     """
 
     __slots__ = ("atoms", "box")
@@ -257,7 +258,10 @@ class MeasureSpec:
                     raise ValueError("atoms have inconsistent dimensions")
                 if not weight > 0:
                     raise ValueError(f"atom weight must be positive, got {weight}")
-                cleaned.append((point, float(weight)))
+                weight = float(weight)
+                if not all(map(math.isfinite, point + (weight,))):
+                    raise ValueError(f"atom {point} with weight {weight} is not finite")
+                cleaned.append((point, weight))
             if not cleaned:
                 raise ValueError("atom list is empty")
             self.atoms = tuple(cleaned)
@@ -268,6 +272,8 @@ class MeasureSpec:
             if not bounds:
                 raise ValueError("box has no bounds")
             for lo, hi in bounds:
+                if not all(map(math.isfinite, (lo, hi))):
+                    raise ValueError(f"box interval [{lo}, {hi}] is not finite")
                 if not lo < hi:
                     raise ValueError(f"box interval [{lo}, {hi}] must have lo < hi")
             order = _integer(order, "quadrature order")
@@ -384,7 +390,8 @@ class MomentSequence:
         ``sum p_a q_b y[rank(a + b)]``, in row blocks of at most PAIR_BLOCK
         pairs, over the memoized term data of p and q (``_term_data``).
         Raises DegreeOverflowError when p (or p q, of degree
-        ``deg p + deg q``) needs unstored moments. A zero factor gives 0.0.
+        ``deg p + deg q``) needs unstored moments, and ValueError when the
+        value overflows. A zero factor gives 0.0.
         """
         for factor in (p,) if q is None else (p, q):
             if factor.dimension != self.dimension:
@@ -405,12 +412,15 @@ class MomentSequence:
         flat, offset = _rank_table(self.max_degree, self.dimension)
         if q is None:
             ranks = flat.take(p_sums + offset[:, None]).sum(axis=0)
-            return float(np.sum(p_coeffs * self.y[ranks]))
-        q_sums = (q_sums + offset[:, None])[:, None, :]
-        total = 0.0
-        for rows in _row_blocks(len(p_coeffs), len(q_coeffs)):
-            ranks = flat.take(p_sums[:, rows, None] + q_sums).sum(axis=0)
-            total += float(p_coeffs[rows] @ self.y[ranks] @ q_coeffs)
+            total = float(np.sum(p_coeffs * self.y[ranks]))
+        else:
+            q_sums = (q_sums + offset[:, None])[:, None, :]
+            total = 0.0
+            for rows in _row_blocks(len(p_coeffs), len(q_coeffs)):
+                ranks = flat.take(p_sums[:, rows, None] + q_sums).sum(axis=0)
+                total += float(p_coeffs[rows] @ self.y[ranks] @ q_coeffs)
+        if not math.isfinite(total):
+            raise ValueError(f"L(p q) = {total} is not finite")
         return total
 
     def moment_matrix(self, order: int, shift: Polynomial | None = None) -> MomentMatrix:
@@ -473,9 +483,14 @@ def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
     """
     powers = range(max_degree + 1)
     if spec.atoms is not None:
-        components = [
-            (weight, [[x**e for e in powers] for x in point]) for point, weight in spec.atoms
-        ]
+        try:
+            components = [
+                (weight, [[x**e for e in powers] for x in point]) for point, weight in spec.atoms
+            ]
+        except OverflowError:
+            raise ValueError(
+                f"powers of the atom coordinates overflow by degree {max_degree}"
+            ) from None
         origin = f"atoms({len(spec.atoms)})"
     else:
         bounds, order = spec.box

@@ -17,6 +17,7 @@ policy cover both the real and the complex pipelines.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -265,7 +266,8 @@ def disc_check(
     diagonal = []
     for n, value in enumerate(f.table.diagonal().real.tolist()):
         limit = _limit(constant, radius, 2 * n)
-        diagonal.append({"n": n, "value": value, "limit": limit})
+        # a saturated limit is written as null: strict JSON has no infinity
+        diagonal.append({"n": n, "value": value, "limit": limit if limit < math.inf else None})
         if value > limit + tol:
             violations.append(
                 Violation(

@@ -41,7 +41,9 @@ def operator_moments(t, h, max_degree: int) -> MomentSequence:
     """The one-dimensional moment sequence <T^k h, h>, k = 0 .. max_degree.
 
     ``t`` is normalized by SymMatrix and ``h`` to unit length first (zero
-    vectors are rejected); ``max_degree`` must be even. Powers that overflow
+    and non-finite vectors are rejected; a vector whose squared norm under-
+    or overflows is divided by its largest entry first); ``max_degree`` must
+    be even. Powers that overflow
     raise ValueError naming the first non-finite moment, with no numpy
     warning.
     """
@@ -49,9 +51,18 @@ def operator_moments(t, h, max_degree: int) -> MomentSequence:
     vec = np.array(h, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != tm.shape[0]:
         raise ValueError("vector length does not match operator order")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("vector h must be nonzero")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector h has non-finite entries")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or norm == math.inf:
+        # the sum of squares under- or overflowed: rescale by the largest
+        # entry first (only then, so that other vectors keep their bytes)
+        peak = float(np.max(np.abs(vec)))
+        if peak == 0.0:
+            raise ValueError("vector h must be nonzero")
+        vec = vec / peak
+        norm = float(np.linalg.norm(vec))
     if max_degree < 0 or max_degree % 2 != 0:
         raise ValueError("max_degree must be an even nonnegative integer")
     moments = np.empty(max_degree + 1)

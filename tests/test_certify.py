@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 
 import numpy as np
@@ -72,6 +74,24 @@ def test_products_count_skipped(two_atoms):
     assert report.skipped > 0
 
 
+def test_products_beyond_the_budget_are_counted_not_enumerated(two_atoms):
+    factors = [FactorPair(1.0 - T, 1.0 + T), FactorPair(1.0 - T * T, 1.0 + T * T)]
+    degrees = [1, 1, 2, 2]
+    for cap in (12, 16, 17, 20):
+        report = product_positivity_check(two_atoms, factors, max_factors=cap)
+        fits = sum(
+            sum(combo) <= 16
+            for length in range(1, cap + 1)
+            for combo in itertools.combinations_with_replacement(degrees, length)
+        )
+        assert (report.attempted, report.skipped) == (fits, math.comb(4 + cap, 4) - 1 - fits)
+    at_budget = product_positivity_check(two_atoms, factors, max_factors=16)
+    huge = product_positivity_check(two_atoms, factors, max_factors=10**30)
+    assert huge.attempted == at_budget.attempted
+    assert huge.violations == at_budget.violations
+    assert huge.skipped == math.comb(4 + 10**30, 4) - 1 - huge.attempted
+
+
 def test_products_reject_empty_factor_list(two_atoms):
     with pytest.raises(ValueError):
         product_positivity_check(two_atoms, [])
@@ -115,6 +135,26 @@ def test_cone_implies_square_positivity(two_atoms, lebesgue01_deep, dirac3):
         report = cone_positivity_check(seq, T, T, jk_max=4)
         if report.passed:
             assert seq.apply(T * T) >= -1e-9
+
+
+def test_cone_beyond_the_budget_is_counted_not_formed(two_atoms):
+    # b = t has the nonzero prefactor 1 - t^2 of degree 2
+    for jk_max in (12, 16, 17, 20):
+        report = cone_positivity_check(two_atoms, T, T, jk_max=jk_max)
+        fits = sum(
+            j + k + prefactor <= 16
+            for j in range(jk_max + 1)
+            for k in range(jk_max + 1 - j)
+            for prefactor in (0, 2)
+            if (j, k, prefactor) != (0, 0, 0)
+        )
+        members = 2 * math.comb(jk_max + 2, 2) - 1
+        assert (report.attempted, report.skipped) == (fits, members - fits)
+    at_budget = cone_positivity_check(two_atoms, T, T, jk_max=16)
+    huge = cone_positivity_check(two_atoms, T, T, jk_max=10**30)
+    assert huge.attempted == at_budget.attempted
+    assert huge.violations == at_budget.violations
+    assert huge.skipped == 2 * math.comb(10**30 + 2, 2) - 1 - huge.attempted
 
 
 def test_cone_budget_overflow_errors(two_atoms):
@@ -281,6 +321,48 @@ def test_run_check_config_rejects_negative_default_tol(lebesgue01):
     config = {"checks": [{"check": "cone", "a": "t"}]}
     with pytest.raises(ValueError, match="tol must be >= 0"):
         run_check_config(lebesgue01, config, default_tol=-1.0)
+
+
+@pytest.mark.parametrize("config, key, where", [
+    ({"checks": [{"check": "cone", "a": "t"}], "variable": ["t"]}, "variable",
+     "check configuration"),
+    ({"checks": [{"check": "cone", "a": "t", "jkmax": 1}]}, "jkmax", "cone check"),
+    ({"checks": [{"check": "cone", "a": "t", "order": 2}]}, "order", "cone check"),
+    ({"checks": [{"check": "growth", "generators": [{"poly": "t"}], "order": 2}]}, "order",
+     "growth check"),
+    ({"checks": [{"check": "products", "factors": [{"upper": "t", "lower": "t"}],
+                  "max_factor": 2}]}, "max_factor", "products check"),
+    ({"checks": [{"check": "products", "factors": [{"upper": "t", "lower": "t", "side": 1}]}]},
+     "side", "factors entry"),
+    ({"checks": [{"check": "growth", "generators": [{"poly": "t", "bound": 1, "prefactr": 2}]}]},
+     "prefactr", "generators entry"),
+    ({"checks": [{"check": "weak_absolute_value", "functional_bound": 1,
+                  "entries": [{"poly": "t", "value": 1, "lower": 0}]}]}, "lower", "entries entry"),
+    ({"checks": [{"check": "interval", "entries": [{"poly": "t", "lower": 0, "uper": 1}]}]},
+     "uper", "entries entry"),
+    ({"checks": [{"check": "ball", "radius": 1, "coordinate": ["t"]}]}, "coordinate",
+     "ball check"),
+])
+def test_run_check_config_rejects_unknown_keys(lebesgue01, config, key, where):
+    with pytest.raises(ValueError, match=f"unknown key '{key}' in {where}"):
+        run_check_config(lebesgue01, config)
+
+
+def test_run_check_config_accepts_every_documented_key(lebesgue01):
+    config = {"variables": ["t"], "checks": [
+        {"check": "products", "factors": [{"upper": "1 - t", "lower": "1 + t"}],
+         "max_factors": 2, "tol": 1e-9},
+        {"check": "cone", "a": "t", "b": "t", "jk_max": 2, "tol": 1e-9},
+        {"check": "ball", "radius": 2.0, "order": 1, "coordinates": ["t"], "tol": 1e-9},
+        {"check": "growth", "generators": [{"poly": "t", "bound": 1.0, "prefactor": 1.0}],
+         "tol": 1e-9},
+        {"check": "weak_absolute_value", "entries": [{"poly": "t", "value": 1.0}],
+         "functional_bound": 1.0, "tol": 1e-9},
+        {"check": "schmudgen", "constraints": ["t", "1 - t"], "order": 1, "tol": 1e-9},
+        {"check": "interval", "entries": [{"poly": "t", "lower": 0.0, "upper": 1.0}],
+         "order": 1, "tol": 1e-9},
+    ]}
+    assert len(run_check_config(lebesgue01, config)) == 7
 
 
 def naive_products(seq, factors, max_factors, tol):

@@ -222,6 +222,25 @@ def test_disc_radius_beyond_the_float_range_passes(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_disc_saturated_limits_are_null_in_strict_json(tmp_path, capsys):
+    table = write(
+        tmp_path / "atoms.json",
+        {"max_level": 12, "atoms": [{"re": 0.5, "im": 0.25, "weight": 1.0}]},
+    )
+    out = tmp_path / "disc.json"
+    argv = ["disc", table, "--radius", "1e30", "--constant", "1", "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text(), parse_constant=reject_constant)
+    diagonal = report["results"]["disc"]["details"][1]["diagonal"]
+    assert [entry["n"] for entry in diagonal] == list(range(13))
+    assert all((entry["limit"] is None) == (entry["n"] >= 6) for entry in diagonal)
+
+
 def test_growth_bound_beyond_the_float_range_passes(tmp_path, capsys):
     # bound^2 already overflows a float: the limit saturates to infinity
     moments = write(tmp_path / "moments.json", one_dim_moments())
@@ -358,6 +377,8 @@ def complex_table(*extra):
 
 
 CONE = {"checks": [{"check": "cone", "a": "t"}]}
+OVERFLOW = one_dim_moments(max_degree=4, moments=[
+    {"index": [k], "value": v} for k, v in enumerate([1.0, 0.0, 1e200, 0.0, 1e300])])
 NULL_VALUE = one_dim_moments(moments=[
     {"index": [0], "value": None}, {"index": [1], "value": 0.5}, {"index": [2], "value": 0.4},
 ])
@@ -401,16 +422,28 @@ NULL_VALUE = one_dim_moments(moments=[
      "matrix has non-finite entries"),
     ("spectral", {"matrix": [[1e200, 0.0], [0.0, 1.0]], "vector": [1.0, 1.0]}, None,
      "non-finite moment at (2,)"),
+    # L(p q) and a localized matrix that overflow: one error line, no warning
+    ("analyze --poly 1e200*t", OVERFLOW, None, "L(p q) = inf is not finite"),
+    ("analyze --poly 1e300*t^4", OVERFLOW, None, "matrix has non-finite entries"),
+    # a misspelt key would silently leave its default in force
+    ("certify", one_dim_moments(), {"checks": [{"check": "cone", "a": "t", "jkmax": 1}]},
+     "unknown key 'jkmax' in cone check"),
+    ("certify", one_dim_moments(),
+     {"checks": [{"check": "products", "factors": [{"upper": "1 - t", "lower": "t"}],
+                  "max_factor": 2}]},
+     "unknown key 'max_factor' in products check"),
 ], ids=[
     "null-value-analyze", "null-value-certify", "fractional-max-degree", "fractional-dimension",
     "config-not-object", "check-not-object", "factors-not-list", "null-bound",
     "fractional-max-level", "complex-fractional-key", "complex-repeated-key",
     "complex-repeated-float-key", "negative-tol", "huge-incomplete-real",
     "huge-incomplete-complex", "complex-nan", "complex-infinite-mass",
-    "operator-infinite", "operator-overflow",
+    "operator-infinite", "operator-overflow", "analyze-overflow-apply",
+    "analyze-overflow-matrix", "unknown-cone-key", "unknown-products-key",
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, message):
-    argv = [command, write(tmp_path / "doc.json", doc)]
+    command, *options = command.split()
+    argv = [command, write(tmp_path / "doc.json", doc), *options]
     if config is not None:
         argv.append(write(tmp_path / "config.json", config))
     if command == "disc":

@@ -183,6 +183,33 @@ def test_non_finite_moment_rejected():
         MomentSequence._from_dense(1, 2, np.array([1.0, 0.5, math.inf]), "operator")
 
 
+@pytest.mark.parametrize("atoms, box", [
+    ([((math.inf, 0.0), 1.0)], None),
+    ([((0.0, math.nan), 1.0)], None),
+    ([((0.0, 0.5), math.inf)], None),
+    (None, ([[0.0, math.inf]], 4)),
+    (None, ([[-math.inf, 0.0], [0.0, 1.0]], 4)),
+])
+def test_measure_spec_rejects_non_finite_input(atoms, box):
+    with pytest.raises(ValueError, match="not finite"):
+        MeasureSpec(atoms=atoms, box=box)
+
+
+def test_atom_powers_beyond_the_float_range_are_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        from_measure(MeasureSpec(atoms=[((1e308,), 1.0)]), 4)
+
+
+def test_apply_rejects_a_non_finite_value():
+    seq = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.0, (2,): 1e300})
+    big = 1e200 * Polynomial.variable(1, 0)
+    # the command line runs every command under this errstate; apply itself
+    # sets none, because it runs hundreds of times per command
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        seq.apply(big, big)
+    assert math.isclose(seq.apply(1e4 * Polynomial.variable(1, 0), Polynomial.variable(1, 0)), 1e304)
+
+
 def test_odd_max_degree_rejected():
     with pytest.raises(ValueError):
         MomentSequence(1, 3, {(k,): 1.0 for k in range(4)})

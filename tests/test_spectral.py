@@ -17,6 +17,20 @@ from momint.spectral import (
 )
 
 
+def test_operator_moments_rescale_only_extreme_vectors():
+    t = np.diag([1.0, 2.0, 3.0])
+    # the squared norm overflows: the vector is e_1 to double precision
+    assert operator_moments(t, [1e308, 1.0, 0.5], 4).y.tolist() == [1.0] * 5
+    # the squared norm underflows: still the vector (1, 1) / sqrt(2)
+    assert abs(operator_moments(np.diag([1.0, 2.0]), [1e-200, 1e-200], 2).y[1] - 1.5) <= 1e-15
+    ordinary = np.array([0.3, -1.2, 0.7])
+    unit = ordinary / np.linalg.norm(ordinary)
+    assert operator_moments(t, ordinary, 2).y[1] == float((t @ unit) @ unit)
+    for bad in ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0], [math.nan, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="vector h"):
+            operator_moments(t, bad, 2)
+
+
 def test_operator_moments_diag():
     seq = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
     for k in range(7):
