@@ -5,6 +5,8 @@ from even-power roots, Rayleigh bounds from localized/plain matrix pencils,
 quadratic-module membership tests, archimedean bounds, positivity checks on
 products and semialgebraic data, spectral-measure reconstruction by Gauss
 quadrature, and the complex disc criterion on the pair semigroup.
+``quadratic_module_psd`` gives every PSD verdict on a real moment matrix,
+and ``pencil_extremes(a, sym_eig(b))`` the Rayleigh extremes of a pencil.
 """
 
 from .bounds import (

@@ -10,6 +10,13 @@ that produced them (no operation extrapolates):
 * archimedean bounds: the smallest constant M making the localized matrix of
   M - a (or M - a^2) positive semidefinite, found by bisection on the range
   of the moment form.
+
+``quadratic_module_psd`` is the one route from a real localized moment
+matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
+membership and every localized check in ``certify`` call it. Every pencil
+uses the memoized eigendecomposition of the plain matrix at its order
+(``_plain_matrix_eig``), so no pencil builds or factors the plain matrix
+again.
 """
 
 from __future__ import annotations

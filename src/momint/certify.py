@@ -8,6 +8,11 @@ evaluations ran and how many were skipped for degree-budget reasons. The
 reports are deterministic for a fixed input, whatever the evaluation order.
 The exact identities that the interval and cone checks rest on are verified
 in rational arithmetic by the test suite, not at run time.
+
+The localized PSD tests (ball, schmudgen, interval) take their verdicts from
+``bounds.quadratic_module_psd``. The products and cone families count the
+members beyond the degree budget in closed form instead of enumerating
+them. ``run_check_config`` rejects every key it does not know.
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ configuration), ``spectral`` (operator moments, interval, and quadrature
 reconstruction), ``disc`` (complex moment table checks). Reports are JSON
 documents plus a human-readable summary on stdout (``--quiet`` suppresses
 the summary). Exit status: 0 when every requested check passes, 1 when a
-mathematical check fails, 2 on input or usage errors.
+mathematical check fails, 2 on input or usage errors, with one ``error:``
+line: every command runs under one numpy errstate, so an overflow ends in a
+finiteness check's ValueError rather than a warning. Reports are strict
+JSON; a saturated limit is written as null.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ backward-stable one: eigenvalue errors are a small multiple of machine
 epsilon times ``||A||``, so small eigenvalues of ill-conditioned Hankel-type
 moment matrices carry only absolute accuracy. The PSD tolerance below is sized
 for that.
+
+``pencil_extremes`` takes the base matrix B only through its
+eigendecomposition, so the one cached decomposition of a plain moment matrix
+serves every pencil at its order. A real moment matrix reaches ``psd_check``
+only through ``bounds.quadratic_module_psd``.
 """
 
 from __future__ import annotations
