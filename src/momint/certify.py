@@ -590,7 +590,6 @@ def run_check_config(
             tol = _number(tol, "tol")
             if not tol >= 0:
                 raise ValueError("tol must be >= 0")
-
         if kind == "products":
             known(item, "factors", "max_factors")
             factors = [

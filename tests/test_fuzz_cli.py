@@ -146,14 +146,14 @@ def mutate(doc, rng: random.Random):
     return doc, f"set {label} = {value!r}"
 
 
-def fuzz_cases(seed: int = SEED, per_base: int = PER_BASE) -> list:
+def fuzz_cases() -> list:
     """(name, files, argv) of the seeded fuzz documents: the first file of
-    each base run mutated ``per_base`` times."""
+    each base run mutated PER_BASE times."""
     cases = []
     for base, files, argv in BASES:
-        rng = random.Random(f"{seed}:{base}")
+        rng = random.Random(f"{SEED}:{base}")
         target = next(iter(files))
-        for i in range(per_base):
+        for i in range(PER_BASE):
             doc, how = mutate(files[target], rng)
             cases.append((f"{base}#{i} {how}", {**files, target: doc}, argv))
     return cases
