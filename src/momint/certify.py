@@ -250,7 +250,7 @@ def ball_check(
     most radius^2. The two agree in the limit; the report carries both. A
     given ``tol`` applies to both; with None each part uses its default.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if coordinates is None:
         coordinates = [
@@ -315,7 +315,7 @@ def growth_check(
     attempted = 0
     skipped = 0
     for a, bound, prefactor in generators:
-        if bound <= 0 or prefactor <= 0:
+        if not (bound > 0 and prefactor > 0):
             raise ValueError("generator bound and prefactor must be positive")
         deg = max(a.degree(), 1)
         n_reachable = seq.max_degree // (2 * deg)
@@ -346,7 +346,7 @@ def weak_absolute_value_check(
 ) -> CheckReport:
     """Per (a, v_a): the growth bound of a stays below v_a, and
     |L(a)| <= functional_bound * v_a."""
-    if functional_bound <= 0:
+    if not functional_bound > 0:
         raise ValueError("functional_bound must be positive")
     if tol is None:
         tol = default_check_tol(seq)
@@ -355,7 +355,7 @@ def weak_absolute_value_check(
     attempted = 0
     skipped = 0
     for a, v_a in entries:
-        if v_a <= 0:
+        if not v_a > 0:
             raise ValueError("per-polynomial value must be positive")
         try:
             bound = growth_bound(seq, a)

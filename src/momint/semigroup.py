@@ -250,7 +250,7 @@ def disc_check(
     """Disc criterion: the kernel is PSD at the maximal coverable level and
     the diagonal obeys f(n, n) <= constant * radius^(2n) for every stored n.
     A given ``tol`` applies to both; with None each part uses its default."""
-    if radius <= 0 or constant <= 0:
+    if not (radius > 0 and constant > 0):
         raise ValueError("radius and constant must be positive")
     verdict = psd_kernel_check(f, tol=tol)
     if tol is None:

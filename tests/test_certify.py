@@ -205,8 +205,9 @@ def test_ball_psd_half_uses_the_callers_tol():
 
 
 def test_ball_rejects_bad_radius(circle4):
-    with pytest.raises(ValueError):
-        ball_check(circle4, radius=0.0, order=1)
+    for radius in (0.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ball_check(circle4, radius=radius, order=1)
 
 
 def test_growth_check_examples(two_atoms, dirac3):
@@ -221,8 +222,16 @@ def test_growth_check_examples(two_atoms, dirac3):
 
 
 def test_growth_check_rejects_bad_parameters(two_atoms):
-    with pytest.raises(ValueError):
-        growth_check(two_atoms, [(T, -1.0, 1.0)])
+    # a NaN bound or prefactor would make every comparison false: a PASS
+    for bound, prefactor in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            growth_check(two_atoms, [(T, bound, prefactor)])
+
+
+def test_weak_absolute_value_rejects_bad_parameters(two_atoms):
+    for value, functional_bound in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            weak_absolute_value_check(two_atoms, [(T, value)], functional_bound)
 
 
 def test_weak_absolute_value_examples(two_atoms, dirac3):

@@ -212,6 +212,13 @@ FIXED = [
     ("spectral-tiny-vector",
      {"operator": {"matrix": [[1.0, 0.0], [0.0, 2.0]], "vector": [1e-200, 1e-200]}},
      ["spectral", "{operator}", "--out", "{out}", "--quiet"], 0, '"passed": true'),
+    ("growth-nan-bound", *_certify({"checks": [
+        {"check": "growth", "generators": [{"poly": "t", "bound": math.nan}]}]}),
+     2, "must be positive"),
+    ("disc-nan-constant",
+     {"moments": {"max_level": 4, "atoms": [{"re": 0.5, "im": 0.1, "weight": 1.0}]}},
+     ["disc", "{moments}", "--radius", "1", "--constant", "nan", "--quiet"], 2,
+     "must be positive"),
     ("oracle-atom-overflow", {"measure": {"atoms": [{"point": [1e308], "weight": 1.0}]}},
      ["oracle", "{measure}", "--degree", "4", "--out", "{out}", "--quiet"], 2, "overflow"),
     ("oracle-infinite-box",

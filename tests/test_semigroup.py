@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -246,8 +248,9 @@ def test_disc_check_tolerance_applies_to_kernel():
 
 def test_disc_check_rejects_bad_parameters():
     f = from_complex_atoms([(0.5 + 0j, 1.0)], 4)
-    with pytest.raises(ValueError):
-        disc_check(f, radius=-1.0, constant=1.0)
+    for radius, constant in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            disc_check(f, radius=radius, constant=constant)
 
 
 def test_cauchy_bunyakovsky_chain(complex_corpus):
