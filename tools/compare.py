@@ -274,18 +274,18 @@ def _difference(base: dict, head: dict) -> str | None:
 
 
 def compare(base_ref: str) -> int:
-    scratch = Path(tempfile.mkdtemp(prefix="momint-compare-"))
-    base_tree = scratch / "base"
+    workdir = Path(tempfile.mkdtemp(prefix="momint-compare-"))
+    base_tree = workdir / "base"
     try:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(base_tree), base_ref], check=True)
-        corpus_dir = scratch / "corpus"
+        corpus_dir = workdir / "corpus"
         corpus_dir.mkdir()
         corpus = build_corpus(corpus_dir)
         (corpus_dir / "corpus.json").write_text(json.dumps(corpus))
         workers = {}
         for side, tree in (("base", base_tree), ("head", ROOT)):
-            rundir = scratch / f"run-{side}"
+            rundir = workdir / f"run-{side}"
             shutil.copytree(corpus_dir, rundir)
             workers[side] = (rundir, subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(tree / "src"), str(rundir)]))
@@ -298,7 +298,7 @@ def compare(base_ref: str) -> int:
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                         str(base_tree)], check=False)
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
     head_rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
                               capture_output=True, text=True).stdout.strip()
