@@ -10,13 +10,16 @@ The exact identities that the interval and cone checks rest on are verified
 in rational arithmetic by the test suite, not at run time.
 
 The localized PSD tests (ball, schmudgen, interval) take their verdicts from
-``bounds.quadratic_module_psd``. The products and cone families count the
-members beyond the degree budget in closed form instead of enumerating
-them. ``run_check_config`` rejects every key it does not know.
+``bounds.quadratic_module_psd``. The products and cone families are one
+semiring enumeration over letters of positive degree, which counts the
+members beyond the degree budget in closed form, and shares its prefix
+memo of products with schmudgen's subset shifts. ``run_check_config``
+rejects every key it does not know.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -73,21 +76,6 @@ def default_check_tol(seq: MomentSequence) -> float:
     return 1e-9 * (1.0 + float(abs(seq.y).max()))
 
 
-def _product_degree(p: Polynomial, q: Polynomial) -> int:
-    """Degree of p q without forming it; -1 when either factor is zero."""
-    if p.is_zero() or q.is_zero():
-        return -1
-    return p.degree() + q.degree()
-
-
-def _powers(p: Polynomial, top: int) -> list[Polynomial]:
-    """[1, p, p^2, ..., p^top], each formed by one multiplication."""
-    out = [Polynomial.constant(p.dimension, 1.0)]
-    for _ in range(top):
-        out.append(out[-1] * p)
-    return out
-
-
 def _names(seq: MomentSequence) -> list[str]:
     return default_variable_names(seq.dimension)
 
@@ -102,6 +90,64 @@ def _limit(factor: float, base: float, exponent: int) -> float:
         return math.inf
 
 
+def _prefix_products(letters: Sequence[Polynomial], dimension: int):
+    """P(combo) of a tuple of letter indices, memoized by prefix: P(()) = 1
+    and P(combo) = P(combo[:-1]) * letter, so each product is formed once."""
+
+    @functools.cache
+    def product(combo: tuple) -> Polynomial:
+        if not combo:
+            return Polynomial.constant(dimension, 1.0)
+        return product(combo[:-1]) * letters[combo[-1]]
+
+    return product
+
+
+def _semiring_check(seq, letters, cap, tol, split, describe, prefactor=None):
+    """(violations, attempted, skipped) of L(r P(combo[:cut]) P(combo[cut:]))
+    >= -tol, cut = split(combo), over the multisets of up to ``cap`` of the
+    (name, polynomial) ``letters``, by length and then letter index; r is 1
+    from length 1 on and, when given, ``prefactor`` from length 0 on.
+
+    Every letter must have positive degree, so no member longer than
+    L = max_degree // (smallest letter degree) fits the budget: those
+    C(m + cap, m) - C(m + L, m) per family are skipped in closed form. A zero
+    prefactor's C(m + cap, m) members count as attempted, with value 0,
+    unformed. ``describe(combo, prefactored)`` labels a violation.
+    """
+    for name, letter in letters:
+        if letter.degree() < 1:
+            raise ValueError(f"{name} must have positive degree")
+    degrees = [letter.degree() for _, letter in letters]
+    m = len(letters)
+    longest = min(cap, seq.max_degree // min(degrees))
+    families, attempted = [(False, 0)], 0
+    if prefactor is not None and prefactor.is_zero():
+        attempted = math.comb(m + cap, m)
+    elif prefactor is not None:
+        families.append((True, prefactor.degree()))
+    skipped = len(families) * (math.comb(m + cap, m) - math.comb(m + longest, m))
+    product = _prefix_products([letter for _, letter in letters], seq.dimension)
+    scaled = functools.cache(lambda half: prefactor * product(half))
+    violations = []
+    for length in range(longest + 1):
+        for combo in itertools.combinations_with_replacement(range(m), length):
+            degree = sum(degrees[k] for k in combo)
+            cut = split(combo)
+            for prefactored, extra in families:
+                if not (combo or prefactored):
+                    continue
+                if degree + extra > seq.max_degree:
+                    skipped += 1
+                    continue
+                left = scaled(combo[:cut]) if prefactored else product(combo[:cut])
+                value = seq.apply(left, product(combo[cut:]))
+                attempted += 1
+                if value < -tol:
+                    violations.append(Violation(describe(combo, prefactored), value))
+    return violations, attempted, skipped
+
+
 def product_positivity_check(
     seq: MomentSequence,
     factors: Sequence[FactorPair],
@@ -111,14 +157,9 @@ def product_positivity_check(
     """L of every product of up to ``max_factors`` factors must be >= -tol.
 
     Each slot of a product picks one pair from ``factors`` and one of its two
-    sides; products are enumerated as multisets since multiplication
-    commutes. Products whose degree exceeds the stored truncation are
-    counted as skipped: when every letter has positive degree, the products
-    longer than ``max_degree // (smallest letter degree)`` are counted in
-    closed form (there are C(m + L, m) - 1 multisets of 1 to L of m letters)
-    and not enumerated. A product is evaluated as the bilinear form
-    L(P(first half) P(second half)); the half products are memoized by
-    prefix, P(combo) = P(combo[:-1]) * letter, so each is formed once.
+    sides, which must have positive degree. Products are the multisets of
+    sides, each evaluated as L(P(first half) P(second half)); those beyond
+    the degree budget are counted as skipped (see ``_semiring_check``).
     """
     factors = [FactorPair(*f) for f in factors]
     if not factors:
@@ -131,38 +172,17 @@ def product_positivity_check(
     if tol is None:
         tol = default_check_tol(seq)
     names = _names(seq)
-    alphabet = []
-    for i, pair in enumerate(factors):
-        alphabet.append((i, "upper", pair.upper))
-        alphabet.append((i, "lower", pair.lower))
-    degrees = [max(letter.degree(), 0) for _, _, letter in alphabet]
-    partial = {(): Polynomial.constant(seq.dimension, 1.0)}
-
-    def product(combo: tuple) -> Polynomial:
-        if combo not in partial:
-            partial[combo] = product(combo[:-1]) * alphabet[combo[-1]][2]
-        return partial[combo]
-
-    longest = max_factors
-    if min(degrees) > 0:
-        longest = min(max_factors, seq.max_degree // min(degrees))
-    m = len(alphabet)
-    violations = []
-    attempted = 0
-    skipped = math.comb(m + max_factors, m) - math.comb(m + longest, m)
-    for length in range(1, longest + 1):
-        for combo in itertools.combinations_with_replacement(range(m), length):
-            if sum(degrees[k] for k in combo) > seq.max_degree:
-                skipped += 1
-                continue
-            half = length // 2
-            value = seq.apply(product(combo[:half]), product(combo[half:]))
-            attempted += 1
-            if value < -tol:
-                label = " * ".join(
-                    f"({format_polynomial(alphabet[k][2], names)})" for k in combo
-                )
-                violations.append(Violation(description=label, value=value))
+    letters = [
+        (f"factor {i + 1} {side} side", letter)
+        for i, pair in enumerate(factors)
+        for side, letter in zip(FactorPair._fields, pair)
+    ]
+    violations, attempted, skipped = _semiring_check(
+        seq, letters, max_factors, tol, split=lambda combo: len(combo) // 2,
+        describe=lambda combo, _: " * ".join(
+            f"({format_polynomial(letters[k][1], names)})" for k in combo
+        ),
+    )
     return CheckReport.build(violations, attempted, skipped)
 
 
@@ -175,15 +195,14 @@ def cone_positivity_check(
 ) -> CheckReport:
     """Two positivity families built from growth bounds.
 
-    With c the growth bound of ``a`` and cb the growth bound of ``b``:
-    L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must both
-    be >= -tol for all j + k <= jk_max. The powers of c - a and c + a are
-    formed once; each value is the bilinear form L(left * (c + a)^k). When
-    ``a`` has positive degree g and the prefactor is nonzero, the
-    2 C(J + 2, 2) - 2 C(top + 2, 2) members with j + k > top =
-    max_degree // g (J = jk_max) are counted as skipped in closed form and
-    not formed.
+    With c the growth bound of ``a`` (of positive degree) and cb that of
+    ``b``: L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must
+    both be >= -tol for all j + k <= jk_max. They are the semiring of the
+    letters c - a and c + a with the prefactor cb^2 - b^2, each member
+    evaluated as L(r (c - a)^j * (c + a)^k) (see ``_semiring_check``).
     """
+    if jk_max < 0:
+        raise ValueError("jk_max must be >= 0")
     if tol is None:
         tol = default_check_tol(seq)
     c_a = growth_bound(seq, a).value
@@ -192,46 +211,16 @@ def cone_positivity_check(
     minus = Polynomial.constant(seq.dimension, c_a) - a
     plus = Polynomial.constant(seq.dimension, c_a) + a
     prefactor = Polynomial.constant(seq.dimension, c_b * c_b) - b * b
-    top, skipped = jk_max, 0
-    if a.degree() > 0 and not prefactor.is_zero() and jk_max > seq.max_degree // a.degree():
-        top = seq.max_degree // a.degree()
-        skipped = 2 * (math.comb(jk_max + 2, 2) - math.comb(top + 2, 2))
-    minus_powers = _powers(minus, top)
-    plus_powers = _powers(plus, top)
-    lefts = {
-        False: minus_powers,
-        True: [prefactor * power for power in minus_powers],
-    }
-    violations = []
-    attempted = 0
-    for j in range(top + 1):
-        for k in range(top + 1 - j):
-            for with_prefactor in (False, True):
-                if not with_prefactor and j == 0 and k == 0:
-                    continue
-                left = lefts[with_prefactor][j]
-                if _product_degree(left, plus_powers[k]) > seq.max_degree:
-                    skipped += 1
-                    continue
-                value = seq.apply(left, plus_powers[k])
-                attempted += 1
-                if value < -tol:
-                    head = (
-                        f"({format_polynomial(prefactor, names)}) * "
-                        if with_prefactor
-                        else ""
-                    )
-                    violations.append(
-                        Violation(
-                            description=(
-                                f"{head}({format_polynomial(minus, names)})^{j} * "
-                                f"({format_polynomial(plus, names)})^{k}"
-                            ),
-                            value=value,
-                        )
-                    )
-    if attempted == 0:
-        raise DegreeOverflowError("every cone product exceeds the stored truncation")
+
+    def describe(combo: tuple, prefactored: bool) -> str:
+        head = f"({format_polynomial(prefactor, names)}) * " if prefactored else ""
+        low, high = (format_polynomial(p, names) for p in (minus, plus))
+        return f"{head}({low})^{combo.count(0)} * ({high})^{combo.count(1)}"
+
+    violations, attempted, skipped = _semiring_check(
+        seq, [("cone a", minus), ("cone a", plus)], jk_max, tol,
+        split=lambda combo: combo.count(0), describe=describe, prefactor=prefactor,
+    )
     details = [{"growth_bound_a": c_a, "growth_bound_b": c_b, "jk_max": jk_max}]
     return CheckReport.build(violations, attempted, skipped, details)
 
@@ -397,19 +386,19 @@ def schmudgen_check(
     """Localized PSD test for every subset product of the constraints.
 
     Each subset (including the empty one, the plain matrix) is tested at the
-    largest admissible order not exceeding ``order``. A subset whose product
+    largest admissible order not exceeding ``order``. Subset products come
+    from the prefix memo, so each is formed once. A subset whose product
     does not fit even at order zero raises DegreeOverflowError.
     """
     constraints = list(constraints)
     names = _names(seq)
+    product = _prefix_products(constraints, seq.dimension)
     violations = []
     details = []
     attempted = 0
     for size in range(len(constraints) + 1):
         for subset in itertools.combinations(range(len(constraints)), size):
-            shift = Polynomial.constant(seq.dimension, 1.0)
-            for j in subset:
-                shift = shift * constraints[j]
+            shift = product(subset)
             shift_degree = max(shift.degree(), 0)
             if shift_degree > seq.max_degree:
                 raise DegreeOverflowError(
@@ -541,17 +530,16 @@ def run_check_config(
     seq: MomentSequence,
     config: dict,
     default_tol: float | None = None,
-    max_factors: int | None = None,
 ) -> list[tuple[str, CheckReport]]:
     """Run the checks named in a configuration document against a sequence.
 
     The document declares variable names once and a list of checks; every
     polynomial is text in those variables. ``default_tol`` applies to checks
-    without their own ``tol``; ``max_factors`` overrides the product length
-    cap. Returns (name, report) pairs in document order. Raises ValueError
-    on malformed configuration, including an empty check list, a field of
-    the wrong type, a negative tolerance and a key that the document, its
-    check kind or its entry objects do not know.
+    without their own ``tol``. Returns (name, report) pairs in document
+    order. Raises ValueError on malformed configuration, including an empty
+    check list, a field of the wrong type, a negative or infinite tolerance
+    and a key that the document, its check kind or its entry objects do not
+    know.
     """
     from .polynomials import parse_polynomial
 
@@ -590,14 +578,15 @@ def run_check_config(
             tol = _number(tol, "tol")
             if not tol >= 0:
                 raise ValueError("tol must be >= 0")
+            if math.isinf(tol):
+                raise ValueError("tol must be finite")
         if kind == "products":
             known(item, "factors", "max_factors")
             factors = [
                 FactorPair(poly(f["upper"]), poly(f["lower"]))
                 for f in _entries(item, "factors", "upper", "lower")
             ]
-            cap = max_factors if max_factors is not None else item.get("max_factors", 6)
-            cap = _integer(cap, "max_factors")
+            cap = _integer(item.get("max_factors", 6), "max_factors")
             report = product_positivity_check(seq, factors, max_factors=cap, tol=tol)
         elif kind == "cone":
             known(item, "a", "b", "jk_max")

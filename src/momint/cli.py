@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -114,6 +115,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_PASS
 
 
+def _finite(args, *options):
+    """ValueError naming the first of ``options`` that is infinite (a NaN
+    fails the sign check of the routine that reads it)."""
+    for option in options:
+        if math.isinf(getattr(args, option) or 0.0):
+            raise ValueError(f"--{option} must be finite, got {getattr(args, option)}")
+
+
 def _admissible_order(seq: MomentSequence, shift_degree: int, requested: int | None,
                       warnings: list, label: str) -> int:
     cap = (seq.max_degree - max(shift_degree, 0)) // 2
@@ -129,6 +138,7 @@ def _admissible_order(seq: MomentSequence, shift_degree: int, requested: int | N
 def _cmd_analyze(args) -> int:
     if args.order is not None and args.order < 0:
         raise ValueError(f"--order must be >= 0, got {args.order}")
+    _finite(args, "tol")
     seq = MomentSequence.from_document(_load_json(args.moments), origin=args.moments)
     names = args.vars.split(",") if args.vars else default_variable_names(seq.dimension)
     if len(names) != seq.dimension:
@@ -270,11 +280,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _finite(args, "tol")
     seq = MomentSequence.from_document(_load_json(args.moments), origin=args.moments)
     config = _load_json(args.config)
-    results = run_check_config(
-        seq, config, default_tol=args.tol, max_factors=args.max_factors
-    )
+    results = run_check_config(seq, config, default_tol=args.tol)
     report = _report_skeleton(
         "certify", {"moments": args.moments, "config": args.config}, {}
     )
@@ -358,6 +367,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    _finite(args, "radius", "constant")
     doc = _load_json(args.moments)
     if "atoms" in doc:
         atoms, max_level = complex_atoms_from_document(doc)
@@ -425,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("moments")
     certify.add_argument("config")
     certify.add_argument("--tol", type=float, help="default check tolerance")
-    certify.add_argument("--max-factors", type=int, help="product length cap override")
     certify.add_argument("--out")
     certify.add_argument("--quiet", action="store_true")
     certify.set_defaults(func=_cmd_certify)

@@ -157,6 +157,141 @@ def test_cone_beyond_the_budget_is_counted_not_formed(two_atoms):
     assert huge.skipped == 2 * math.comb(10**30 + 2, 2) - 1 - huge.attempted
 
 
+@pytest.mark.parametrize("factor", [
+    FactorPair(Polynomial.constant(1, 2.0), T),
+    FactorPair(1.0 - T, Polynomial.zero(1)),
+])
+def test_products_reject_a_side_of_degree_zero(two_atoms, factor):
+    # such a side fits the degree budget at any length, so no cap would end
+    # the enumeration; the error names the side
+    side = "upper" if factor.upper.degree() < 1 else "lower"
+    with pytest.raises(ValueError, match=f"factor 2 {side} side must have positive degree"):
+        product_positivity_check(two_atoms, [FactorPair(1.0 - T, 1.0 + T), factor],
+                                 max_factors=10**30)
+
+
+def test_cone_rejects_a_constant_a_and_a_negative_jk_max(two_atoms):
+    with pytest.raises(ValueError, match="cone a must have positive degree"):
+        cone_positivity_check(two_atoms, Polynomial.constant(1, 1.0), T, jk_max=10**30)
+    with pytest.raises(ValueError, match="jk_max must be >= 0"):
+        cone_positivity_check(two_atoms, T, T, jk_max=-1)
+
+
+def test_cone_zero_prefactor_members_are_counted_not_formed(two_atoms):
+    # b = 1 makes cb^2 - b^2 zero: its C(J + 2, 2) members count as attempted
+    one = Polynomial.constant(1, 1.0)
+    at_budget = cone_positivity_check(two_atoms, T, one, jk_max=16)
+    huge = cone_positivity_check(two_atoms, T, one, jk_max=10**30)
+    plain = math.comb(16 + 2, 2) - 1
+    assert (at_budget.attempted, at_budget.skipped) == (plain + math.comb(18, 2), 0)
+    assert huge.attempted == plain + math.comb(10**30 + 2, 2)
+    assert huge.skipped == math.comb(10**30 + 2, 2) - 1 - plain
+    assert huge.violations == at_budget.violations
+
+
+def reference_cone(seq, a, b, jk_max, tol):
+    """The cone family member by member: (c - a)^j, (c + a)^k and the
+    prefactor formed directly, as the check did before it shared the
+    semiring enumeration."""
+    from momint.polynomials import format_polynomial
+
+    names = ["t"] if seq.dimension == 1 else ["x1", "x2"]
+    c_a, c_b = growth_bound(seq, a).value, growth_bound(seq, b).value
+    one = Polynomial.constant(seq.dimension, 1.0)
+    minus = Polynomial.constant(seq.dimension, c_a) - a
+    plus = Polynomial.constant(seq.dimension, c_a) + a
+    prefactor = Polynomial.constant(seq.dimension, c_b * c_b) - b * b
+    minus_powers, plus_powers = [one], [one]
+    for _ in range(jk_max):
+        minus_powers.append(minus_powers[-1] * minus)
+        plus_powers.append(plus_powers[-1] * plus)
+    violations, attempted, skipped = [], 0, 0
+    for j in range(jk_max + 1):
+        for k in range(jk_max + 1 - j):
+            for with_prefactor in (False, True):
+                if not with_prefactor and j == k == 0:
+                    continue
+                left = prefactor * minus_powers[j] if with_prefactor else minus_powers[j]
+                right = plus_powers[k]
+                if not left.is_zero() and left.degree() + right.degree() > seq.max_degree:
+                    skipped += 1
+                    continue
+                value = seq.apply(left, right)
+                attempted += 1
+                if value < -tol:
+                    head = f"({format_polynomial(prefactor, names)}) * " if with_prefactor else ""
+                    violations.append((
+                        f"{head}({format_polynomial(minus, names)})^{j} * "
+                        f"({format_polynomial(plus, names)})^{k}", value))
+    return sorted(violations), attempted, skipped
+
+
+def _random_polynomial(rng, d, degree):
+    monomials = [m for m in enumerate_monomials(d, degree) if sum(m) >= 1]
+    terms = {m: float(rng.integers(-4, 5)) / 4 for m in monomials if rng.random() < 0.7}
+    terms[monomials[-1]] = float(rng.choice([-1.0, 0.5, 1.25]))
+    return Polynomial(d, terms)
+
+
+def test_cone_matches_the_reference_loop_on_signed_tables():
+    from momint.certify import default_check_tol
+
+    rng = np.random.default_rng(20261018)
+    failing = beyond_budget = 0
+    for case in range(60):
+        d = 1 + case % 2
+        max_degree = int(rng.choice([4, 6, 8]))
+        atoms = rng.uniform(-1.5, 1.5, (4, d))
+        weights = np.array([1.0, 0.6, 0.4, -rng.uniform(0.05, 0.8)])
+        values = {
+            m: float(np.sum(weights * np.prod(atoms ** np.array(m), axis=1)))
+            for m in enumerate_monomials(d, max_degree)
+        }
+        seq = MomentSequence(d, max_degree, values)
+        a = _random_polynomial(rng, d, 1 + case % 3 // 2)
+        b = (Polynomial.constant(d, 1.0) if case % 4 == 3
+             else _random_polynomial(rng, d, 1 + case % 5 // 3))
+        jk_max = int(rng.integers(0, 6))
+        report = cone_positivity_check(seq, a, b, jk_max=jk_max)
+        want, attempted, skipped = reference_cone(seq, a, b, jk_max, default_check_tol(seq))
+        got = sorted((v.description, v.value) for v in report.violations)
+        assert (got, report.attempted, report.skipped) == (want, attempted, skipped)
+        assert report.passed == (not want)
+        failing += bool(want)
+        beyond_budget += skipped > 0
+    # the corpus reaches both the violations and the degree budget
+    assert failing >= 20 and beyond_budget >= 10
+
+
+def test_schmudgen_subset_shifts_are_the_chained_products(monkeypatch):
+    import momint.certify as certify
+    from momint.bounds import quadratic_module_psd
+
+    # full quadratics, so that most product terms sum three or more pieces
+    # and a different multiplication order would round differently
+    rng = np.random.default_rng(7)
+    constraints = [
+        Polynomial(2, {m: float(rng.uniform(-1.0, 1.0)) for m in enumerate_monomials(2, 2)})
+        for _ in range(3)
+    ]
+    seq = from_measure(MeasureSpec(atoms=[((0.2, 0.3), 0.5), ((-0.4, 0.1), 0.5)]), 12)
+    shifts = []
+
+    def recording(seq, shift, order, tol):
+        shifts.append(shift)
+        return quadratic_module_psd(seq, shift, order, tol)
+
+    monkeypatch.setattr(certify, "quadratic_module_psd", recording)
+    report = schmudgen_check(seq, constraints, order=1)
+    subsets = [s for n in range(4) for s in itertools.combinations(range(3), n)]
+    assert report.attempted == len(shifts) == len(subsets)
+    for shift, subset in zip(shifts, subsets):
+        chained = Polynomial.constant(2, 1.0)
+        for j in subset:
+            chained = chained * constraints[j]
+        assert shift.terms == chained.terms
+
+
 def test_cone_budget_overflow_errors(two_atoms):
     # the growth bound of a degree-9 polynomial needs moments beyond degree 16
     with pytest.raises(DegreeOverflowError):

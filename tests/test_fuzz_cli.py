@@ -170,9 +170,18 @@ def _unit_table() -> dict:
             "moments": [{"index": [k], "value": 1.0 / (k + 1)} for k in range(9)]}
 
 
-def _certify(config: dict) -> tuple:
+def _certify(config: dict, *options: str) -> tuple:
     return {"moments": _unit_table(), "config": config}, [
-        "certify", "{moments}", "{config}", "--out", "{out}", "--quiet"]
+        "certify", "{moments}", "{config}", *options, "--out", "{out}", "--quiet"]
+
+
+def _disc_level_12(*options: str) -> tuple:
+    return {"moments": {"max_level": 12, "atoms": [{"re": 0.5, "im": 0.1, "weight": 1.0}]}}, [
+        "disc", "{moments}", *options, "--quiet"]
+
+
+#: growth of t over uniform[0, 1] against the bound 0.1: a failing check
+_GROWTH_FAILS = {"checks": [{"check": "growth", "generators": [{"poly": "t", "bound": 0.1}]}]}
 
 
 #: (name, files, argv, exit code, text in the error line or the report)
@@ -227,6 +236,34 @@ FIXED = [
     ("oracle-infinite-weight",
      {"measure": {"atoms": [{"point": [0.5], "weight": math.inf}]}},
      ["oracle", "{measure}", "--degree", "4", "--out", "{out}", "--quiet"], 2, "not finite"),
+    # a letter of degree 0 fits the degree budget at any length
+    ("products-constant-side", *_certify({"checks": [
+        {"check": "products", "factors": [{"upper": "2", "lower": "t"}],
+         "max_factors": 10**30}]}), 2, "factor 1 upper side must have positive degree"),
+    ("cone-constant-a", *_certify({"checks": [{"check": "cone", "a": "1"}]}), 2,
+     "cone a must have positive degree"),
+    # b = 1 makes the prefactor zero: its C(J + 2, 2) members count as
+    # attempted without being formed, beside the 44 plain members that fit
+    ("cone-zero-prefactor-huge-jk-max",
+     *_certify({"checks": [{"check": "cone", "a": "t", "b": "1", "jk_max": 10**30}]}), 1,
+     f'"attempted": {math.comb(10**30 + 2, 2) + 44}'),
+    ("cone-negative-jk-max", *_certify({"checks": [{"check": "cone", "a": "t", "jk_max": -1}]}),
+     2, "jk_max must be >= 0"),
+    ("certify-infinite-tol", *_certify(_GROWTH_FAILS, "--tol", "inf"), 2,
+     "--tol must be finite"),
+    ("config-infinite-tol", *_certify({"checks": [{**_GROWTH_FAILS["checks"][0],
+                                                   "tol": math.inf}]}), 2, "tol must be finite"),
+    ("analyze-infinite-tol",
+     {"moments": {"dimension": 1, "max_degree": 4, "moments": [
+         {"index": [k], "value": v} for k, v in enumerate([1.0, 0.0, -1.0, 0.0, 1.0])]}},
+     ["analyze", "{moments}", "--tol", "inf", "--out", "{out}", "--quiet"], 2,
+     "--tol must be finite"),
+    ("disc-infinite-radius", *_disc_level_12("--radius", "inf", "--constant", "1", "--out",
+                                             "{out}"), 2, "--radius must be finite"),
+    ("disc-infinite-radius-no-out", *_disc_level_12("--radius", "inf", "--constant", "1"), 2,
+     "--radius must be finite"),
+    ("disc-infinite-constant", *_disc_level_12("--radius", "1", "--constant", "inf", "--out",
+                                               "{out}"), 2, "--constant must be finite"),
 ]
 
 

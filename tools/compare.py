@@ -5,8 +5,8 @@ Usage (from anywhere inside the repository):
 
     python tools/compare.py --base REF
 
-REF (any git revision, such as ``HEAD`` or a commit id) is checked out with
-``git worktree add --detach`` into a temporary directory; the other side is
+REF (any git revision, such as ``HEAD`` or a commit id) has its ``src``
+extracted with ``git archive`` into a temporary directory; the other side is
 the working tree that holds this script, uncommitted edits included. One
 corpus is generated once from the working tree:
 
@@ -28,7 +28,9 @@ paths are the same relative paths on both sides. For every invocation the
 report bytes, stdout, stderr and exit code are compared. The summary gives
 the number of differing invocations per group, and for changed numbers in
 the reports the largest absolute and relative change per JSON path (list
-indices collapsed to ``[]``). Exit status 1 on any difference, else 0.
+indices collapsed to ``[]``). Entries of a ``violations`` list are paired by
+``description``, not by position, and a list that differs only in order is
+counted as reordered. Exit status 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -244,14 +246,32 @@ def run_tree(src: str, rundir: str):
     Path("results.json").write_text(json.dumps(results))
 
 
-def _walk_changes(base, head, path, changes):
-    """Record the largest |change| and relative change per collapsed path."""
+def _by_description(entries: list):
+    """{description: entry} of a violations list, or None when its entries
+    are not objects with distinct descriptions."""
+    if all(isinstance(e, dict) and "description" in e for e in entries):
+        keyed = {e["description"]: e for e in entries}
+        if len(keyed) == len(entries):
+            return keyed
+    return None
+
+
+def _walk_changes(base, head, path, changes) -> int:
+    """Record the largest |change| and relative change per collapsed path;
+    return the number of violations lists that differ only in order."""
+    reordered = 0
     if isinstance(base, dict) and isinstance(head, dict):
         for key in base.keys() & head.keys():
-            _walk_changes(base[key], head[key], f"{path}.{key}", changes)
-    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
-        for b, h in zip(base, head):
-            _walk_changes(b, h, f"{path}[]", changes)
+            reordered += _walk_changes(base[key], head[key], f"{path}.{key}", changes)
+    elif isinstance(base, list) and isinstance(head, list):
+        keyed = path.endswith(".violations") and (_by_description(base), _by_description(head))
+        if keyed and None not in keyed:
+            reordered += int(base != head and keyed[0] == keyed[1])
+            pairs = [(keyed[0][key], keyed[1][key]) for key in keyed[0].keys() & keyed[1].keys()]
+        else:
+            pairs = zip(base, head) if len(base) == len(head) else ()
+        for b, h in pairs:
+            reordered += _walk_changes(b, h, f"{path}[]", changes)
     elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
           and not isinstance(base, bool) and not isinstance(head, bool) and base != head):
         absolute = abs(float(head) - float(base))
@@ -260,6 +280,7 @@ def _walk_changes(base, head, path, changes):
             absolute = relative = math.inf
         worst = changes.get(path, (0.0, 0.0, 0))
         changes[path] = (max(worst[0], absolute), max(worst[1], relative), worst[2] + 1)
+    return reordered
 
 
 def _difference(base: dict, head: dict) -> str | None:
@@ -277,8 +298,10 @@ def compare(base_ref: str) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="momint-compare-"))
     base_tree = workdir / "base"
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base_tree), base_ref], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_ref, "src"],
+                                 check=True, capture_output=True).stdout
+        base_tree.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
         corpus_dir = workdir / "corpus"
         corpus_dir.mkdir()
         corpus = build_corpus(corpus_dir)
@@ -296,8 +319,6 @@ def compare(base_ref: str) -> int:
                 return 2
             results[side] = json.loads((rundir / "results.json").read_text())
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                        str(base_tree)], check=False)
         shutil.rmtree(workdir, ignore_errors=True)
 
     head_rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
@@ -307,22 +328,27 @@ def compare(base_ref: str) -> int:
     groups: dict = {}
     differing = []
     changes: dict = {}
+    reordered = 0
     for inv, base, head in zip(corpus, results["base"], results["head"]):
         total, count = groups.get(inv["group"], (0, 0))
         what = _difference(base, head)
         groups[inv["group"]] = (total + 1, count + (what is not None))
         if what is None:
             continue
-        differing.append(f"  {inv['group']}: {inv['id']}: {what}")
         if base["report"] and head["report"] and base["report"] != head["report"]:
             try:
                 parsed = json.loads(base["report"]), json.loads(head["report"])
             except ValueError:
-                continue
-            _walk_changes(*parsed, "", changes)
+                parsed = None
+            lists = _walk_changes(*parsed, "", changes) if parsed else 0
+            if lists:
+                reordered += lists
+                what += f" ({lists} violations lists reordered)"
+        differing.append(f"  {inv['group']}: {inv['id']}: {what}")
     for group, (total, count) in groups.items():
         print(f"  {group}: {total} invocations, {count} differ")
     print(f"differing invocations: {len(differing)}")
+    print(f"violations lists that differ only in order: {reordered}")
     for line in differing:
         print(line)
     if changes:
