@@ -11,10 +11,15 @@ in rational arithmetic by the test suite, not at run time.
 
 The localized PSD tests (ball, schmudgen, interval) take their verdicts from
 ``bounds.quadratic_module_psd``. The products and cone families are one
-semiring enumeration over letters of positive degree, which counts the
-members beyond the degree budget in closed form, and shares its prefix
-memo of products with schmudgen's subset shifts. ``run_check_config``
-rejects every key it does not know.
+semiring over letters of positive degree, which counts the members beyond
+the degree budget in closed form. No member is formed: each is a linear
+map (a binomial expansion per factor pair) of the pushforward moments
+z = L(g_1^b_1 ... g_n^b_n) of a few generators, each z one ``apply`` over
+the prefix memo of generator products that schmudgen's subset shifts also
+use. An expansion rounds differently from the direct product: the tests
+hold each value within 64 eps sum |coeff| |z| of it, bounded there by L(|P|),
+the member with absolute coefficients on the absolute moments.
+``run_check_config`` rejects every key it does not know.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .bounds import _even_power_values, growth_bound, quadratic_module_psd
 from .exceptions import DegreeOverflowError
@@ -103,17 +110,91 @@ def _prefix_products(letters: Sequence[Polynomial], dimension: int):
     return product
 
 
-def _semiring_check(seq, letters, cap, tol, split, describe, prefactor=None):
-    """(violations, attempted, skipped) of L(r P(combo[:cut]) P(combo[cut:]))
-    >= -tol, cut = split(combo), over the multisets of up to ``cap`` of the
-    (name, polynomial) ``letters``, by length and then letter index; r is 1
-    from length 1 on and, when given, ``prefactor`` from length 0 on.
+def _expansion_table(p: float, q: float, n: int) -> np.ndarray:
+    """T[j, k, beta] = [t^beta] (p - t)^j (q + t)^k for j + k <= n: the
+    convolution of the binomial rows of (p - t)^j and (q + t)^k."""
+    minus = np.zeros((n + 1, n + 1))
+    plus = np.zeros((n + 1, n + 1))
+    minus[0, 0] = plus[0, 0] = 1.0
+    for j in range(1, n + 1):
+        minus[j] = p * minus[j - 1]
+        minus[j, 1:] -= minus[j - 1, :-1]
+        plus[j] = q * plus[j - 1]
+        plus[j, 1:] += plus[j - 1, :-1]
+    table = np.zeros((n + 1, n + 1, n + 1))
+    for u in range(n + 1):
+        table[:, :, u:] += minus[:, None, u, None] * plus[None, :, : n + 1 - u]
+    return table
+
+
+def _budget_keys(width: int, coordinates, length: int, budget: int) -> np.ndarray:
+    """Rows of ``width`` zeros but for the (column, degree, counted)
+    ``coordinates``: every choice of entries with total weighted degree <=
+    ``budget`` and counted entries summing to <= ``length`` (an uncounted
+    entry is 0 or 1), lexicographic with the first coordinate most
+    significant. The entries are of the smallest signed type that holds
+    ``length``, which keeps the member keys small."""
+    keys = np.zeros((1, width), dtype=np.min_scalar_type(-length - 1))
+    room = np.array([[length, budget]])
+    for column, degree, counted in coordinates:
+        top = np.minimum(room[:, 1] // degree, room[:, 0] if counted else 1)
+        rows = np.repeat(np.arange(len(keys)), top + 1)
+        value = np.arange(len(rows)) - np.repeat(np.cumsum(top + 1) - top - 1, top + 1)
+        keys = keys[rows]
+        keys[:, column] = value
+        room = room[rows] - value[:, None] * np.array([int(counted), degree])
+    return keys
+
+
+def _contract(keys: np.ndarray, values: np.ndarray, upper: int, p: float, q: float):
+    """Replace the generator exponent beta in column ``upper`` of every key
+    by the pair's letter counts (j, k) in columns ``upper`` and ``upper + 1``,
+    with value sum_beta T[j, k, beta] values[beta] (``_expansion_table``).
+
+    ``keys`` must hold runs beta = 0..top of otherwise equal keys. Each
+    (j, k) block of the result keeps the order of its runs, so the next
+    column contracted, the least significant one left, again runs over
+    contiguous rows."""
+    beta = keys[:, upper]
+    starts = np.flatnonzero(beta == 0)
+    tops = np.diff(starts, append=len(beta)) - 1
+    table = _expansion_table(p, q, int(tops.max()))
+    out_keys, out_values = [], []
+    for s in range(int(tops.max()) + 1):
+        runs = starts[tops >= s]
+        j = np.arange(s + 1)
+        block = values[runs[:, None] + j] @ table[j, s - j, : s + 1].T
+        block_keys = np.tile(keys[runs], (s + 1, 1))
+        block_keys[:, upper] = np.repeat(j, len(runs))
+        block_keys[:, upper + 1] = s - block_keys[:, upper]
+        out_keys.append(block_keys)
+        out_values.append(block.T.ravel())
+    return np.concatenate(out_keys), np.concatenate(out_values)
+
+
+def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
+    """(violations, attempted, skipped) of L(r P(combo)) >= -tol over the
+    multisets ``combo`` of up to ``cap`` of the (name, polynomial)
+    ``letters``, listed by length and then letter index; r is 1 from length
+    1 on and, when given, ``prefactor`` from length 0 on, plain member
+    first. ``describe(combo, prefactored)`` labels a violation.
+
+    Letters 2i and 2i + 1 are a pair. A pair whose sides sum to a constant,
+    (p - g, q + g) with g free of a constant term, has the one generator g,
+    and upper^j lower^k = sum_beta T[j, k, beta] g^beta; any other pair has
+    both sides as generators, and the prefactor is one more, each an
+    identity table. So every member is a linear map of the pushforward
+    moments z_beta = L(g_1^beta_1 ... g_n^beta_n): each z that fits the
+    budget is one ``apply`` over the prefix memo of generator products,
+    and the maps are contracted one pair at a time (``_contract``).
 
     Every letter must have positive degree, so no member longer than
-    L = max_degree // (smallest letter degree) fits the budget: those
-    C(m + cap, m) - C(m + L, m) per family are skipped in closed form. A zero
+    L = max_degree // (smallest letter degree) fits the budget, and only the
+    members that fit are listed. The others count as skipped in closed form:
+    of the C(m + cap, m) - 1 plain and C(m + cap, m) prefactored members,
+    those not attempted. A zero
     prefactor's C(m + cap, m) members count as attempted, with value 0,
-    unformed. ``describe(combo, prefactored)`` labels a violation.
+    unformed.
     """
     for name, letter in letters:
         if letter.degree() < 1:
@@ -121,31 +202,61 @@ def _semiring_check(seq, letters, cap, tol, split, describe, prefactor=None):
     degrees = [letter.degree() for _, letter in letters]
     m = len(letters)
     longest = min(cap, seq.max_degree // min(degrees))
-    families, attempted = [(False, 0)], 0
-    if prefactor is not None and prefactor.is_zero():
-        attempted = math.comb(m + cap, m)
-    elif prefactor is not None:
-        families.append((True, prefactor.degree()))
-    skipped = len(families) * (math.comb(m + cap, m) - math.comb(m + longest, m))
-    product = _prefix_products([letter for _, letter in letters], seq.dimension)
-    scaled = functools.cache(lambda half: prefactor * product(half))
-    violations = []
-    for length in range(longest + 1):
-        for combo in itertools.combinations_with_replacement(range(m), length):
-            degree = sum(degrees[k] for k in combo)
-            cut = split(combo)
-            for prefactored, extra in families:
-                if not (combo or prefactored):
-                    continue
-                if degree + extra > seq.max_degree:
-                    skipped += 1
-                    continue
-                left = scaled(combo[:cut]) if prefactored else product(combo[:cut])
-                value = seq.apply(left, product(combo[cut:]))
-                attempted += 1
-                if value < -tol:
-                    violations.append(Violation(describe(combo, prefactored), value))
-    return violations, attempted, skipped
+    members = math.comb(m + cap, m)
+    total, attempted = members - 1, 0
+    zero = (0,) * seq.dimension
+    # (polynomial, key column) of each generator; (column, degree, counted)
+    # of the identity coordinates; (upper column, p, q) of each pair
+    generators, singles, axes = [], [], []
+    for i in range(0, m, 2):
+        (_, upper), (_, lower) = letters[i], letters[i + 1]
+        if (upper + lower).degree() < 1:
+            generators.append((lower - lower.coefficient(zero), i))
+            axes.append((i, upper.coefficient(zero), lower.coefficient(zero)))
+        else:
+            generators += [(upper, i), (lower, i + 1)]
+            singles += [(i, degrees[i], True), (i + 1, degrees[i + 1], True)]
+    if prefactor is not None:
+        total += members
+        if prefactor.is_zero():
+            attempted = members
+        else:
+            generators.append((prefactor, m))
+            singles.append((m, prefactor.degree(), False))
+    # the first pair's exponent least significant, so that it runs over
+    # contiguous rows for _contract
+    pairs = [(i, degrees[i], True) for i, _, _ in reversed(axes)]
+    keys = _budget_keys(m + 1, singles + pairs, longest, seq.max_degree)
+    product = _prefix_products([g for g, _ in generators], seq.dimension)
+    values = np.empty(len(keys))
+    for row, exponents in enumerate(keys[:, [column for _, column in generators]].tolist()):
+        combo = tuple(g for g, count in enumerate(exponents) for _ in range(count))
+        half = len(combo) // 2
+        values[row] = seq.apply(product(combo[:half]), product(combo[half:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for upper, p, q in axes:
+            keys, values = _contract(keys, values, upper, p, q)
+    counts, prefactored = keys[:, :m], keys[:, m]
+    lengths = counts.sum(axis=1)
+    formed = (lengths > 0) | (prefactored > 0)
+
+    def listed(rows):
+        """The formed members among ``rows``, in enumeration order."""
+        rows = rows[formed[rows]]
+        return rows[np.lexsort((prefactored[rows], *(-counts[rows, ::-1].T), lengths[rows]))]
+
+    broken = listed(np.flatnonzero(~np.isfinite(values)))
+    if len(broken):
+        raise ValueError(f"L(p q) = {values[broken[0]]} is not finite")
+    attempted += int(formed.sum())
+    violations = [
+        Violation(
+            describe(tuple(np.repeat(np.arange(m), counts[i]).tolist()), bool(prefactored[i])),
+            float(values[i]),
+        )
+        for i in listed(np.flatnonzero(values < -tol))
+    ]
+    return violations, attempted, total - attempted
 
 
 def product_positivity_check(
@@ -158,8 +269,9 @@ def product_positivity_check(
 
     Each slot of a product picks one pair from ``factors`` and one of its two
     sides, which must have positive degree. Products are the multisets of
-    sides, each evaluated as L(P(first half) P(second half)); those beyond
-    the degree budget are counted as skipped (see ``_semiring_check``).
+    sides, valued from the pushforward moments of the pairs' generators;
+    those beyond the degree budget are counted as skipped (see
+    ``_semiring_check``).
     """
     factors = [FactorPair(*f) for f in factors]
     if not factors:
@@ -177,11 +289,10 @@ def product_positivity_check(
         for i, pair in enumerate(factors)
         for side, letter in zip(FactorPair._fields, pair)
     ]
+    labels = [f"({format_polynomial(letter, names)})" for _, letter in letters]
     violations, attempted, skipped = _semiring_check(
-        seq, letters, max_factors, tol, split=lambda combo: len(combo) // 2,
-        describe=lambda combo, _: " * ".join(
-            f"({format_polynomial(letters[k][1], names)})" for k in combo
-        ),
+        seq, letters, max_factors, tol,
+        describe=lambda combo, _: " * ".join(labels[k] for k in combo),
     )
     return CheckReport.build(violations, attempted, skipped)
 
@@ -198,8 +309,8 @@ def cone_positivity_check(
     With c the growth bound of ``a`` (of positive degree) and cb that of
     ``b``: L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must
     both be >= -tol for all j + k <= jk_max. They are the semiring of the
-    letters c - a and c + a with the prefactor cb^2 - b^2, each member
-    evaluated as L(r (c - a)^j * (c + a)^k) (see ``_semiring_check``).
+    pair c -+ a with the prefactor cb^2 - b^2, valued from the moments
+    L(r^e a^beta), e <= 1 (see ``_semiring_check``).
     """
     if jk_max < 0:
         raise ValueError("jk_max must be >= 0")
@@ -218,8 +329,8 @@ def cone_positivity_check(
         return f"{head}({low})^{combo.count(0)} * ({high})^{combo.count(1)}"
 
     violations, attempted, skipped = _semiring_check(
-        seq, [("cone a", minus), ("cone a", plus)], jk_max, tol,
-        split=lambda combo: combo.count(0), describe=describe, prefactor=prefactor,
+        seq, [("cone a", minus), ("cone a", plus)], jk_max, tol, describe,
+        prefactor=prefactor,
     )
     details = [{"growth_bound_a": c_a, "growth_bound_b": c_b, "jk_max": jk_max}]
     return CheckReport.build(violations, attempted, skipped, details)

@@ -407,8 +407,17 @@ def _cmd_disc(args) -> int:
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ValueErrors, so that
+    ``main`` prints them as its one ``error:`` line, without a usage block.
+    Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momint",
         description="Finite-truncation analysis of moment functionals.",
     )
@@ -458,11 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # --help
+        return 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         # an overflow ends in the ValueError of a finiteness check, not in
         # a numpy warning

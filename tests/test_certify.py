@@ -189,13 +189,41 @@ def test_cone_zero_prefactor_members_are_counted_not_formed(two_atoms):
     assert huge.violations == at_budget.violations
 
 
+def absolute_scale(seq, factors):
+    """sum_alpha |P_alpha| |y_alpha| for the product P of ``factors`` with
+    every coefficient made absolute. It bounds sum |coeff| |z| of any
+    expansion of the plain product over pushforward moments z, and the
+    scale of its direct evaluation too."""
+    product = Polynomial.constant(seq.dimension, 1.0)
+    for factor in factors:
+        product = product * factor.map_coefficients(abs)
+    return sum(c * abs(seq.moment(k)) for k, c in product.terms.items())
+
+
+#: a semiring value is an expansion over pushforward moments, not the direct
+#: product: it may differ from the direct one by this many ulps of the scale
+EXPANSION_ULPS = 64.0
+
+
+def assert_within_expansion_bound(got, want):
+    """``got`` (violations) and ``want`` ((description, value, scale) in
+    enumeration order) agree in order and description exactly, and in value
+    to within EXPANSION_ULPS * eps * scale."""
+    eps = float(np.finfo(float).eps)
+    assert [v.description for v in got] == [label for label, _, _ in want]
+    for violation, (label, value, scale) in zip(got, want):
+        assert abs(violation.value - value) <= EXPANSION_ULPS * eps * scale, label
+
+
 def reference_cone(seq, a, b, jk_max, tol):
     """The cone family member by member: (c - a)^j, (c + a)^k and the
     prefactor formed directly, as the check did before it shared the
-    semiring enumeration."""
-    from momint.polynomials import format_polynomial
+    semiring enumeration. Violations come as (description, value, scale)
+    in the semiring's order: by j + k, then j from high to low, the plain
+    member before its prefactored twin."""
+    from momint.polynomials import default_variable_names, format_polynomial
 
-    names = ["t"] if seq.dimension == 1 else ["x1", "x2"]
+    names = default_variable_names(seq.dimension)
     c_a, c_b = growth_bound(seq, a).value, growth_bound(seq, b).value
     one = Polynomial.constant(seq.dimension, 1.0)
     minus = Polynomial.constant(seq.dimension, c_a) - a
@@ -220,10 +248,12 @@ def reference_cone(seq, a, b, jk_max, tol):
                 attempted += 1
                 if value < -tol:
                     head = f"({format_polynomial(prefactor, names)}) * " if with_prefactor else ""
-                    violations.append((
+                    factors = [minus] * j + [plus] * k + [prefactor] * with_prefactor
+                    violations.append(((j + k, -j, with_prefactor), (
                         f"{head}({format_polynomial(minus, names)})^{j} * "
-                        f"({format_polynomial(plus, names)})^{k}", value))
-    return sorted(violations), attempted, skipped
+                        f"({format_polynomial(plus, names)})^{k}", value,
+                        absolute_scale(seq, factors))))
+    return [v for _, v in sorted(violations)], attempted, skipped
 
 
 def _random_polynomial(rng, d, degree):
@@ -254,8 +284,8 @@ def test_cone_matches_the_reference_loop_on_signed_tables():
         jk_max = int(rng.integers(0, 6))
         report = cone_positivity_check(seq, a, b, jk_max=jk_max)
         want, attempted, skipped = reference_cone(seq, a, b, jk_max, default_check_tol(seq))
-        got = sorted((v.description, v.value) for v in report.violations)
-        assert (got, report.attempted, report.skipped) == (want, attempted, skipped)
+        assert (report.attempted, report.skipped) == (attempted, skipped)
+        assert_within_expansion_bound(report.violations, want)
         assert report.passed == (not want)
         failing += bool(want)
         beyond_budget += skipped > 0
@@ -510,12 +540,13 @@ def test_run_check_config_accepts_every_documented_key(lebesgue01):
 
 
 def naive_products(seq, factors, max_factors, tol):
-    """From-scratch reference: expand every product and apply L to it."""
+    """From-scratch reference: expand every product and apply L to it.
+    Violations come as (description, value, product, absolute_scale)."""
     import itertools
 
-    from momint.polynomials import format_polynomial
+    from momint.polynomials import default_variable_names, format_polynomial
 
-    names = ["x1", "x2"]
+    names = default_variable_names(seq.dimension)
     alphabet = [side for pair in factors for side in pair]
     violations, attempted, skipped = [], 0, 0
     for length in range(1, max_factors + 1):
@@ -530,7 +561,8 @@ def naive_products(seq, factors, max_factors, tol):
             attempted += 1
             if value < -tol:
                 label = " * ".join(f"({format_polynomial(alphabet[k], names)})" for k in combo)
-                violations.append((label, value, product))
+                scale = absolute_scale(seq, [alphabet[k] for k in combo])
+                violations.append((label, value, product, scale))
     return violations, attempted, skipped
 
 
@@ -552,9 +584,9 @@ def test_products_match_naive_evaluation():
     ref, attempted, skipped = naive_products(seq, factors, 4, tol)
     assert (report.attempted, report.skipped) == (attempted, skipped)
     assert skipped > 0 and ref
-    assert [v.description for v in report.violations] == [label for label, _, _ in ref]
+    assert [v.description for v in report.violations] == [label for label, *_ in ref]
     eps = float(np.finfo(float).eps)
-    for got, (_, want, product) in zip(report.violations, ref):
+    for got, (_, want, product, _) in zip(report.violations, ref):
         scale = sum(abs(c) * abs(seq.moment(k)) for k, c in product.terms.items())
         assert abs(got.value - want) <= 64.0 * eps * (1.0 + scale) * len(product.terms)
 
@@ -566,3 +598,87 @@ def test_default_check_tol_is_largest_moment(atom_corpus):
         monomials = enumerate_monomials(seq.dimension, seq.max_degree)
         peak = max(abs(seq.moment(m)) for m in monomials)
         assert default_check_tol(seq) == 1e-9 * (1.0 + peak)
+
+
+def check_products_against_naive(seq, factors, cap):
+    """The products check against ``naive_products``: counts, verdict,
+    descriptions and their order exactly, and every member's value (all
+    reported at tol = -inf) within the expansion rounding bound. Returns the
+    number of violations at the default tolerance."""
+    from momint.certify import default_check_tol
+
+    tol = default_check_tol(seq)
+    every, attempted, skipped = naive_products(seq, factors, cap, -math.inf)
+    want = [(label, value, scale) for label, value, _, scale in every if value < -tol]
+    report = product_positivity_check(seq, factors, max_factors=cap)
+    assert (report.attempted, report.skipped) == (attempted, skipped)
+    assert report.passed == (not want)
+    assert_within_expansion_bound(report.violations, want)
+    everything = product_positivity_check(seq, factors, max_factors=cap, tol=-math.inf)
+    assert len(everything.violations) == attempted
+    assert_within_expansion_bound(
+        everything.violations, [(label, value, scale) for label, value, _, scale in every]
+    )
+    return len(want)
+
+
+def _box_table(bounds, degree):
+    return from_measure(MeasureSpec(box=(bounds, degree // 2 + 1)), degree)
+
+
+X1, X2, X3 = (Polynomial.variable(3, i) for i in range(3))
+U, V = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+
+
+@pytest.mark.parametrize("seq, factors, cap", [
+    # box tables up to degree 16, reaching well outside the cube of the letters
+    (_box_table([[-1.9, 0.4]], 16), [FactorPair(1.0 - T, 1.0 + T)], 16),
+    (_box_table([[-1.8, 0.5], [-0.8, 1.9]], 10),
+     [FactorPair(1.0 - U, 1.0 + U), FactorPair(1.0 - V, 1.0 + V)], 6),
+    (_box_table([[-1.9, 0.3], [-0.8, 0.7], [-0.5, 1.8]], 8),
+     [FactorPair(1.0 - v, 1.0 + v) for v in (X1, X2, X3)], 4),
+    # pairs with c != 1, with unequal constants (2 - t, t), and of degree 2
+    (_box_table([[-2.6, 0.6], [-0.7, 2.3]], 12),
+     [FactorPair(1.5 - U, 1.5 + U), FactorPair(0.75 - 0.5 * V, 0.75 + 0.5 * V),
+      FactorPair(1.0 - U * V, 1.0 + U * V)], 4),
+    (_box_table([[-0.3, 2.2]], 12), [FactorPair(2.0 - T, T), FactorPair(0.5 - T * T, 0.5 + T * T)],
+     8),
+    # sides that do not sum to a constant, alone and beside a constant-sum pair
+    (_box_table([[-1.0, 1.4]], 12), [FactorPair(T, 1.0 - T * T)], 8),
+    (_box_table([[-1.7, 0.6], [-1.0, 1.3]], 10),
+     [FactorPair(1.0 - U, 1.0 + U), FactorPair(V, 1.0 - V * V)], 5),
+], ids=["box-d1-deg16", "box-d2-deg10", "box-d3-deg8", "c-not-1-mixed-degrees",
+        "unequal-constants", "non-constant-sum", "non-constant-sum-mixed"])
+def test_products_expansion_within_the_rounding_bound(seq, factors, cap):
+    assert check_products_against_naive(seq, factors, cap) > 0
+
+
+def test_products_expansion_on_the_atom_corpus(atom_corpus):
+    failing = 0
+    for _, seq in atom_corpus:
+        d = seq.dimension
+        x = [Polynomial.variable(d, i) for i in range(d)]
+        factors = [FactorPair(1.2 - x[0], 1.2 + x[0])]
+        if d > 1:
+            factors.append(FactorPair(1.0 - x[0] * x[1], 1.0 + x[0] * x[1]))
+        if d > 2:
+            factors.append(FactorPair(x[2], 4.0 - x[2] * x[2]))
+        failing += check_products_against_naive(seq, factors, 6 - d) > 0
+    assert failing >= 5
+
+
+def test_products_on_the_whole_box_semiring_in_bounded_memory():
+    # letters 1 +- x_i on a d=3 degree-16 box table inside the cube: all
+    # C(6 + 16, 6) - 1 products fit the budget, and all are nonnegative
+    import tracemalloc
+
+    seq = _box_table([[-0.9, 0.8], [-0.5, 1.0], [-1.0, 0.7]], 16)
+    factors = [FactorPair(1.0 - v, 1.0 + v) for v in (X1, X2, X3)]
+    tracemalloc.start()
+    try:
+        report = product_positivity_check(seq, factors, max_factors=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.attempted, report.skipped, report.passed) == (74612, 0, True)
+    assert peak < 64 * 2**20

@@ -307,6 +307,12 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["disc", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: momint" in capsys.readouterr().out
+
+
 def test_report_is_deterministic(tmp_path, box_measure):
     moments = tmp_path / "moments.json"
     main(["oracle", box_measure, "--degree", "10", "--out", str(moments), "--quiet"])

@@ -264,6 +264,14 @@ FIXED = [
      "--radius must be finite"),
     ("disc-infinite-constant", *_disc_level_12("--radius", "1", "--constant", "inf", "--out",
                                                "{out}"), 2, "--constant must be finite"),
+    # argparse's own errors are one error line too, with no usage block
+    ("certify-tol-not-a-number", *_certify(_GROWTH_FAILS, "--tol", "abc"), 2,
+     "argument --tol: invalid float value: 'abc'"),
+    ("disc-missing-radius", *_disc_level_12("--constant", "1"), 2,
+     "the following arguments are required: --radius"),
+    # argparse reads -inf as an option, not as a negative number
+    ("disc-negative-infinite-radius", *_disc_level_12("--radius", "-inf", "--constant", "1"), 2,
+     "argument --radius: expected one argument"),
 ]
 
 

@@ -14,7 +14,10 @@ corpus is generated once from the working tree:
   12 cycles each;
 * random atom tables for ``analyze``: signed, zero-mass, with ``--order``
   and ``--tol``, and with polynomials beyond the degree budget;
-* one ``certify`` run per check kind;
+* one ``certify`` run per check kind, and three runs of the products and
+  cone semiring on a degree-16 table: a pair whose sides do not sum to a
+  constant, the whole box semiring in d=2 (``max_factors`` 16), and a cone
+  with ``jk_max`` 8;
 * random ``spectral`` operators of orders 1-16 and scales 1e-3 to 1e1, some
   with ``--nodes``, some with half-zero start vectors;
 
@@ -133,9 +136,25 @@ def _analyze_runs(rng) -> list:
     return runs
 
 
+#: (name, check) of the semiring runs on the degree-16 table. The atom at
+#: x = -0.75 lies outside 0.6 -+ x, and the truncated growth bound of x
+#: lies below max |x|, so every report carries violations
+SEMIRING_CHECKS = [
+    ("products-non-constant-sum",
+     {"check": "products", "factors": [{"upper": "x", "lower": "1 - x^2"},
+                                       {"upper": "0.6 - x", "lower": "0.6 + x"}],
+      "max_factors": 6}),
+    ("products-cap-16",
+     {"check": "products", "factors": [{"upper": "0.6 - x", "lower": "0.6 + x"},
+                                       {"upper": "1 - y", "lower": "1 + y"}],
+      "max_factors": 16}),
+    ("cone-jk-max-8", {"check": "cone", "a": "x", "b": "y", "jk_max": 8}),
+]
+
+
 def _certify_runs(fuzz) -> list:
     """One certify invocation per check kind, and one of them all, on the
-    fuzz module's table."""
+    fuzz module's table; then the semiring runs on its degree-16 table."""
     moments = _write("certify/moments.json", fuzz.moment_document(6))
     config = _write("certify/all.json", fuzz.CERTIFY_CONFIG)
     runs = [("certify#all", ["certify", moments, config, "--out", "certify/all.report.json"])]
@@ -145,6 +164,12 @@ def _certify_runs(fuzz) -> list:
                         {"variables": fuzz.CERTIFY_CONFIG["variables"], "checks": [check]})
         runs.append((f"certify#{kind}",
                      ["certify", moments, config, "--out", f"certify/{kind}.report.json"]))
+    moments = _write("certify/moments16.json", fuzz.moment_document(16))
+    for name, check in SEMIRING_CHECKS:
+        config = _write(f"certify/{name}.json",
+                        {"variables": fuzz.CERTIFY_CONFIG["variables"], "checks": [check]})
+        runs.append((f"certify#{name}",
+                     ["certify", moments, config, "--out", f"certify/{name}.report.json"]))
     return runs
 
 
