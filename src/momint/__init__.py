@@ -6,7 +6,9 @@ quadratic-module membership tests, archimedean bounds, positivity checks on
 products and semialgebraic data, spectral-measure reconstruction by Gauss
 quadrature, and the complex disc criterion on the pair semigroup.
 ``quadratic_module_psd`` gives every PSD verdict on a real moment matrix,
-and ``pencil_extremes(a, sym_eig(b))`` the Rayleigh extremes of a pencil.
+``pencil_extremes(a, sym_eig(b))`` the Rayleigh extremes of a pencil, and
+``archimedean_bound(seq, a, order)`` the least M with M - a localized PSD;
+the bounds of a^2 are those of the polynomial ``a * a``.
 """
 
 from .bounds import (
@@ -18,7 +20,6 @@ from .bounds import (
     quadratic_module_growth,
     quadratic_module_psd,
     rayleigh_bounds,
-    square_norm_bound,
 )
 from .certify import (
     CheckReport,

@@ -8,8 +8,8 @@ that produced them (no operation extrapolates):
 * Rayleigh bounds: extreme generalized eigenvalues of the localized/plain
   moment matrix pencil, estimating the range of ``a`` on the support;
 * archimedean bounds: the smallest constant M making the localized matrix of
-  M - a (or M - a^2) positive semidefinite, found by bisection on the range
-  of the moment form.
+  M - a positive semidefinite, found by bisection on the range of the moment
+  form. The bound for a^2 is the same question asked of the polynomial a^2.
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
@@ -176,11 +176,6 @@ def rayleigh_bounds(seq: MomentSequence, a: Polynomial, order: int) -> RayleighB
     return RayleighBounds(lower=lo, upper=hi, order_used=order, effective_rank=rank)
 
 
-def square_norm_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
-    """Upper Rayleigh bound for a^2: estimates the squared sup-norm of a."""
-    return rayleigh_bounds(seq, a * a, order).upper
-
-
 def quadratic_module_psd(
     seq: MomentSequence,
     shift: Polynomial,
@@ -214,26 +209,17 @@ def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVer
     )
 
 
-def archimedean_bound(
-    seq: MomentSequence,
-    a: Polynomial,
-    order: int,
-    mode: str = "linear",
-) -> float:
-    """Smallest M with the localized matrix of (M - a), or (M - a^2) in
-    ``square`` mode, positive semidefinite at the given order.
+def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
+    """Smallest M with the localized matrix of (M - a) positive semidefinite
+    at the given order.
 
     The search runs on the range of the plain moment matrix (rank-deficient
     directions are quotiented out, never perturbed), bisecting to absolute
     tolerance BISECTION_TOL below BISECTION_CEILING. The result coincides
-    with the upper Rayleigh bound of ``a`` (resp. ``a^2``); keeping the
-    bisection route makes that equality a checkable property rather than a
-    definition.
+    with the upper Rayleigh bound of ``a``; keeping the bisection route makes
+    that equality a checkable property rather than a definition.
     """
-    if mode not in ("linear", "square"):
-        raise ValueError(f"mode must be 'linear' or 'square', got {mode!r}")
-    shift = a if mode == "linear" else a * a
-    localized = seq.moment_matrix(order, shift).matrix
+    localized = seq.moment_matrix(order, a).matrix
     w = range_whitener(_plain_matrix_eig(seq, order))
     if w.shape[1] == 0:
         raise CeilingExceededError("moment form is zero at this truncation")
@@ -278,5 +264,4 @@ __all__ = [
     "quadratic_module_growth",
     "quadratic_module_psd",
     "rayleigh_bounds",
-    "square_norm_bound",
 ]

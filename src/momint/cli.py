@@ -8,8 +8,9 @@ documents plus a human-readable summary on stdout (``--quiet`` suppresses
 the summary). Exit status: 0 when every requested check passes, 1 when a
 mathematical check fails, 2 on input or usage errors, with one ``error:``
 line: every command runs under one numpy errstate, so an overflow ends in a
-finiteness check's ValueError rather than a warning. Reports are strict
-JSON; a saturated limit is written as null.
+finiteness check's ValueError rather than a warning. In ``analyze`` a
+field whose computation raises a MomintError is ``{"error": message}``
+instead. Reports are strict JSON; a saturated limit is written as null.
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .certify import run_check_config
-from .exceptions import (
-    DegreeOverflowError,
-    MomintError,
-    NotNormalizedError,
-    RankDeficiencyError,
-)
+from .exceptions import MomintError, RankDeficiencyError
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .polynomials import Polynomial, default_variable_names, parse_polynomial
 from .semigroup import (
@@ -135,6 +132,25 @@ def _admissible_order(seq: MomentSequence, shift_degree: int, requested: int | N
     return max(order, 0)
 
 
+def _guarded(compute) -> dict:
+    """The report field that ``compute()`` builds, or ``{"error": message}``
+    when it raises a MomintError; any other error ends the command."""
+    try:
+        return compute()
+    except MomintError as exc:
+        return {"error": str(exc)}
+
+
+def _rayleigh_field(rb) -> dict:
+    return {"lower": rb.lower, "upper": rb.upper, "order": rb.order_used,
+            "effective_rank": rb.effective_rank}
+
+
+def _membership_psd_field(verdict, order: int) -> dict:
+    return {"is_psd": verdict.is_psd, "min_eigenvalue": verdict.min_eigenvalue,
+            "order": order}
+
+
 def _cmd_analyze(args) -> int:
     if args.order is not None and args.order < 0:
         raise ValueError(f"--order must be >= 0, got {args.order}")
@@ -179,75 +195,39 @@ def _cmd_analyze(args) -> int:
     per_poly: dict = {}
     box_entries: dict = {}
     for text, poly in polys:
-        entry: dict = {}
         deg = max(poly.degree(), 0)
         order = _admissible_order(seq, deg, args.order, warnings, text)
-        try:
-            gb = bounds_mod.growth_bound(seq, poly)
-            entry["growth_bound"] = {
-                "value": gb.value,
-                "n_used": gb.n_used,
-                "per_power": list(gb.per_power),
-                "clamped": gb.clamped,
-            }
-            if gb.clamped:
-                warnings.append(f"{text}: negative even-power values clamped to zero")
-        except (DegreeOverflowError, NotNormalizedError) as exc:
-            entry["growth_bound"] = {"error": str(exc)}
-        try:
-            rb = bounds_mod.rayleigh_bounds(seq, poly, order)
-            entry["rayleigh"] = {
-                "lower": rb.lower,
-                "upper": rb.upper,
-                "order": rb.order_used,
-                "effective_rank": rb.effective_rank,
-            }
-            box_entries[text] = {"lower": rb.lower, "upper": rb.upper, "order": order}
-        except MomintError as exc:
-            entry["rayleigh"] = {"error": str(exc)}
+        entry = {"growth_bound": _guarded(lambda: asdict(bounds_mod.growth_bound(seq, poly)))}
+        if entry["growth_bound"].get("clamped"):
+            warnings.append(f"{text}: negative even-power values clamped to zero")
         sq_order = _admissible_order(seq, 2 * deg, args.order, warnings, f"{text}^2")
-        try:
-            entry["square_norm_bound"] = {
-                "value": bounds_mod.square_norm_bound(seq, poly, sq_order),
+        square = poly * poly
+        for name, compute in (
+            ("rayleigh", lambda: _rayleigh_field(bounds_mod.rayleigh_bounds(seq, poly, order))),
+            ("square_norm_bound", lambda: {
+                "value": bounds_mod.rayleigh_bounds(seq, square, sq_order).upper,
                 "order": sq_order,
-            }
-        except MomintError as exc:
-            entry["square_norm_bound"] = {"error": str(exc)}
-        try:
-            entry["archimedean_linear"] = {
-                "value": bounds_mod.archimedean_bound(seq, poly, order, mode="linear"),
-                "order": order,
-            }
-            entry["archimedean_square"] = {
-                "value": bounds_mod.archimedean_bound(seq, poly, sq_order, mode="square"),
-                "order": sq_order,
-            }
-        except MomintError as exc:
-            entry.setdefault("archimedean_linear", {"error": str(exc)})
-            entry.setdefault("archimedean_square", {"error": str(exc)})
-        try:
-            mv = bounds_mod.quadratic_module_psd(seq, poly, order, tol=args.tol)
-            entry["membership_psd"] = {
-                "is_psd": mv.is_psd,
-                "min_eigenvalue": mv.min_eigenvalue,
-                "order": order,
-            }
-        except MomintError as exc:
-            entry["membership_psd"] = {"error": str(exc)}
-        try:
-            mg = bounds_mod.quadratic_module_growth(seq, poly)
-            entry["membership_growth"] = {
-                "holds": mg.holds,
-                "raw_holds": mg.raw_holds,
-                "growth_a": mg.growth_a,
-                "growth_shift": mg.growth_shift,
-                "slack": mg.slack,
-            }
-        except MomintError as exc:
-            entry["membership_growth"] = {"error": str(exc)}
+            }),
+            ("archimedean_linear", lambda: {
+                "value": bounds_mod.archimedean_bound(seq, poly, order), "order": order,
+            }),
+            # a failed linear bound stands for both archimedean fields
+            ("archimedean_square", lambda: entry["archimedean_linear"]
+                if "error" in entry["archimedean_linear"] else {
+                    "value": bounds_mod.archimedean_bound(seq, square, sq_order),
+                    "order": sq_order,
+                }),
+            ("membership_psd", lambda: _membership_psd_field(
+                bounds_mod.quadratic_module_psd(seq, poly, order, tol=args.tol), order)),
+            ("membership_growth", lambda: asdict(bounds_mod.quadratic_module_growth(seq, poly))),
+        ):
+            entry[name] = _guarded(compute)
+        growth, rayleigh = entry["growth_bound"], entry["rayleigh"]
+        if "error" not in rayleigh:
+            box_entries[text] = {"lower": rayleigh["lower"], "upper": rayleigh["upper"],
+                                 "order": order}
         # the growth bound against max(upper, -lower) of the Rayleigh
         # interval: in the limit they agree, so the gap is truncation error
-        growth, rayleigh = entry["growth_bound"], entry["rayleigh"]
         failed = growth if "error" in growth else rayleigh
         if "error" in failed:
             entry["growth_vs_rayleigh"] = {"error": failed["error"]}

@@ -9,7 +9,6 @@ from momint.bounds import (
     quadratic_module_growth,
     quadratic_module_psd,
     rayleigh_bounds,
-    square_norm_bound,
 )
 from momint.exceptions import DegreeOverflowError, NotNormalizedError
 from momint.moments import MeasureSpec, MomentSequence, from_measure
@@ -126,14 +125,14 @@ def test_square_norm_bound_values(lebesgue01):
     # largest root of 60 l^2 - 44 l + 3 = 0, the order-1 pencil of the
     # squared coordinate against the plain matrix
     expected = (44.0 + math.sqrt(1216.0)) / 120.0
-    assert abs(square_norm_bound(lebesgue01, T, 1) - expected) <= 1e-12
+    assert abs(rayleigh_bounds(lebesgue01, T * T, 1).upper - expected) <= 1e-12
 
     dirac = from_measure(MeasureSpec(atoms=[((3.0,), 1.0)]), 8)
-    assert abs(square_norm_bound(dirac, T, 1) - 9.0) <= 1e-10
+    assert abs(rayleigh_bounds(dirac, T * T, 1).upper - 9.0) <= 1e-10
 
 
 def test_square_norm_bound_two_atoms(two_atoms):
-    assert abs(square_norm_bound(two_atoms, T, 1) - 1.0) <= 1e-12
+    assert abs(rayleigh_bounds(two_atoms, T * T, 1).upper - 1.0) <= 1e-12
 
 
 def test_membership_psd_examples(lebesgue01, two_atoms, atom_corpus):
@@ -183,23 +182,18 @@ def test_membership_routes_agree_on_signed_shifts(atom_corpus):
 
 
 def test_archimedean_examples(two_atoms, dirac3):
-    assert abs(archimedean_bound(two_atoms, T, 1, "linear") - 1.0) <= 1e-7
-    assert abs(archimedean_bound(two_atoms, T, 1, "square") - 1.0) <= 1e-7
-    assert abs(archimedean_bound(dirac3, T, 1, "linear") - 3.0) <= 1e-7
+    assert abs(archimedean_bound(two_atoms, T, 1) - 1.0) <= 1e-7
+    assert abs(archimedean_bound(two_atoms, T * T, 1) - 1.0) <= 1e-7
+    assert abs(archimedean_bound(dirac3, T, 1) - 3.0) <= 1e-7
 
 
 def test_archimedean_matches_pencil(lebesgue01):
     for order in (1, 2, 4):
         direct = rayleigh_bounds(lebesgue01, T, order).upper
-        assert abs(archimedean_bound(lebesgue01, T, order, "linear") - direct) <= 1e-7
+        assert abs(archimedean_bound(lebesgue01, T, order) - direct) <= 1e-7
     for order in (1, 2, 4):
-        direct = square_norm_bound(lebesgue01, T, order)
-        assert abs(archimedean_bound(lebesgue01, T, order, "square") - direct) <= 1e-7
-
-
-def test_archimedean_rejects_bad_mode(lebesgue01):
-    with pytest.raises(ValueError):
-        archimedean_bound(lebesgue01, T, 1, "cubic")
+        direct = rayleigh_bounds(lebesgue01, T * T, order).upper
+        assert abs(archimedean_bound(lebesgue01, T * T, order) - direct) <= 1e-7
 
 
 def coordinate_box(seq, order):
@@ -274,7 +268,7 @@ def test_truncated_chain_against_limits(atom_corpus):
         d = seq.dimension
         x = Polynomial.variable(d, 0)
         true_sq = max(pt[0] ** 2 for pt, _ in spec.atoms)
-        r_hat = square_norm_bound(seq, x, 3)
+        r_hat = rayleigh_bounds(seq, x * x, 3).upper
         c_hat = growth_bound(seq, x).value
         assert r_hat <= true_sq + 1e-8
         assert c_hat**2 <= true_sq + 1e-8

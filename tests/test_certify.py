@@ -407,6 +407,26 @@ def test_weak_absolute_value_examples(two_atoms, dirac3):
     ).passed
 
 
+def test_weak_absolute_value_evaluates_what_fits():
+    # degree 8: no even power of t^5 fits, but L(t^5) does; nothing of t^9 fits
+    seq = from_measure(MeasureSpec(atoms=[((0.5,), 1.0), ((-0.3,), 2.0)]), 8)
+    t5, t9 = T**5, T**9
+    applied = (0.5**5 + 2.0 * (-0.3) ** 5) / 3.0
+    report = weak_absolute_value_check(seq, [(t5, 1.0)], 1.0)
+    assert (report.passed, report.attempted, report.skipped) == (True, 1, 1)
+    report = weak_absolute_value_check(seq, [(t5, 0.001)], 1.0, tol=0.0)
+    assert (report.attempted, report.skipped) == (1, 1)
+    assert [v.description for v in report.violations] == [
+        f"|L(t^5)| = {applied:.12g} exceeds 0.001"
+    ]
+    assert report.violations[0].value == pytest.approx(applied - 0.001, abs=1e-15)
+    report = weak_absolute_value_check(seq, [(t9, 1.0)], 1.0)
+    assert (report.passed, report.attempted, report.skipped) == (True, 0, 2)
+    # every entry adds exactly 2 to attempted + skipped
+    report = weak_absolute_value_check(seq, [(t5, 1.0), (T, 1.0), (t9, 1.0)], 1.0)
+    assert (report.attempted, report.skipped) == (3, 3)
+
+
 def test_schmudgen_lebesgue(lebesgue01):
     report = schmudgen_check(lebesgue01, [T, 1.0 - T], order=1)
     assert report.passed

@@ -269,6 +269,28 @@ def test_analyze_growth_vs_rayleigh_from_its_entries(tmp_path, two_atom_measure)
     assert "error" in entries["t^5"]["growth_vs_rayleigh"]
 
 
+def test_analyze_reports_a_bound_beyond_the_ceiling_as_a_field(tmp_path, capsys):
+    measure = write(tmp_path / "atoms.json",
+                    {"atoms": [{"point": [0.5], "weight": 1.0},
+                               {"point": [-0.3], "weight": 2.0}]})
+    moments = tmp_path / "moments.json"
+    main(["oracle", measure, "--degree", "8", "--out", str(moments), "--quiet"])
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(moments), "--poly", "1e13*t",
+                 "--out", str(report_path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    entry = json.loads(report_path.read_text())["results"]["polynomials"]["1e13*t"]
+    # the linear bound 5e12 fails, and its error stands for the square too
+    for name in ("archimedean_linear", "archimedean_square"):
+        assert entry[name] == {"error": "no admissible bound below ceiling 1e+12"}
+    assert entry["rayleigh"]["upper"] == pytest.approx(5e12)
+    for name in ("growth_bound", "membership_psd", "membership_growth"):
+        assert "error" not in entry[name]
+    assert entry["growth_bound"]["value"] > 0.0
+    assert entry["membership_psd"]["is_psd"] is False
+    assert entry["membership_growth"]["holds"] is False
+
+
 def test_disc_empty_table_is_usage_error(tmp_path, capsys):
     doc = write(tmp_path / "empty.json", {"max_level": 2, "values": []})
     assert main(["disc", doc, "--radius", "1.0", "--constant", "1.0", "--quiet"]) == 2

@@ -31,9 +31,12 @@ paths are the same relative paths on both sides. For every invocation the
 report bytes, stdout, stderr and exit code are compared. The summary gives
 the number of differing invocations per group, and for changed numbers in
 the reports the largest absolute and relative change per JSON path (list
-indices collapsed to ``[]``). Entries of a ``violations`` list are paired by
-``description``, not by position, and a list that differs only in order is
-counted as reordered. Exit status 1 on any difference, else 0.
+indices collapsed to ``[]``). Every other change (a string, bool or null, a
+key or violation on one side only, a list whose length changed) is counted
+per JSON path with its first ``base -> head`` example. Entries of a
+``violations`` list are paired by ``description``, not by position, and a
+list that differs only in order is counted as reordered. Exit status 1 on
+any difference, else 0.
 """
 
 from __future__ import annotations
@@ -61,8 +64,12 @@ WORKLOAD_CYCLES = 12
 CORPUS_SEED = 20261018
 #: seconds one invocation may run before it is recorded as a hang
 ALARM_S = 3
-#: rows of the per-path change table
+#: rows of each per-path change table
 CHANGE_ROWS = 25
+#: characters of one example value in the non-numeric change table
+EXAMPLE_CHARS = 60
+#: the example value of a key or violation that one side lacks
+ABSENT = "<absent>"
 
 
 def _load(name: str, path: Path):
@@ -281,30 +288,67 @@ def _by_description(entries: list):
     return None
 
 
-def _walk_changes(base, head, path, changes) -> int:
-    """Record the largest |change| and relative change per collapsed path;
-    return the number of violations lists that differ only in order."""
+def _shown(value) -> str:
+    """A JSON value as one short line of the summary."""
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= EXAMPLE_CHARS else text[: EXAMPLE_CHARS - 3] + "..."
+
+
+def _record(others, path, base: str, head: str):
+    """Count one non-numeric change at ``path``; keep the first example."""
+    count, example = others.get(path, (0, (base, head)))
+    others[path] = (count + 1, example)
+
+
+def _walk_changes(base, head, path, changes, others) -> int:
+    """Record the largest |change| and relative change of the numbers per
+    collapsed path in ``changes``, and the count and first example of every
+    other change in ``others``: a changed string, bool or null, a key or a
+    violation on one side only, a list whose length changed. Return the
+    number of violations lists that differ only in order."""
+    if base == head:
+        return 0
     reordered = 0
     if isinstance(base, dict) and isinstance(head, dict):
-        for key in base.keys() & head.keys():
-            reordered += _walk_changes(base[key], head[key], f"{path}.{key}", changes)
+        for key in {**base, **head}:
+            if key in base and key in head:
+                reordered += _walk_changes(base[key], head[key], f"{path}.{key}",
+                                           changes, others)
+            else:
+                _record(others, f"{path}.{key}",
+                        _shown(base[key]) if key in base else ABSENT,
+                        _shown(head[key]) if key in head else ABSENT)
     elif isinstance(base, list) and isinstance(head, list):
+        if len(base) != len(head):
+            _record(others, path, f"length {len(base)}", f"length {len(head)}")
         keyed = path.endswith(".violations") and (_by_description(base), _by_description(head))
+        pairs = zip(base, head) if len(base) == len(head) else []
         if keyed and None not in keyed:
-            reordered += int(base != head and keyed[0] == keyed[1])
-            pairs = [(keyed[0][key], keyed[1][key]) for key in keyed[0].keys() & keyed[1].keys()]
-        else:
-            pairs = zip(base, head) if len(base) == len(head) else ()
+            reordered += int(keyed[0] == keyed[1])
+            pairs = [(keyed[0][key], keyed[1][key]) for key in keyed[0] if key in keyed[1]]
+            # violations that one side only reports: paired by position when
+            # both sides have as many (a changed description), else one-sided
+            only_base = [e for key, e in keyed[0].items() if key not in keyed[1]]
+            only_head = [e for key, e in keyed[1].items() if key not in keyed[0]]
+            if len(only_base) == len(only_head):
+                pairs += zip(only_base, only_head)
+            else:
+                for entry in only_base:
+                    _record(others, f"{path}[]", _shown(entry), ABSENT)
+                for entry in only_head:
+                    _record(others, f"{path}[]", ABSENT, _shown(entry))
         for b, h in pairs:
-            reordered += _walk_changes(b, h, f"{path}[]", changes)
+            reordered += _walk_changes(b, h, f"{path}[]", changes, others)
     elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
-          and not isinstance(base, bool) and not isinstance(head, bool) and base != head):
+          and not isinstance(base, bool) and not isinstance(head, bool)):
         absolute = abs(float(head) - float(base))
         relative = absolute / max(abs(float(base)), abs(float(head)))
         if math.isnan(absolute):
             absolute = relative = math.inf
         worst = changes.get(path, (0.0, 0.0, 0))
         changes[path] = (max(worst[0], absolute), max(worst[1], relative), worst[2] + 1)
+    else:
+        _record(others, path, _shown(base), _shown(head))
     return reordered
 
 
@@ -353,6 +397,7 @@ def compare(base_ref: str) -> int:
     groups: dict = {}
     differing = []
     changes: dict = {}
+    others: dict = {}
     reordered = 0
     for inv, base, head in zip(corpus, results["base"], results["head"]):
         total, count = groups.get(inv["group"], (0, 0))
@@ -365,7 +410,7 @@ def compare(base_ref: str) -> int:
                 parsed = json.loads(base["report"]), json.loads(head["report"])
             except ValueError:
                 parsed = None
-            lists = _walk_changes(*parsed, "", changes) if parsed else 0
+            lists = _walk_changes(*parsed, "", changes, others) if parsed else 0
             if lists:
                 reordered += lists
                 what += f" ({lists} violations lists reordered)"
@@ -382,6 +427,12 @@ def compare(base_ref: str) -> int:
         ranked = sorted(changes.items(), key=lambda item: -item[1][1])
         for path, (absolute, relative, count) in ranked[:CHANGE_ROWS]:
             print(f"  {path} | {absolute:.3e} | {relative:.3e} | {count}")
+    if others:
+        print(f"other changes per JSON path (top {CHANGE_ROWS}):")
+        print("  path | changes | first example")
+        ranked = sorted(others.items(), key=lambda item: (-item[1][0], item[0]))
+        for path, (count, (base, head)) in ranked[:CHANGE_ROWS]:
+            print(f"  {path} | {count} | {base} -> {head}")
     return 1 if differing else 0
 
 
