@@ -40,14 +40,8 @@ from .linalg import (
     sym_eig,
 )
 from .moments import MomentSequence
+from .policy import BISECTION_CEILING, BISECTION_TOL, MEMBERSHIP_SLACK
 from .polynomials import Polynomial
-
-#: multiplicative slack accepted when comparing two growth bounds, both of
-#: which converge from below at finite truncation
-MEMBERSHIP_SLACK = 0.05
-
-BISECTION_TOL = 1e-8
-BISECTION_CEILING = 1e12
 
 
 @dataclass(frozen=True)
@@ -215,9 +209,10 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
 
     The search runs on the range of the plain moment matrix (rank-deficient
     directions are quotiented out, never perturbed), bisecting to absolute
-    tolerance BISECTION_TOL below BISECTION_CEILING. The result coincides
-    with the upper Rayleigh bound of ``a``; keeping the bisection route makes
-    that equality a checkable property rather than a definition.
+    tolerance BISECTION_TOL (or to adjacent floats, where those lie further
+    apart) below BISECTION_CEILING. The result coincides with the upper
+    Rayleigh bound of ``a``; keeping the bisection route makes that equality
+    a checkable property rather than a definition.
     """
     localized = seq.moment_matrix(order, a).matrix
     w = range_whitener(_plain_matrix_eig(seq, order))
@@ -245,6 +240,8 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
             )
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float lies between: the bracket cannot shrink
+            break
         if admissible(mid):
             hi = mid
         else:
@@ -253,11 +250,8 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
 
 
 __all__ = [
-    "BISECTION_CEILING",
-    "BISECTION_TOL",
     "GrowthBound",
     "MembershipVerdict",
-    "MEMBERSHIP_SLACK",
     "RayleighBounds",
     "archimedean_bound",
     "growth_bound",

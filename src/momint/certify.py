@@ -10,9 +10,11 @@ The exact identities that the interval and cone checks rest on are verified
 in rational arithmetic by the test suite, not at run time.
 
 The localized PSD tests (ball, schmudgen, interval) take their verdicts from
-``bounds.quadratic_module_psd``. The products and cone families are one
-semiring over letters of positive degree, which counts the members beyond
-the degree budget in closed form. No member is formed: each is a linear
+``bounds.quadratic_module_psd``; ``psd_violations`` turns a failed one, or
+the disc kernel's, into a violation. A check's default tolerance is
+``policy.relative_tol`` of the moments. The products and cone families are
+one semiring over letters of positive degree, which counts the members
+beyond the degree budget in closed form. No member is formed: each is a linear
 map (a binomial expansion per factor pair) of the pushforward moments
 z = L(g_1^b_1 ... g_n^b_n) of a few generators, each z one ``apply`` over
 the prefix memo of generator products that schmudgen's subset shifts also
@@ -34,7 +36,9 @@ import numpy as np
 
 from .bounds import _even_power_values, growth_bound, quadratic_module_psd
 from .exceptions import DegreeOverflowError
+from .linalg import PsdVerdict
 from .moments import MomentSequence, _integer
+from .policy import relative_tol, saturated_limit
 from .polynomials import Polynomial, default_variable_names, format_polynomial
 
 
@@ -78,23 +82,14 @@ class FactorPair(NamedTuple):
     lower: Polynomial
 
 
-def default_check_tol(seq: MomentSequence) -> float:
-    """Accumulation guard for long products: 1e-9 * (1 + largest moment)."""
-    return 1e-9 * (1.0 + float(abs(seq.y).max()))
+def psd_violations(verdict: PsdVerdict, description: str) -> list[Violation]:
+    """The violation that a failed PSD verdict reports, valued at its
+    smallest eigenvalue; none for a passed one."""
+    return [] if verdict.is_psd else [Violation(description, verdict.min_eigenvalue)]
 
 
 def _names(seq: MomentSequence) -> list[str]:
     return default_variable_names(seq.dimension)
-
-
-def _limit(factor: float, base: float, exponent: int) -> float:
-    """``factor * base ** exponent``, saturated to inf where the power leaves
-    the float range (Python's float ``**`` raises OverflowError there): such
-    a limit cannot be exceeded."""
-    try:
-        return factor * base**exponent
-    except OverflowError:
-        return math.inf
 
 
 def _prefix_products(letters: Sequence[Polynomial], dimension: int):
@@ -282,7 +277,7 @@ def product_positivity_check(
     if max_factors < 1:
         raise ValueError("max_factors must be >= 1")
     if tol is None:
-        tol = default_check_tol(seq)
+        tol = relative_tol(seq.y)
     names = _names(seq)
     letters = [
         (f"factor {i + 1} {side} side", letter)
@@ -315,7 +310,7 @@ def cone_positivity_check(
     if jk_max < 0:
         raise ValueError("jk_max must be >= 0")
     if tol is None:
-        tol = default_check_tol(seq)
+        tol = relative_tol(seq.y)
     c_a = growth_bound(seq, a).value
     c_b = growth_bound(seq, b).value
     names = _names(seq)
@@ -362,17 +357,12 @@ def ball_check(
     shift = Polynomial.constant(seq.dimension, radius * radius) - square_sum
     verdict = quadratic_module_psd(seq, shift, order, tol)
     if tol is None:
-        tol = default_check_tol(seq)
+        tol = relative_tol(seq.y)
     bound = growth_bound(seq, square_sum)
     growth_ok = bound.value <= radius * radius + tol
-    violations = []
-    if not verdict.is_psd:
-        violations.append(
-            Violation(
-                description=f"localized matrix of radius^2 - square sum at order {order}",
-                value=verdict.min_eigenvalue,
-            )
-        )
+    violations = psd_violations(
+        verdict, f"localized matrix of radius^2 - square sum at order {order}"
+    )
     if not growth_ok:
         violations.append(
             Violation(
@@ -409,7 +399,7 @@ def growth_check(
     """Per generator (a, bound, prefactor): L(a^(2n)) <= prefactor * bound^(2n)
     for every achievable n, with L(a^(2n)) evaluated as L(a^n a^n)."""
     if tol is None:
-        tol = default_check_tol(seq)
+        tol = relative_tol(seq.y)
     names = _names(seq)
     violations = []
     attempted = 0
@@ -423,7 +413,7 @@ def growth_check(
             skipped += 1
             continue
         for n, value in enumerate(_even_power_values(seq, a, n_reachable), start=1):
-            limit = _limit(prefactor, bound, 2 * n)
+            limit = saturated_limit(prefactor, bound, 2 * n)
             attempted += 1
             if value > limit + tol:
                 violations.append(
@@ -449,7 +439,7 @@ def weak_absolute_value_check(
     if not functional_bound > 0:
         raise ValueError("functional_bound must be positive")
     if tol is None:
-        tol = default_check_tol(seq)
+        tol = relative_tol(seq.y)
     names = _names(seq)
     violations = []
     attempted = 0
@@ -533,13 +523,7 @@ def schmudgen_check(
                     "passed": verdict.is_psd,
                 }
             )
-            if not verdict.is_psd:
-                violations.append(
-                    Violation(
-                        description=f"subset {label} at order {sub_order}",
-                        value=verdict.min_eigenvalue,
-                    )
-                )
+            violations += psd_violations(verdict, f"subset {label} at order {sub_order}")
     return CheckReport.build(violations, attempted, skipped=0, details=details)
 
 
@@ -576,19 +560,12 @@ def interval_membership_check(
             (f"{hi:g} - {label}", Polynomial.constant(seq.dimension, hi) - a),
         ]
         entry_detail = {"poly": label, "order_linear": order}
-        ok = True
+        found = len(violations)
         for shift_label, shift in linear_shifts:
             verdict = quadratic_module_psd(seq, shift, order, tol)
             attempted += 1
             entry_detail[shift_label] = verdict.min_eigenvalue
-            if not verdict.is_psd:
-                ok = False
-                violations.append(
-                    Violation(
-                        description=f"shift {shift_label} at order {order}",
-                        value=verdict.min_eigenvalue,
-                    )
-                )
+            violations += psd_violations(verdict, f"shift {shift_label} at order {order}")
         square_shift = Polynomial.constant(seq.dimension, m * m) - a * a
         square_order = min(order, (seq.max_degree - max(square_shift.degree(), 0)) // 2)
         if square_order < 0:
@@ -599,25 +576,24 @@ def interval_membership_check(
             attempted += 1
             entry_detail["order_square"] = square_order
             entry_detail[f"{m:g}^2 - ({label})^2"] = verdict.min_eigenvalue
-            if not verdict.is_psd:
-                ok = False
-                violations.append(
-                    Violation(
-                        description=f"shift {m:g}^2 - ({label})^2 at order {square_order}",
-                        value=verdict.min_eigenvalue,
-                    )
-                )
-        entry_detail["passed"] = ok
+            violations += psd_violations(
+                verdict, f"shift {m:g}^2 - ({label})^2 at order {square_order}"
+            )
+        entry_detail["passed"] = len(violations) == found
         details.append(entry_detail)
     return CheckReport.build(violations, attempted, skipped, details)
 
 
 def _number(value, name: str) -> float:
-    """``float(value)``; ValueError naming ``name`` when that fails."""
+    """``float(value)``; ValueError naming ``name`` when that fails or the
+    number is not finite (an infinite bound would pass vacuously)."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _known_keys(item: dict, where: str, *keys: str):
@@ -651,9 +627,9 @@ def run_check_config(
     polynomial is text in those variables. ``default_tol`` applies to checks
     without their own ``tol``. Returns (name, report) pairs in document
     order. Raises ValueError on malformed configuration, including an empty
-    check list, a field of the wrong type, a negative or infinite tolerance
-    and a key that the document, its check kind or its entry objects do not
-    know.
+    check list, a field of the wrong type, a number that is not finite, a
+    negative tolerance and a key that the document, its check kind or its
+    entry objects do not know.
     """
     from .polynomials import parse_polynomial
 
@@ -692,8 +668,6 @@ def run_check_config(
             tol = _number(tol, "tol")
             if not tol >= 0:
                 raise ValueError("tol must be >= 0")
-            if math.isinf(tol):
-                raise ValueError("tol must be finite")
         if kind == "products":
             known(item, "factors", "max_factors")
             factors = [
@@ -760,10 +734,10 @@ __all__ = [
     "Violation",
     "ball_check",
     "cone_positivity_check",
-    "default_check_tol",
     "growth_check",
     "interval_membership_check",
     "product_positivity_check",
+    "psd_violations",
     "run_check_config",
     "schmudgen_check",
     "weak_absolute_value_check",

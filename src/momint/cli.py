@@ -28,6 +28,7 @@ from . import bounds as bounds_mod
 from .certify import run_check_config
 from .exceptions import MomintError, RankDeficiencyError
 from .moments import MeasureSpec, MomentSequence, from_measure
+from .policy import NODE_CONTAINMENT_TOL, SPECTRAL_RESIDUAL_TOL
 from .polynomials import Polynomial, default_variable_names, parse_polynomial
 from .semigroup import (
     ComplexMomentFunction,
@@ -315,14 +316,16 @@ def _cmd_spectral(args) -> int:
         for j in range(2 * k)
     )
     contained = bool(
-        np.all(measure.nodes >= alpha - 1e-9) and np.all(measure.nodes <= beta + 1e-9)
+        np.all(measure.nodes >= alpha - NODE_CONTAINMENT_TOL)
+        and np.all(measure.nodes <= beta + NODE_CONTAINMENT_TOL)
     )
     pencil_order = k - 1
     rb = bounds_mod.rayleigh_bounds(seq, Polynomial.variable(1, 0), pencil_order)
     pencil_residual = max(
         abs(rb.lower - float(measure.nodes[0])), abs(rb.upper - float(measure.nodes[-1]))
     )
-    passed = residual <= 1e-8 and contained and pencil_residual <= 1e-8
+    passed = (residual <= SPECTRAL_RESIDUAL_TOL and contained
+              and pencil_residual <= SPECTRAL_RESIDUAL_TOL)
     report["results"] = {
         "moments": moments,
         "rayleigh_interval": [alpha, beta],

@@ -2,13 +2,9 @@
 
 Every eigensolve in the package goes through ``sym_eig``, which calls LAPACK
 through ``numpy.linalg.eigh``. Real symmetric and complex Hermitian input
-share it, together with one PSD tolerance policy. Each public entry point
-normalizes its input once through ``SymMatrix`` (shape, symmetrization,
-finiteness) and passes the SymMatrix inward. The accuracy is the usual
-backward-stable one: eigenvalue errors are a small multiple of machine
-epsilon times ``||A||``, so small eigenvalues of ill-conditioned Hankel-type
-moment matrices carry only absolute accuracy. The PSD tolerance below is sized
-for that.
+share it, together with one PSD tolerance, ``policy.relative_tol``. Each
+public entry point normalizes its input once through ``SymMatrix`` (shape,
+symmetrization, finiteness) and passes the SymMatrix inward.
 
 ``pencil_extremes`` takes the base matrix B only through its
 eigendecomposition, so the one cached decomposition of a plain moment matrix
@@ -23,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigensolverError, NotPsdError, RankDeficiencyError
-
-#: relative threshold below which pencil eigenvalues of B count as zero
-DEFAULT_RANK_TOL = 1e-10
+from .policy import DEFAULT_RANK_TOL, relative_tol
 
 
 class SymMatrix:
@@ -98,20 +92,12 @@ def sym_eig(a, vectors: bool = True) -> EigenDecomposition:
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
-def default_psd_tol(a) -> float:
-    """Relative tolerance guarding against false negatives on ill-conditioned
-    Hankel-type matrices: 1e-9 * (1 + max |entry|), where a complex entry
-    counts with max(|Re|, |Im|)."""
-    m = SymMatrix(a).data
-    peak = float(np.max(np.maximum(np.abs(m.real), np.abs(m.imag)))) if m.size else 0.0
-    return 1e-9 * (1.0 + peak)
-
-
 def psd_check(a, tol: float | None = None) -> PsdVerdict:
-    """PSD verdict: is the smallest eigenvalue at least ``-tol``?"""
+    """PSD verdict: is the smallest eigenvalue at least ``-tol``? The default
+    ``tol`` is ``relative_tol`` of the matrix."""
     m = SymMatrix(a)
     if tol is None:
-        tol = default_psd_tol(m)
+        tol = relative_tol(m.data)
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     values = sym_eig(m, vectors=False).eigenvalues
@@ -180,11 +166,9 @@ def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:
 
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "EigenDecomposition",
     "PsdVerdict",
     "SymMatrix",
-    "default_psd_tol",
     "gauss_rule",
     "pencil_extremes",
     "psd_check",

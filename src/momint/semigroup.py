@@ -12,7 +12,7 @@ diagonal f(n, n) characterizes measures supported on a closed disc.
 The one storage of f is ``table[m, n] = f(m, n)``, a read-only Hermitian
 ``(max_level + 1)^2`` complex array. The Hermitian kernel gathered from it
 goes to the package's eigensolver, so one eigensolver and one tolerance
-policy cover both the real and the complex pipelines.
+policy (``policy.relative_tol``) cover both the real and complex pipelines.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import GrowthBound, _even_power_bound
-from .certify import CheckReport, Violation, _limit
+from .certify import CheckReport, Violation, psd_violations
 from .exceptions import CoverageError
 from .linalg import PsdVerdict, psd_check
 from .moments import _integer, _multi_index
-
-HERMITIAN_INGEST_TOL = 1e-12
+from .policy import HERMITIAN_INGEST_TOL, relative_tol, saturated_limit
 
 
 class SemigroupElement(NamedTuple):
@@ -254,18 +253,11 @@ def disc_check(
         raise ValueError("radius and constant must be positive")
     verdict = psd_kernel_check(f, tol=tol)
     if tol is None:
-        tol = 1e-9 * (1.0 + float(np.abs(f.table).max()))
-    violations = []
-    if not verdict.is_psd:
-        violations.append(
-            Violation(
-                description=f"kernel not PSD at level {f.max_level // 2}",
-                value=verdict.min_eigenvalue,
-            )
-        )
+        tol = relative_tol(f.table)
+    violations = psd_violations(verdict, f"kernel not PSD at level {f.max_level // 2}")
     diagonal = []
     for n, value in enumerate(f.table.diagonal().real.tolist()):
-        limit = _limit(constant, radius, 2 * n)
+        limit = saturated_limit(constant, radius, 2 * n)
         # a saturated limit is written as null: strict JSON has no infinity
         diagonal.append({"n": n, "value": value, "limit": limit if limit < math.inf else None})
         if value > limit + tol:

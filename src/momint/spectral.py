@@ -21,9 +21,7 @@ import numpy as np
 from .exceptions import RankDeficiencyError
 from .linalg import SymMatrix, gauss_rule, sym_eig
 from .moments import MomentSequence
-
-WEIGHT_PRUNE_TOL = 1e-12
-PIVOT_REL_TOL = 1e-12
+from .policy import PIVOT_REL_TOL, WEIGHT_PRUNE_TOL
 
 
 @dataclass(frozen=True)

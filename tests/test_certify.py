@@ -264,7 +264,7 @@ def _random_polynomial(rng, d, degree):
 
 
 def test_cone_matches_the_reference_loop_on_signed_tables():
-    from momint.certify import default_check_tol
+    from momint.policy import relative_tol
 
     rng = np.random.default_rng(20261018)
     failing = beyond_budget = 0
@@ -283,7 +283,7 @@ def test_cone_matches_the_reference_loop_on_signed_tables():
              else _random_polynomial(rng, d, 1 + case % 5 // 3))
         jk_max = int(rng.integers(0, 6))
         report = cone_positivity_check(seq, a, b, jk_max=jk_max)
-        want, attempted, skipped = reference_cone(seq, a, b, jk_max, default_check_tol(seq))
+        want, attempted, skipped = reference_cone(seq, a, b, jk_max, relative_tol(seq.y))
         assert (report.attempted, report.skipped) == (attempted, skipped)
         assert_within_expansion_bound(report.violations, want)
         assert report.passed == (not want)
@@ -612,12 +612,12 @@ def test_products_match_naive_evaluation():
 
 
 def test_default_check_tol_is_largest_moment(atom_corpus):
-    from momint.certify import default_check_tol
+    from momint.policy import relative_tol
 
     for _, seq in atom_corpus[:5]:
         monomials = enumerate_monomials(seq.dimension, seq.max_degree)
         peak = max(abs(seq.moment(m)) for m in monomials)
-        assert default_check_tol(seq) == 1e-9 * (1.0 + peak)
+        assert relative_tol(seq.y) == 1e-9 * (1.0 + peak)
 
 
 def check_products_against_naive(seq, factors, cap):
@@ -625,9 +625,9 @@ def check_products_against_naive(seq, factors, cap):
     descriptions and their order exactly, and every member's value (all
     reported at tol = -inf) within the expansion rounding bound. Returns the
     number of violations at the default tolerance."""
-    from momint.certify import default_check_tol
+    from momint.policy import relative_tol
 
-    tol = default_check_tol(seq)
+    tol = relative_tol(seq.y)
     every, attempted, skipped = naive_products(seq, factors, cap, -math.inf)
     want = [(label, value, scale) for label, value, _, scale in every if value < -tol]
     report = product_positivity_check(seq, factors, max_factors=cap)

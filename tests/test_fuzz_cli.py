@@ -221,9 +221,32 @@ FIXED = [
     ("spectral-tiny-vector",
      {"operator": {"matrix": [[1.0, 0.0], [0.0, 2.0]], "vector": [1e-200, 1e-200]}},
      ["spectral", "{operator}", "--out", "{out}", "--quiet"], 0, '"passed": true'),
+    # a configuration number that is not finite is refused where it is read
     ("growth-nan-bound", *_certify({"checks": [
         {"check": "growth", "generators": [{"poly": "t", "bound": math.nan}]}]}),
-     2, "must be positive"),
+     2, "bound must be finite, got nan"),
+    ("growth-infinite-bound", *_certify({"checks": [
+        {"check": "growth", "generators": [{"poly": "t", "bound": math.inf}]}]}),
+     2, "bound must be finite, got inf"),
+    ("growth-infinite-prefactor", *_certify({"checks": [
+        {"check": "growth", "generators": [{"poly": "t", "bound": 1, "prefactor": math.inf}]}]}),
+     2, "prefactor must be finite, got inf"),
+    ("weak-absolute-infinite-value", *_certify({"checks": [
+        {"check": "weak_absolute_value", "entries": [{"poly": "t", "value": math.inf}],
+         "functional_bound": 1}]}), 2, "value must be finite, got inf"),
+    ("weak-absolute-infinite-functional-bound", *_certify({"checks": [
+        {"check": "weak_absolute_value", "entries": [{"poly": "t", "value": 1}],
+         "functional_bound": math.inf}]}), 2, "functional_bound must be finite, got inf"),
+    ("ball-infinite-radius", *_certify({"checks": [{"check": "ball", "radius": math.inf}]}),
+     2, "radius must be finite, got inf"),
+    ("interval-nan-lower", *_certify({"checks": [
+        {"check": "interval", "entries": [{"poly": "t", "lower": math.nan, "upper": 1}]}]}),
+     2, "lower must be finite, got nan"),
+    ("interval-infinite-upper", *_certify({"checks": [
+        {"check": "interval", "entries": [{"poly": "t", "lower": 0, "upper": math.inf}]}]}),
+     2, "upper must be finite, got inf"),
+    ("config-nan-tol", *_certify({"checks": [{**_GROWTH_FAILS["checks"][0], "tol": math.nan}]}),
+     2, "tol must be finite, got nan"),
     ("disc-nan-constant",
      {"moments": {"max_level": 4, "atoms": [{"re": 0.5, "im": 0.1, "weight": 1.0}]}},
      ["disc", "{moments}", "--radius", "1", "--constant", "nan", "--quiet"], 2,

@@ -6,12 +6,12 @@ import pytest
 from momint.exceptions import NotPsdError, RankDeficiencyError
 from momint.linalg import (
     SymMatrix,
-    default_psd_tol,
     pencil_extremes,
     psd_check,
     range_whitener,
     sym_eig,
 )
+from momint.policy import relative_tol
 
 
 def test_symmetrized_on_ingest():
@@ -68,7 +68,7 @@ def test_hermitian_input_stays_complex():
     assert np.allclose(d.eigenvalues, [2.0 - 0.5**0.5, 2.0 + 0.5**0.5], atol=1e-14)
     # a complex entry counts with max(|Re|, |Im|), the largest entry of the
     # equivalent real form [[Re, -Im], [Im, Re]]
-    assert default_psd_tol([[1.0, -3.0j], [3.0j, 1.0]]) == 1e-9 * (1.0 + 3.0)
+    assert relative_tol([[1.0, -3.0j], [3.0j, 1.0]]) == 1e-9 * (1.0 + 3.0)
 
 
 def test_psd_examples():

@@ -1,0 +1,192 @@
+"""Every entry of ``momint.policy`` at its boundary, the README table against
+the module, and no stray tolerance outside it."""
+
+import ast
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from momint import cli, policy
+from momint.bounds import archimedean_bound, quadratic_module_growth
+from momint.certify import growth_check
+from momint.exceptions import CeilingExceededError, RankDeficiencyError
+from momint.linalg import pencil_extremes, psd_check, sym_eig
+from momint.moments import MomentSequence
+from momint.polynomials import Polynomial
+from momint.semigroup import ComplexMomentFunction, disc_check
+from momint.spectral import DiscreteMeasure, quadrature_from_moments
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+#: a probe's threshold factor just inside and just outside the boundary
+INSIDE, OUTSIDE = 0.99, 1.01
+
+T = Polynomial.variable(1, 0)
+
+
+def table(*moments) -> MomentSequence:
+    """The one-dimensional sequence with the given moments m_0, m_1, ..."""
+    return MomentSequence(1, len(moments) - 1, {(k,): v for k, v in enumerate(moments)})
+
+
+def psd_tolerance(s, *_):
+    # diag(1, -x): relative_tol = RELATIVE_TOL * (1 + 1)
+    return psd_check(np.diag([1.0, -s * 2.0 * policy.RELATIVE_TOL])).is_psd
+
+
+def check_tolerance(s, *_):
+    # L(t^2) = v against the limit 1 * 1^2, tolerance RELATIVE_TOL * (1 + v)
+    v = 1.0 + s * 2.0 * policy.RELATIVE_TOL
+    return growth_check(table(1.0, 0.0, v), [(T, 1.0, 1.0)]).passed
+
+
+def disc_diagonal_tolerance(s, *_):
+    # f(1, 1) = v against the limit 1 * 1^2, tolerance RELATIVE_TOL * (1 + v)
+    v = 1.0 + s * 2.0 * policy.RELATIVE_TOL
+    f = ComplexMomentFunction(1, {(0, 0): 1.0, (0, 1): 0.0, (1, 1): v})
+    return disc_check(f, radius=1.0, constant=1.0).passed
+
+
+def rank_cutoff(s, *_):
+    # an eigenvalue of B just below the cutoff is deflated
+    b = sym_eig(np.diag([1.0, s * policy.DEFAULT_RANK_TOL]))
+    return pencil_extremes(np.eye(2), b)[2] == 1
+
+
+def hermitian_ingest(s, *_):
+    # mirror entries differing by s * HERMITIAN_INGEST_TOL * (1 + 1)
+    mismatch = s * 2.0 * policy.HERMITIAN_INGEST_TOL
+    values = {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5 + mismatch, (1, 1): 1.0}
+    try:
+        ComplexMomentFunction(1, values)
+    except ValueError:
+        return False
+    return True
+
+
+def weight_prune(s, *_):
+    # weight w at node 10 beside weight 1 at node 0: its pivot, about 100 w,
+    # stays far above the pivot floor
+    w = s * policy.WEIGHT_PRUNE_TOL
+    moments = [1.0 + w] + [w * 10.0**j for j in range(1, 4)]
+    return len(quadrature_from_moments(moments, 2).nodes) == 1
+
+
+def pivot_floor(s, *_):
+    # the second pivot of [1, 0, m_2, 0] is m_2; the floor is PIVOT_REL_TOL * 1
+    try:
+        quadrature_from_moments([1.0, 0.0, s * policy.PIVOT_REL_TOL, 0.0], 2)
+    except RankDeficiencyError as exc:
+        return exc.achievable == 1
+    return False
+
+
+def membership_slack(s, *_):
+    # growth of t is sqrt(m_2) = 1, and that of 1 - t is sqrt(2 - 2 m_1)
+    shifted = 1.0 + s * policy.MEMBERSHIP_SLACK
+    verdict = quadratic_module_growth(table(1.0, 1.0 - shifted**2 / 2.0, 1.0), T)
+    assert not verdict.raw_holds
+    return verdict.holds
+
+
+def bisection_ceiling(s, *_):
+    # the search doubles from 1, so the largest bound it reaches is the
+    # largest power of two not above the ceiling
+    edge = 2.0 ** math.floor(math.log2(policy.BISECTION_CEILING))
+    try:
+        bound = archimedean_bound(table(1.0, 1.0, 1.0), s * edge * T, 0)
+    except CeilingExceededError:
+        return False
+    assert abs(bound - s * edge) <= 2.0 * math.ulp(edge)
+    return True
+
+
+def saturation(s, *_):
+    # base ** 2 is s times the largest float
+    base = math.sqrt(s) * math.sqrt(sys.float_info.max)
+    return math.isfinite(policy.saturated_limit(1.0, base, 2))
+
+
+def spectral(nodes, weights, tmp_path, monkeypatch) -> dict:
+    """Results of ``spectral`` on diag(0, 1) with h = (1, 1), whose measure
+    is nodes 0 and 1 with weight 1/2 each, reconstructed as the given rule."""
+    monkeypatch.setattr(cli, "quadrature_from_moments", lambda seq, k: DiscreteMeasure(
+        np.array(nodes), np.array(weights)))
+    tmp_path.mkdir()
+    operator, out = tmp_path / "operator.json", tmp_path / "report.json"
+    operator.write_text(json.dumps({"matrix": [[0.0, 0.0], [0.0, 1.0]], "vector": [1.0, 1.0]}))
+    code = cli.main(["spectral", str(operator), "--out", str(out), "--quiet"])
+    report = json.loads(out.read_text())
+    assert code == (0 if report["passed"] else 1)
+    return report
+
+
+def moment_residual(s, tmp_path, monkeypatch):
+    # extra weight 2 x at node 0 moves m_0 alone, by x / (1 + m_0)
+    report = spectral([0.0, 1.0], [0.5 + 2.0 * s * policy.SPECTRAL_RESIDUAL_TOL, 0.5],
+                      tmp_path, monkeypatch)
+    return report["passed"]
+
+
+def pencil_residual(s, tmp_path, monkeypatch):
+    # the lowest node moved into the interval, away from the pencil's
+    report = spectral([s * policy.SPECTRAL_RESIDUAL_TOL, 1.0], [0.5, 0.5], tmp_path, monkeypatch)
+    assert report["results"]["moment_match_residual"] < policy.SPECTRAL_RESIDUAL_TOL / 2
+    return report["passed"]
+
+
+def node_containment(s, tmp_path, monkeypatch):
+    # the highest node moved past the top eigenvalue 1
+    report = spectral([0.0, 1.0 + s * policy.NODE_CONTAINMENT_TOL], [0.5, 0.5],
+                      tmp_path, monkeypatch)
+    return report["results"]["nodes_contained"]
+
+
+#: each probe is true just inside its threshold and false just outside
+BOUNDARIES = [
+    psd_tolerance, check_tolerance, disc_diagonal_tolerance, rank_cutoff, hermitian_ingest,
+    weight_prune, pivot_floor, membership_slack, bisection_ceiling, saturation,
+    moment_residual, pencil_residual, node_containment,
+]
+
+
+@pytest.mark.parametrize("probe", BOUNDARIES, ids=[p.__name__ for p in BOUNDARIES])
+def test_each_threshold_at_its_boundary(probe, tmp_path, monkeypatch):
+    assert probe(INSIDE, tmp_path / "inside", monkeypatch)
+    assert not probe(OUTSIDE, tmp_path / "outside", monkeypatch)
+
+
+def readme_policy_rows() -> list[tuple[str, str]]:
+    """(policy entry, value) of each row of the README's numerical-policy table."""
+    section = README.split("\n## Numerical policy\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    assert [cell.strip() for cell in rows[0][1:3]] == ["policy entry", "value"]
+    return [(entry.strip().strip("`"), value.strip().strip("`"))
+            for _, entry, value, *_ in rows[2:]]
+
+
+def test_readme_policy_table_matches_the_module():
+    rows = readme_policy_rows()
+    constants = {name for name in vars(policy) if name.isupper()}
+    assert constants == {name for name, _ in rows if name.isupper()}
+    for name, value in rows:
+        entry = getattr(policy, name)
+        if callable(entry):  # the saturation row: a limit past the float range
+            entry = entry(1.0, 2.0, 1024)
+        assert entry == float(value), name
+
+
+def test_no_tolerance_literal_outside_the_policy_module():
+    package = Path(policy.__file__).parent
+    stray = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(package.glob("*.py")) if path.name != "policy.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-3
+    ]
+    assert not stray, "thresholds belong in momint/policy.py: " + ", ".join(stray)
