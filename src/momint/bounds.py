@@ -4,25 +4,29 @@ Three families of estimates, all reported together with the truncation order
 that produced them (no operation extrapolates):
 
 * growth bounds: sup over n of L(a^(2n))^(1/(2n)), the even-power root
-  sequence, which converges to the sup-norm of ``a`` on the support;
+  sequence, which converges to the sup-norm of ``a`` on the support. Each
+  L(a^(2n)) is a quadratic form of the plain moment matrix (``_power_table``);
 * Rayleigh bounds: extreme generalized eigenvalues of the localized/plain
   moment matrix pencil, estimating the range of ``a`` on the support;
 * archimedean bounds: the smallest constant M making the localized matrix of
   M - a positive semidefinite, found by bisection on the range of the moment
-  form. The bound for a^2 is the same question asked of the polynomial a^2.
+  form. The bisection runs on one spectrum, and two PSD checks certify its
+  result. The bound for a^2 is the same question asked of the polynomial a^2.
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
-membership and every localized check in ``certify`` call it. Every pencil
-uses the memoized eigendecomposition of the plain matrix at its order
-(``_plain_matrix_eig``), so no pencil builds or factors the plain matrix
-again.
+membership and every localized check in ``certify`` call it. Every localized
+matrix is built once per (shift, order) and sequence
+(``_localized_matrix``), and every pencil uses the memoized
+eigendecomposition of the plain matrix at its order (``_plain_matrix_eig``),
+so no pencil builds or factors the plain matrix again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,12 +38,13 @@ from .exceptions import (
 from .linalg import (
     EigenDecomposition,
     PsdVerdict,
+    SymMatrix,
     pencil_extremes,
     psd_check,
     range_whitener,
     sym_eig,
 )
-from .moments import MomentSequence
+from .moments import MomentSequence, _monomial_array, grlex_rank
 from .policy import BISECTION_CEILING, BISECTION_TOL, MEMBERSHIP_SLACK
 from .polynomials import Polynomial
 
@@ -90,13 +95,32 @@ def _require_normalized(seq: MomentSequence):
         )
 
 
+def _localized_matrix(
+    seq: MomentSequence, order: int, shift: Polynomial | None = None
+) -> SymMatrix:
+    """The localized moment matrix of ``shift`` (default 1) at ``order``,
+    memoized per sequence.
+
+    The key is the shift's terms in insertion order, not polynomial
+    equality: ``moment_matrix`` sums the terms in that order, so two equal
+    polynomials whose terms are ordered differently may give matrices that
+    differ in the last bit, and each keeps its own entry.
+    """
+    if shift is None:
+        shift = Polynomial.constant(seq.dimension, 1.0)
+    key = ("matrix", order, tuple(shift.terms.items()))
+    cached = seq._cache.get(key)
+    if cached is None:
+        cached = seq._cache[key] = seq.moment_matrix(order, shift).matrix
+    return cached
+
+
 def _plain_matrix_eig(seq: MomentSequence, order: int) -> EigenDecomposition:
     """Eigendecomposition of the plain moment matrix, memoized per sequence."""
     key = ("plain_eig", order)
     cached = seq._cache.get(key)
     if cached is None:
-        cached = sym_eig(seq.moment_matrix(order).matrix)
-        seq._cache[key] = cached
+        cached = seq._cache[key] = sym_eig(_localized_matrix(seq, order))
     return cached
 
 
@@ -104,10 +128,11 @@ def growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
     """Largest 2n-th root of L(a^(2n)) over every n the truncation affords.
 
     For a polynomial of degree g >= 1 the achievable powers are
-    n = 1 .. max_degree // (2g); each L(a^(2n)) is evaluated as the bilinear
-    form L(a^n a^n), so only the powers up to a^n are formed. Constant
-    polynomials evaluate exactly to their absolute value. Requires unit mass.
-    The result is memoized per (sequence, polynomial).
+    n = 1 .. max_degree // (2g), valued by ``_power_table``, whose exact
+    power-of-two scaling keeps a tiny ``a`` from underflowing; each value
+    L(a^(2n)) must still be a finite float. Constant polynomials evaluate
+    exactly to their absolute value. Requires unit mass. The result is
+    memoized per (sequence, polynomial).
     """
     _require_normalized(seq)
     if a.dimension != seq.dimension:
@@ -129,17 +154,70 @@ def _growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
         raise DegreeOverflowError(
             f"degree {deg} exceeds n_max {seq.n_max}: no even power fits"
         )
-    return _even_power_bound(_even_power_values(seq, a, seq.max_degree // (2 * deg)))
+    scaled, exponent = _power_table(seq, a, seq.max_degree // (2 * deg))
+    _unscaled(scaled, exponent)  # the values themselves must be finite floats
+    bound = _even_power_bound(scaled)
+    return GrowthBound(
+        value=math.ldexp(bound.value, exponent),
+        n_used=bound.n_used,
+        per_power=tuple(math.ldexp(root, exponent) for root in bound.per_power),
+        clamped=bound.clamped,
+    )
 
 
-def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> Iterator[float]:
-    """L(a^2), L(a^4), ..., L(a^(2 count)), each as the bilinear form
-    L(a^n a^n), so only the powers up to a^count are formed."""
-    power = a
-    for n in range(1, count + 1):
-        if n > 1:
-            power = power * a
-        yield seq.apply(power, power)
+def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.ndarray, int]:
+    """``(v, e)`` with ``v[n - 1] = L(b^(2n))`` for n = 1 .. count, where
+    ``b = 2^(-e) a`` and ``e`` is the binary exponent of a's largest
+    coefficient, so L(a^(2n)) is exactly ``v[n - 1] * 2^(2 n e)``.
+
+    S, the multiplication-by-b matrix on the graded-lex basis of degree <=
+    ``top = count * deg a``, is filled by one scatter through ``grlex_rank``.
+    ``p_n = S p_(n-1)`` from ``p_0 = 1`` holds the coefficients of b^n, and
+    ``v[n - 1] = p_n^T M p_n`` with M the plain moment matrix of order top.
+    For ``c - a`` this S is ``c I - S_a``: no binomial expansion, which
+    would cancel when c is near max |a|.
+    """
+    if a.dimension != seq.dimension:
+        raise ValueError("polynomial dimension mismatch")
+    if a.is_zero():
+        return np.zeros(count), 0
+    exponents = np.array(list(a.terms), dtype=np.intp)
+    coefficients = np.array([float(c) for c in a.terms.values()])
+    exponent = math.frexp(float(np.max(np.abs(coefficients))))[1]
+    coefficients = np.ldexp(coefficients, -exponent)
+    degree = max(a.degree(), 0)
+    top = count * degree
+    gram = _localized_matrix(seq, top).data
+    columns = _monomial_array(seq.dimension, top - degree)
+    shift = np.zeros_like(gram)
+    shift[grlex_rank(columns[:, None, :], exponents[None, :, :]),
+          np.arange(len(columns))[:, None]] = coefficients
+    powers = np.empty((count, len(gram)))
+    power = np.zeros(len(gram))
+    power[0] = 1.0
+    for n in range(count):
+        power = powers[n] = shift @ power
+    return np.sum((powers @ gram) * powers, axis=1), exponent
+
+
+def _unscaled(scaled: Iterable[float], exponent: int) -> list[float]:
+    """The values L(a^(2n)) = ``scaled[n - 1] * 2^(2 n exponent)``; ValueError
+    unless each is a finite float (L(p q) with p = q = a^n)."""
+    values = []
+    for n, value in enumerate(scaled, start=1):
+        try:
+            value = math.ldexp(value, 2 * n * exponent)
+        except OverflowError:
+            value = math.copysign(math.inf, value)
+        if not math.isfinite(value):
+            raise ValueError(f"L(p q) = {value} is not finite")
+        values.append(value)
+    return values
+
+
+def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> list[float]:
+    """L(a^2), L(a^4), ..., L(a^(2 count)) from the power table."""
+    return _unscaled(*_power_table(seq, a, count))
 
 
 def _even_power_bound(values: Iterable[float]) -> GrowthBound:
@@ -165,7 +243,7 @@ def rayleigh_bounds(seq: MomentSequence, a: Polynomial, order: int) -> RayleighB
     the a-localized and plain moment matrices, deflated to the range of the
     plain matrix.
     """
-    localized = seq.moment_matrix(order, a).matrix
+    localized = _localized_matrix(seq, order, a)
     lo, hi, rank = pencil_extremes(localized, _plain_matrix_eig(seq, order))
     return RayleighBounds(lower=lo, upper=hi, order_used=order, effective_rank=rank)
 
@@ -179,7 +257,7 @@ def quadratic_module_psd(
     """Localized-matrix membership test: is L(shift b^2) >= 0 for b up to
     order? The one place where a real moment matrix meets ``psd_check``;
     shift 1 gives the plain PSD verdict."""
-    return psd_check(seq.moment_matrix(order, shift).matrix, tol)
+    return psd_check(_localized_matrix(seq, order, shift), tol)
 
 
 def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVerdict:
@@ -203,41 +281,27 @@ def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVer
     )
 
 
-def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
-    """Smallest M with the localized matrix of (M - a) positive semidefinite
-    at the given order.
+def _bisect(admissible: Callable[[float], bool]) -> float:
+    """Least admissible m of a monotone predicate, to absolute tolerance
+    BISECTION_TOL (or to adjacent floats, where those lie further apart).
 
-    The search runs on the range of the plain moment matrix (rank-deficient
-    directions are quotiented out, never perturbed), bisecting to absolute
-    tolerance BISECTION_TOL (or to adjacent floats, where those lie further
-    apart) below BISECTION_CEILING. The result coincides with the upper
-    Rayleigh bound of ``a``; keeping the bisection route makes that equality
-    a checkable property rather than a definition.
+    The bracket doubles out from [-1, 1]; its last step clamps to
+    +-BISECTION_CEILING, beyond which CeilingExceededError is raised.
     """
-    localized = seq.moment_matrix(order, a).matrix
-    w = range_whitener(_plain_matrix_eig(seq, order))
-    if w.shape[1] == 0:
-        raise CeilingExceededError("moment form is zero at this truncation")
-    compressed = w.T @ localized.data @ w
-    identity = np.eye(compressed.shape[0])
-
-    def admissible(m: float) -> bool:
-        return psd_check(m * identity - compressed, tol=0.0).is_psd
-
     hi = 1.0
     while not admissible(hi):
-        hi *= 2.0
-        if hi > BISECTION_CEILING:
+        if hi >= BISECTION_CEILING:
             raise CeilingExceededError(
                 f"no admissible bound below ceiling {BISECTION_CEILING:g}"
             )
+        hi = min(2.0 * hi, BISECTION_CEILING)
     lo = -1.0
     while admissible(lo):
-        lo *= 2.0
-        if lo < -BISECTION_CEILING:
+        if lo <= -BISECTION_CEILING:
             raise CeilingExceededError(
                 f"bound lies below -ceiling {BISECTION_CEILING:g}; data looks degenerate"
             )
+        lo = max(2.0 * lo, -BISECTION_CEILING)
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # no float lies between: the bracket cannot shrink
@@ -247,6 +311,52 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
         else:
             lo = mid
     return hi
+
+
+def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
+    """Smallest M with the localized matrix of (M - a) positive semidefinite
+    at the given order.
+
+    The search runs on the range of the plain moment matrix (rank-deficient
+    directions are quotiented out, never perturbed): with C the compressed
+    localized matrix, M is admissible when ``psd_check(M I - C, tol=0)``
+    passes. ``_bisect`` runs first on one spectrum, ``M >= max_eig(C)``.
+    ``psd_check`` must then pass at the least point admitted and fail at the
+    greatest point refused: it is monotone in M, so it would have decided
+    every step alike, and the result is that of the PSD bisection. Otherwise,
+    or at the ceiling, the bisection reruns on ``psd_check``. The result
+    coincides with the upper Rayleigh bound of ``a``; keeping the bisection
+    route makes that equality a checkable property rather than a definition.
+    """
+    localized = _localized_matrix(seq, order, a)
+    w = range_whitener(_plain_matrix_eig(seq, order))
+    if w.shape[1] == 0:
+        raise CeilingExceededError("moment form is zero at this truncation")
+    compressed = w.T @ localized.data @ w
+    identity = np.eye(compressed.shape[0])
+
+    def admissible(m: float) -> bool:
+        return psd_check(m * identity - compressed, tol=0.0).is_psd
+
+    top = float(sym_eig(compressed, vectors=False).eigenvalues[-1])
+    admitted, refused = math.inf, -math.inf
+
+    def above_top(m: float) -> bool:
+        nonlocal admitted, refused
+        if m >= top:
+            admitted = min(admitted, m)
+            return True
+        refused = max(refused, m)
+        return False
+
+    try:
+        bound = _bisect(above_top)
+    except CeilingExceededError:
+        pass
+    else:
+        if admissible(admitted) and not admissible(refused):
+            return bound
+    return _bisect(admissible)
 
 
 __all__ = [

@@ -397,7 +397,8 @@ def growth_check(
     tol: float | None = None,
 ) -> CheckReport:
     """Per generator (a, bound, prefactor): L(a^(2n)) <= prefactor * bound^(2n)
-    for every achievable n, with L(a^(2n)) evaluated as L(a^n a^n)."""
+    for every achievable n, with L(a^(2n)) valued from the power table of
+    ``bounds._even_power_values``."""
     if tol is None:
         tol = relative_tol(seq.y)
     names = _names(seq)

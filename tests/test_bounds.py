@@ -1,9 +1,13 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from momint import bounds, cli, linalg
 from momint.bounds import (
+    _even_power_values,
     archimedean_bound,
     growth_bound,
     quadratic_module_growth,
@@ -11,8 +15,10 @@ from momint.bounds import (
     rayleigh_bounds,
 )
 from momint.exceptions import DegreeOverflowError, NotNormalizedError
+from momint.linalg import EigenDecomposition, psd_check, range_whitener, sym_eig
 from momint.moments import MeasureSpec, MomentSequence, from_measure
-from momint.polynomials import Polynomial
+from momint.policy import BISECTION_CEILING, BISECTION_TOL
+from momint.polynomials import Polynomial, enumerate_monomials
 
 T = Polynomial.variable(1, 0)
 
@@ -292,19 +298,20 @@ def test_growth_bound_memoized_per_sequence(atom_corpus, monkeypatch):
     _, seq = atom_corpus[4]
     a = Polynomial.variable(seq.dimension, 0) + 0.25
     first = growth_bound(seq, a)
-    calls = []
-    original = MomentSequence.apply
+    evaluated = []
+    original = bounds._power_table
 
-    def counting(self, *args):
-        calls.append(args)
-        return original(self, *args)
+    def counting(seq, a, count):
+        values, exponent = original(seq, a, count)
+        evaluated.extend(values)
+        return values, exponent
 
-    monkeypatch.setattr(MomentSequence, "apply", counting)
+    monkeypatch.setattr(bounds, "_power_table", counting)
     assert growth_bound(seq, a) is first
     assert growth_bound(seq, a + 0.0) is first  # equal polynomial, same entry
-    assert calls == []
+    assert evaluated == []
     growth_bound(seq, a + 0.5)
-    assert len(calls) == first.n_used
+    assert len(evaluated) == first.n_used
 
 
 def test_growth_bound_matches_expanded_even_powers(atom_corpus):
@@ -316,3 +323,188 @@ def test_growth_bound_matches_expanded_even_powers(atom_corpus):
         for n, root in enumerate(bound.per_power, start=1):
             value = max(seq.apply(square**n), 0.0)
             assert abs(root ** (2 * n) - value) <= 1e-12 * (1.0 + value)
+
+
+# -- the power table against exact arithmetic ---------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def signed_table(rng, dimension: int, degree: int) -> MomentSequence:
+    """The moments of a few atoms in [-2, 2]^d with weights of both signs
+    (the first weight positive and largest, so the mass stays positive)."""
+    k = int(rng.integers(2, 6))
+    points = rng.uniform(-2.0, 2.0, (k, dimension))
+    weights = rng.uniform(-1.0, 1.0, k)
+    weights[0] = 1.5
+    values = {index: float(np.sum(weights * np.prod(points ** np.array(index), axis=1)))
+              for index in enumerate_monomials(dimension, degree)}
+    return MomentSequence(dimension, degree, values)
+
+
+def exact_even_powers(seq: MomentSequence, a: Polynomial, count: int):
+    """(L(a^(2n)), L(|a|^(2n))) for n = 1 .. count in Fraction arithmetic on
+    the stored floats, with |a| the polynomial of the absolute coefficients
+    and L the functional of the absolute moments in the second value."""
+    y = {index: Fraction(seq.moment(index))
+         for index in enumerate_monomials(seq.dimension, seq.max_degree)}
+    exact = Polynomial(a.dimension, {k: Fraction(v) for k, v in a.terms.items()})
+    absolute = Polynomial(a.dimension, {k: abs(Fraction(v)) for k, v in a.terms.items()})
+    out = []
+    power, power_abs = exact, absolute
+    for n in range(1, 2 * count + 1):
+        if n > 1:
+            power, power_abs = power * exact, power_abs * absolute
+        if n % 2 == 0:
+            out.append((sum(c * y[k] for k, c in power.terms.items()),
+                        sum(c * abs(y[k]) for k, c in power_abs.terms.items())))
+    return out
+
+
+def test_even_powers_match_exact_sums_on_signed_tables():
+    rng = np.random.default_rng(1808)
+    checked = 0
+    for i in range(12):
+        d, degree = 1 + i % 3, (8, 12, 16)[i % 3] - 4 * (i % 3 == 2)
+        seq = signed_table(rng, d, degree)
+        a = Polynomial(d, {index: float(rng.uniform(-1.0, 1.0))
+                           for index in enumerate_monomials(d, 1 + i % 2)})
+        c = max(abs(v) for v in _even_power_values(seq, a, 1)) ** 0.5
+        for poly in (a, c - a):
+            count = degree // (2 * poly.degree())
+            values = _even_power_values(seq, poly, count)
+            for value, (exact, scale) in zip(values, exact_even_powers(seq, poly, count)):
+                assert abs(Fraction(value) - exact) <= 16 * EPS * scale
+                checked += 1
+    assert checked > 40
+
+
+def test_growth_bound_scales_by_powers_of_two_bit_for_bit(atom_corpus):
+    for _, seq in atom_corpus[:6]:
+        d = seq.dimension
+        a = Polynomial.variable(d, 0) * 0.7 - Polynomial.variable(d, d - 1) * 0.3 + 0.1
+        base = growth_bound(seq, a)
+        for power in (-1000, -20, 30):
+            scaled = growth_bound(seq, 2.0**power * a)
+            assert scaled.value == 2.0**power * base.value
+            assert scaled.per_power == tuple(2.0**power * r for r in base.per_power)
+
+
+def test_a_tiny_polynomial_keeps_its_growth_bound(two_atoms):
+    # L((1e-300 t)^(2n)) underflows; the bound is 1e-300 times that of t
+    assert growth_bound(two_atoms, 1e-300 * T).value == pytest.approx(1e-300, rel=1e-12)
+
+
+# -- the archimedean bound against a reference bisection ----------------------
+
+
+def reference_archimedean(seq: MomentSequence, a: Polynomial, order: int) -> float:
+    """The bisection with ``psd_check`` at every step, on the compressed
+    localized matrix: the route the spectrum-first search must reproduce."""
+    w = range_whitener(sym_eig(seq.moment_matrix(order).matrix))
+    compressed = w.T @ seq.moment_matrix(order, a).matrix.data @ w
+
+    def admissible(m):
+        return psd_check(m * np.eye(len(compressed)) - compressed, tol=0.0).is_psd
+
+    hi = 1.0
+    while not admissible(hi):
+        hi = min(2.0 * hi, BISECTION_CEILING)
+    lo = -1.0
+    while admissible(lo):
+        lo = max(2.0 * lo, -BISECTION_CEILING)
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def archimedean_cases(atom_corpus):
+    for _, seq in atom_corpus[:9]:
+        d = seq.dimension
+        a = Polynomial.variable(d, 0) - Polynomial.variable(d, d - 1) * 0.5 + 0.25
+        for poly, order in ((a, 3), (a * a, 2), (-a, 1)):
+            yield seq, poly, order
+
+
+def test_archimedean_bound_matches_the_reference_bisection(atom_corpus):
+    for seq, poly, order in archimedean_cases(atom_corpus):
+        assert archimedean_bound(seq, poly, order) == reference_archimedean(seq, poly, order)
+
+
+def test_archimedean_bound_edge_cases_match_the_reference():
+    # bounds at exactly -1 and 1, a tested point of the bracket, and at 6e11,
+    # between the last power of two and the ceiling
+    for a, moments in ((-T, (1.0, 1.0, 1.0)), (T, (1.0, 1.0, 1.0)), (6e11 * T, (1.0, 1.0, 1.0)),
+                       (T, (1.0, -1.0, 1.0))):
+        seq = MomentSequence(1, 2, {(k,): v for k, v in enumerate(moments)})
+        assert archimedean_bound(seq, a, 0) == reference_archimedean(seq, a, 0)
+
+
+@pytest.mark.parametrize("error", [0.5, -0.5, 1e-9, -1e-9])
+def test_a_wrong_spectrum_takes_the_psd_rerun(atom_corpus, monkeypatch, error):
+    reference = [reference_archimedean(*case) for case in archimedean_cases(atom_corpus)]
+    original = bounds.sym_eig
+
+    def shifted(matrix, vectors=True):
+        decomp = original(matrix, vectors)
+        if vectors:
+            return decomp
+        return EigenDecomposition(decomp.eigenvalues + error, None)
+
+    monkeypatch.setattr(bounds, "sym_eig", shifted)
+    found = [archimedean_bound(*case) for case in archimedean_cases(atom_corpus)]
+    assert found == reference
+
+
+def test_archimedean_bound_runs_three_eigensolves(atom_corpus, monkeypatch):
+    seq, poly, order = next(archimedean_cases(atom_corpus))
+    rayleigh_bounds(seq, poly, order)  # the plain decomposition, shared
+    calls = []
+    original = bounds.sym_eig
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "sym_eig", counting)
+    monkeypatch.setattr(linalg, "sym_eig", counting)
+    archimedean_bound(seq, poly, order)
+    assert len(calls) == 3
+
+
+# -- one localized matrix per (shift, order) ----------------------------------
+
+
+def test_analyze_builds_each_localized_matrix_once(atom_corpus, tmp_path, monkeypatch):
+    _, seq = atom_corpus[2]
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(seq.to_document()))
+    built = []
+    original = MomentSequence.moment_matrix
+
+    def counting(self, order, shift=None):
+        built.append((order, None if shift is None else tuple(shift.terms.items())))
+        return original(self, order, shift)
+
+    monkeypatch.setattr(MomentSequence, "moment_matrix", counting)
+    assert cli.main(["analyze", str(path), "--poly", "x1", "--poly", "x2*x3 - 0.5",
+                     "--quiet"]) == 0
+    assert built and len(built) == len(set(built))
+
+
+def test_equal_shifts_in_another_term_order_keep_their_own_matrices(atom_corpus):
+    _, seq = atom_corpus[2]
+    x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
+    first, second = x * 0.1 + y * 0.2 + 0.3, 0.3 + y * 0.2 + x * 0.1
+    assert first == second and list(first.terms) != list(second.terms)
+    matrix = bounds._localized_matrix(seq, 2, first)
+    assert bounds._localized_matrix(seq, 2, first) is matrix
+    other = bounds._localized_matrix(seq, 2, second)
+    assert other is not matrix
+    assert np.array_equal(other.data, seq.moment_matrix(2, second).matrix.data)

@@ -269,6 +269,34 @@ def test_analyze_growth_vs_rayleigh_from_its_entries(tmp_path, two_atom_measure)
     assert "error" in entries["t^5"]["growth_vs_rayleigh"]
 
 
+def test_analyze_finds_a_bound_between_the_last_power_of_two_and_the_ceiling(tmp_path):
+    # 6e11 lies past 2^39: the bracket's last doubling clamps to the ceiling
+    moments = write(tmp_path / "moments.json", one_dim_moments(
+        moments=[{"index": [k], "value": 1.0} for k in range(3)]))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", moments, "--poly", "6e11*t", "--out", str(report_path),
+                 "--quiet"]) == 0
+    entry = json.loads(report_path.read_text())["results"]["polynomials"]["6e11*t"]
+    assert entry["archimedean_linear"]["value"] == pytest.approx(6e11, rel=1e-12)
+    assert entry["rayleigh"]["upper"] == pytest.approx(6e11, rel=1e-12)
+
+
+def test_analyze_keeps_the_growth_bound_of_a_tiny_polynomial(tmp_path):
+    measure = write(tmp_path / "atoms.json",
+                    {"atoms": [{"point": [0.5], "weight": 1.0},
+                               {"point": [-0.3], "weight": 2.0}]})
+    moments = tmp_path / "moments.json"
+    main(["oracle", measure, "--degree", "8", "--out", str(moments), "--quiet"])
+    report_path = tmp_path / "report.json"
+    main(["analyze", str(moments), "--poly", "1e-300*t", "--poly", "t",
+          "--out", str(report_path), "--quiet"])
+    entries = json.loads(report_path.read_text())["results"]["polynomials"]
+    tiny, unit = entries["1e-300*t"]["growth_bound"], entries["t"]["growth_bound"]
+    # every even power underflows; the bound is 1e-300 times that of t
+    assert tiny["value"] > 0.0
+    assert tiny["value"] == pytest.approx(1e-300 * unit["value"], rel=1e-12)
+
+
 def test_analyze_reports_a_bound_beyond_the_ceiling_as_a_field(tmp_path, capsys):
     measure = write(tmp_path / "atoms.json",
                     {"atoms": [{"point": [0.5], "weight": 1.0},

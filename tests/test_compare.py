@@ -1,7 +1,9 @@
 """``tools/compare.py`` pairs violations by description before diffing
-numbers, and names every other change with an example."""
+numbers, names every other change with an example, and checks the changes
+against declared envelopes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,70 @@ def test_a_key_on_one_side_and_a_null_are_named(compare):
         ".rayleigh.error": (1, ("<absent>", '"rank 0"')),
         ".limit": (1, ("null", "2.0")),
     }
+
+
+def expectations(compare, tmp_path, entries):
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps(entries))
+    return compare._load_expectations(str(path))
+
+
+GROWTH = {"results": {"polynomials": {"x1*x2 + 0.25": {"growth_bound": {"value": 1.0}}}},
+          "passed": True}
+
+
+def changed_growth(value, passed=True):
+    return {"results": {"polynomials": {"x1*x2 + 0.25": {"growth_bound": {"value": value}}}},
+            "passed": passed}
+
+
+def test_a_change_inside_its_envelope_fits_and_its_use_is_printed(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.growth_bound.value", "allow": {"rel": 1e-9}}])
+    changes, others = walk(compare, GROWTH, changed_growth(1.0 + 2e-10))
+    usage, outside = compare.check_envelopes(entries, changes, others)
+    assert outside == []
+    assert usage == ["  2.000e-10 of rel 1e-09 at .results.polynomials.*.growth_bound.value"
+                     " | 1 changes"]
+
+
+def test_an_exceeded_envelope_fails(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.growth_bound.value", "allow": {"abs": 1e-12}}])
+    changes, others = walk(compare, GROWTH, changed_growth(1.0 + 1e-9))
+    _, outside = compare.check_envelopes(entries, changes, others)
+    assert len(outside) == 1 and ".growth_bound.value" in outside[0]
+
+
+def test_an_unlisted_number_must_stay_identical(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.rayleigh.upper", "allow": "any"}])
+    changes, others = walk(compare, GROWTH, changed_growth(1.0 + 1e-15))
+    _, outside = compare.check_envelopes(entries, changes, others)
+    assert len(outside) == 1 and "allowed: identical" in outside[0]
+
+
+def test_an_undeclared_flipped_verdict_fails(compare, tmp_path):
+    # an envelope on the numbers does not cover the verdict they feed
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*", "allow": {"rel": 1.0}}])
+    changes, others = walk(compare, GROWTH, changed_growth(1.5, passed=False))
+    _, outside = compare.check_envelopes(entries, changes, others)
+    assert len(outside) == 1 and outside[0].startswith("  .passed | true -> false")
+
+
+def test_a_declared_flipped_verdict_is_counted(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [{"path": ".passed", "allow": "any"}])
+    changes, others = walk(compare, GROWTH, {**GROWTH, "passed": False})
+    usage, outside = compare.check_envelopes(entries, changes, others)
+    assert outside == [] and usage[0].endswith("at .passed | 1 changes")
+
+
+@pytest.mark.parametrize("entry", [
+    {"path": ".passed"}, {"path": ".passed", "allow": "some"},
+    {"path": ".passed", "allow": {"abs": "1e-9"}}, {"path": 1, "allow": "any"},
+    {"path": ".passed", "allow": {"abs": 1.0, "rel": 1.0}}, ".passed",
+])
+def test_a_malformed_expectation_is_refused(compare, tmp_path, entry):
+    with pytest.raises(ValueError, match="needs 'path'"):
+        expectations(compare, tmp_path, [entry])

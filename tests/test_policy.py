@@ -94,9 +94,9 @@ def membership_slack(s, *_):
 
 
 def bisection_ceiling(s, *_):
-    # the search doubles from 1, so the largest bound it reaches is the
-    # largest power of two not above the ceiling
-    edge = 2.0 ** math.floor(math.log2(policy.BISECTION_CEILING))
+    # the bracket doubles from 1 and its last step clamps to the ceiling, so
+    # a bound just below the ceiling is found (1e12 lies past 2^39)
+    edge = policy.BISECTION_CEILING
     try:
         bound = archimedean_bound(table(1.0, 1.0, 1.0), s * edge * T, 0)
     except CeilingExceededError:

@@ -37,6 +37,17 @@ per JSON path with its first ``base -> head`` example. Entries of a
 ``violations`` list are paired by ``description``, not by position, and a
 list that differs only in order is counted as reordered. Exit status 1 on
 any difference, else 0.
+
+With ``--expect FILE`` the change is checked against declared envelopes
+instead. FILE is a JSON list of ``{"path": PATTERN, "allow": ALLOWANCE}``.
+PATTERN is a collapsed JSON path of the reports in which ``*`` matches any
+text, and the first entry that matches a path applies to it. ALLOWANCE is
+``"identical"``, ``{"abs": x}`` or ``{"rel": x}`` (the largest change of a
+number at the path) or ``"any"`` (any change, strings and bools included).
+Every exit code, stdout and stderr, every string, bool or null, every
+number at an unlisted path and the order of every violations list must stay
+identical. The summary prints how much
+of each envelope was used; exit status 0 only when every difference fits.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -363,7 +375,75 @@ def _difference(base: dict, head: dict) -> str | None:
     return ", ".join(parts) or None
 
 
-def compare(base_ref: str) -> int:
+def _load_expectations(path: str) -> list:
+    """The (pattern, compiled pattern, allowance) entries of an expectation
+    file; ValueError on a malformed entry."""
+    entries = []
+    for entry in json.loads(Path(path).read_text()):
+        if not isinstance(entry, dict):
+            entry = {"path": None}
+        pattern, allow = entry.get("path"), entry.get("allow")
+        valid = isinstance(pattern, str) and set(entry) == {"path", "allow"} and (
+            allow in ("identical", "any")
+            or isinstance(allow, dict) and len(allow) == 1 and next(iter(allow)) in ("abs", "rel")
+            and isinstance(next(iter(allow.values())), (int, float)))
+        if not valid:
+            raise ValueError(f"expectation entry {entry!r} needs 'path' and an 'allow' of "
+                             '"identical", "any", {"abs": x} or {"rel": x}')
+        regex = re.compile(".*".join(map(re.escape, pattern.split("*"))))
+        entries.append((pattern, regex, allow))
+    return entries
+
+
+def _shown_allowance(allow) -> str:
+    return allow if isinstance(allow, str) else ", ".join(f"{k} {v:g}" for k, v in allow.items())
+
+
+def check_envelopes(expectations: list, changes: dict, others: dict) -> tuple[list, list]:
+    """Check the per-path changes of ``_walk_changes`` against the
+    expectations. Return the usage lines, one per expectation, and the
+    violation lines, one per path whose change lies outside its envelope
+    (every path that no expectation matches allows no change)."""
+    used = {pattern: [0.0, 0.0, 0] for pattern, _, _ in expectations}
+    outside = []
+
+    def allowance(path):
+        for pattern, regex, allow in expectations:
+            if regex.fullmatch(path):
+                return pattern, allow
+        return None, "identical"
+
+    for path, (absolute, relative, count) in sorted(changes.items()):
+        pattern, allow = allowance(path)
+        if pattern is not None:
+            row = used[pattern]
+            row[:] = max(row[0], absolute), max(row[1], relative), row[2] + count
+        fits = allow == "any" or isinstance(allow, dict) and (
+            absolute <= allow.get("abs", math.inf) and relative <= allow.get("rel", math.inf))
+        if not fits:
+            outside.append(f"  {path} | abs {absolute:.3e}, rel {relative:.3e} | {count} | "
+                           f"allowed: {_shown_allowance(allow)}")
+    for path, (count, (base, head)) in sorted(others.items()):
+        pattern, allow = allowance(path)
+        if pattern is not None:
+            used[pattern][2] += count
+        if allow != "any":
+            outside.append(f"  {path} | {base} -> {head} | {count} | "
+                           f"allowed: {_shown_allowance(allow)}")
+    lines = []
+    for pattern, _, allow in expectations:
+        absolute, relative, count = used[pattern]
+        if isinstance(allow, dict):
+            kind, limit = next(iter(allow.items()))
+            amount = f"{absolute if kind == 'abs' else relative:.3e} of {kind} {limit:g}"
+        else:
+            amount = f"abs {absolute:.3e}, rel {relative:.3e} ({allow})"
+        lines.append(f"  {amount} at {pattern} | {count} changes")
+    return lines, outside
+
+
+def compare(base_ref: str, expect: str | None = None) -> int:
+    expectations = _load_expectations(expect) if expect else None
     workdir = Path(tempfile.mkdtemp(prefix="momint-compare-"))
     base_tree = workdir / "base"
     try:
@@ -399,21 +479,26 @@ def compare(base_ref: str) -> int:
     changes: dict = {}
     others: dict = {}
     reordered = 0
+    unwalked = []  # differences that no envelope covers
     for inv, base, head in zip(corpus, results["base"], results["head"]):
         total, count = groups.get(inv["group"], (0, 0))
         what = _difference(base, head)
         groups[inv["group"]] = (total + 1, count + (what is not None))
         if what is None:
             continue
+        parsed, lists = None, 0
         if base["report"] and head["report"] and base["report"] != head["report"]:
             try:
                 parsed = json.loads(base["report"]), json.loads(head["report"])
             except ValueError:
-                parsed = None
+                pass
             lists = _walk_changes(*parsed, "", changes, others) if parsed else 0
             if lists:
                 reordered += lists
                 what += f" ({lists} violations lists reordered)"
+        if lists or any(base[k] != head[k] for k in ("code", "stdout", "stderr")) or (
+                base["report"] != head["report"] and parsed is None):
+            unwalked.append(f"  {inv['group']}: {inv['id']}: {what}")
         differing.append(f"  {inv['group']}: {inv['id']}: {what}")
     for group, (total, count) in groups.items():
         print(f"  {group}: {total} invocations, {count} differ")
@@ -433,12 +518,27 @@ def compare(base_ref: str) -> int:
         ranked = sorted(others.items(), key=lambda item: (-item[1][0], item[0]))
         for path, (count, (base, head)) in ranked[:CHANGE_ROWS]:
             print(f"  {path} | {count} | {base} -> {head}")
-    return 1 if differing else 0
+    if expectations is None:
+        return 1 if differing else 0
+    usage, outside = check_envelopes(expectations, changes, others)
+    print(f"envelope use ({expect}):")
+    for line in usage:
+        print(line)
+    print(f"invocations with a changed exit code, stdout or stderr, a reordered or "
+          f"unparsed report: {len(unwalked)}")
+    for line in unwalked:
+        print(line)
+    print(f"changes outside their envelope: {len(outside)}")
+    for line in outside:
+        print(line)
+    return 1 if unwalked or outside else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare the working tree against")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="JSON list of declared change envelopes (see above)")
     parser.add_argument("--worker", nargs=2, metavar=("SRC", "RUNDIR"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -446,7 +546,7 @@ def main(argv=None) -> int:
         return 0
     if not args.base:
         parser.error("--base is required")
-    return compare(args.base)
+    return compare(args.base, args.expect)
 
 
 if __name__ == "__main__":
