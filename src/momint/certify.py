@@ -57,22 +57,14 @@ class CheckReport:
     truncation; ``details`` carries per-item records for rendering.
     """
 
-    passed: bool
     violations: tuple
     attempted: int
     skipped: int
     details: tuple = field(default=())
 
-    @classmethod
-    def build(cls, violations, attempted, skipped, details=()) -> "CheckReport":
-        violations = tuple(violations)
-        return cls(
-            passed=not violations,
-            violations=violations,
-            attempted=attempted,
-            skipped=skipped,
-            details=tuple(details),
-        )
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 class FactorPair(NamedTuple):
@@ -289,7 +281,7 @@ def product_positivity_check(
         seq, letters, max_factors, tol,
         describe=lambda combo, _: " * ".join(labels[k] for k in combo),
     )
-    return CheckReport.build(violations, attempted, skipped)
+    return CheckReport(tuple(violations), attempted, skipped)
 
 
 def cone_positivity_check(
@@ -328,7 +320,7 @@ def cone_positivity_check(
         prefactor=prefactor,
     )
     details = [{"growth_bound_a": c_a, "growth_bound_b": c_b, "jk_max": jk_max}]
-    return CheckReport.build(violations, attempted, skipped, details)
+    return CheckReport(tuple(violations), attempted, skipped, tuple(details))
 
 
 def ball_check(
@@ -388,7 +380,7 @@ def ball_check(
             "passed": growth_ok,
         },
     ]
-    return CheckReport.build(violations, attempted=2, skipped=0, details=details)
+    return CheckReport(tuple(violations), 2, 0, tuple(details))
 
 
 def growth_check(
@@ -426,7 +418,7 @@ def growth_check(
                         value=value - limit,
                     )
                 )
-    return CheckReport.build(violations, attempted, skipped)
+    return CheckReport(tuple(violations), attempted, skipped)
 
 
 def weak_absolute_value_check(
@@ -479,7 +471,7 @@ def weak_absolute_value_check(
                     value=applied - functional_bound * v_a,
                 )
             )
-    return CheckReport.build(violations, attempted, skipped)
+    return CheckReport(tuple(violations), attempted, skipped)
 
 
 def schmudgen_check(
@@ -525,7 +517,7 @@ def schmudgen_check(
                 }
             )
             violations += psd_violations(verdict, f"subset {label} at order {sub_order}")
-    return CheckReport.build(violations, attempted, skipped=0, details=details)
+    return CheckReport(tuple(violations), attempted, 0, tuple(details))
 
 
 def interval_membership_check(
@@ -582,7 +574,7 @@ def interval_membership_check(
             )
         entry_detail["passed"] = len(violations) == found
         details.append(entry_detail)
-    return CheckReport.build(violations, attempted, skipped, details)
+    return CheckReport(tuple(violations), attempted, skipped, tuple(details))
 
 
 def _number(value, name: str) -> float:

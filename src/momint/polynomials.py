@@ -269,6 +269,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
 
     Terms are products of numeric literals and ``name^exponent`` factors,
     joined by ``+`` and ``-``. Division by a numeric literal is accepted.
+    Two factors with no operator between them are an error.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -277,79 +278,58 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     d = len(names)
     if d < 1:
         raise PolynomialParseError("at least one variable must be declared")
-    tokens = _tokenize(text)
-    if not tokens:
+    # the sentinel ends the last term and puts len(text) in end-of-input errors
+    tokens = _tokenize(text) + [(None, None, len(text))]
+    if tokens[0][0] is None:
         raise PolynomialParseError("empty polynomial text")
 
     terms: dict = {}
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, None)
-
-    while pos < len(tokens):
+    while tokens[pos][0] is not None:
         sign = 1.0
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if peek()[1] == "-":
+        while tokens[pos][1] in ("+", "-"):
+            if tokens[pos][1] == "-":
                 sign = -sign
             pos += 1
-        if pos >= len(tokens):
+        if tokens[pos][0] is None:
             raise PolynomialParseError("dangling sign at end of input")
-
-        coeff = sign
-        exps = [0] * d
-        expect_factor = True
-        while True:
-            kind, value, at = peek()
-            if expect_factor:
-                if kind == "num":
-                    coeff *= float(value)
-                    pos += 1
-                elif kind == "name":
-                    if value not in index_of:
-                        raise PolynomialParseError(
-                            f"unknown variable {value!r} at position {at}; "
-                            f"declared: {', '.join(names)}"
-                        )
-                    var = index_of[value]
-                    pos += 1
-                    exponent = 1
-                    if peek()[0] == "op" and peek()[1] == "^":
-                        pos += 1
-                        k2, v2, a2 = peek()
-                        if k2 != "num" or not v2.isdigit():
-                            raise PolynomialParseError(
-                                f"expected integer exponent at position {a2}"
-                            )
-                        exponent = int(v2)
-                        pos += 1
-                    exps[var] += exponent
-                else:
+        coeff, exps, op = sign, [0] * d, "*"
+        # op is the operator before the next token: after "*" comes a factor,
+        # after "/" a numeric divisor; any other operator ends the term
+        while op in ("*", "/"):
+            kind, value, at = tokens[pos]
+            pos += 1
+            if op == "/":
+                if kind != "num":
+                    raise PolynomialParseError(f"expected numeric divisor at position {at}")
+                if float(value) == 0.0:
+                    raise PolynomialParseError(f"division by zero at position {at}")
+                coeff /= float(value)
+            elif kind == "num":
+                coeff *= float(value)
+            elif kind == "name":
+                if value not in index_of:
                     raise PolynomialParseError(
-                        f"expected a coefficient or variable at position {at}"
+                        f"unknown variable {value!r} at position {at}; "
+                        f"declared: {', '.join(names)}"
                     )
-                expect_factor = False
+                exponent = 1
+                if tokens[pos][1] == "^":
+                    k2, v2, a2 = tokens[pos + 1]
+                    if k2 != "num" or not v2.isdigit():
+                        raise PolynomialParseError(f"expected integer exponent at position {a2}")
+                    exponent = int(v2)
+                    pos += 2
+                exps[index_of[value]] += exponent
             else:
-                if kind == "op" and value == "*":
-                    pos += 1
-                    expect_factor = True
-                elif kind == "op" and value == "/":
-                    pos += 1
-                    k2, v2, a2 = peek()
-                    if k2 != "num":
-                        raise PolynomialParseError(
-                            f"expected numeric divisor at position {a2}"
-                        )
-                    divisor = float(v2)
-                    if divisor == 0.0:
-                        raise PolynomialParseError(f"division by zero at position {a2}")
-                    coeff /= divisor
-                    pos += 1
-                else:
-                    break
+                raise PolynomialParseError(f"expected a coefficient or variable at position {at}")
+            kind, op, at = tokens[pos]
+            if kind in ("num", "name"):
+                raise PolynomialParseError(f"expected an operator before {op!r} at position {at}")
+            if op in ("*", "/"):
+                pos += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + coeff
-
     return Polynomial(d, terms)
 
 

@@ -275,9 +275,7 @@ def disc_check(
         },
         {"diagonal": diagonal},
     ]
-    return CheckReport.build(
-        violations, attempted=1 + f.max_level + 1, skipped=0, details=details
-    )
+    return CheckReport(tuple(violations), 1 + f.max_level + 1, 0, tuple(details))
 
 
 __all__ = [

@@ -206,9 +206,7 @@ def polynomial_identity_suite() -> CheckReport:
                     value=float("nan"),
                 )
             )
-    return CheckReport.build(
-        violations, attempted=len(details), skipped=0, details=details
-    )
+    return CheckReport(tuple(violations), len(details), 0, tuple(details))
 
 
 @pytest.fixture

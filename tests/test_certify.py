@@ -386,6 +386,25 @@ def test_growth_check_examples(two_atoms, dirac3):
     assert not growth_check(dirac3, [(T, 2.9, 1.0)]).passed
 
 
+def test_growth_check_skips_a_generator_with_no_reachable_even_power():
+    # at degree 4, L(t^6) is the first even power of t^3: nothing to compare
+    seq = from_measure(MeasureSpec(atoms=[((0.5,), 0.4), ((-0.3,), 0.6)]), 4)
+    report = growth_check(seq, [(T**3, 1.0, 1.0), (T, 1.0, 1.0)])
+    assert (report.passed, report.attempted, report.skipped) == (True, 2, 1)
+    assert report.violations == () and report.details == ()
+
+
+def test_growth_check_values_the_zero_generator_at_zero():
+    seq = from_measure(MeasureSpec(atoms=[((0.5,), 0.4), ((-0.3,), 0.6)]), 4)
+    # any positive limit passes a value of exactly 0, however small
+    report = growth_check(seq, [(Polynomial.zero(1), 1e-100, 1e-100)], tol=0.0)
+    assert (report.passed, report.attempted, report.skipped) == (True, 2, 0)
+    assert report.violations == ()
+    ((name, report),) = run_check_config(seq, {"checks": [
+        {"check": "growth", "generators": [{"poly": "0", "bound": 1e-100}]}]})
+    assert (name, report.passed, report.attempted, report.skipped) == ("growth", True, 2, 0)
+
+
 def test_growth_check_rejects_bad_parameters(two_atoms):
     # a NaN bound or prefactor would make every comparison false: a PASS
     for bound, prefactor in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
@@ -482,6 +501,20 @@ def test_interval_square_follows_linear(atom_corpus):
         hi = max(pt[0] for pt, _ in spec.atoms) + 1e-9
         report = interval_membership_check(seq, [(x, lo, hi)], order=2)
         assert report.passed
+
+
+def test_interval_reports_what_the_degree_budget_skips():
+    seq = from_measure(MeasureSpec(atoms=[((0.5,), 0.4), ((-0.3,), 0.6)]), 4)
+    report = interval_membership_check(
+        seq, [(T**5, -1.0, 1.0), (T**3, -1.0, 1.0)], order=0)
+    # t^5 needs degree 5 > 4; t^3 fits linearly, but its square shift 1 - t^6 does not
+    assert (report.passed, report.attempted, report.skipped) == (True, 2, 2)
+    beyond, cube = report.details
+    assert beyond == {"poly": "t^5", "skipped": "degree budget"}
+    assert cube["square"] == "degree budget" and cube["passed"] is True
+    assert cube["order_linear"] == 0 and "order_square" not in cube
+    assert cube["t^3 - -1"] == pytest.approx(1.0 + 0.4 * 0.125 - 0.6 * 0.027)
+    assert cube["1 - t^3"] == pytest.approx(1.0 - 0.4 * 0.125 + 0.6 * 0.027)
 
 
 def test_interval_rejects_empty(lebesgue01):

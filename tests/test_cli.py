@@ -319,6 +319,36 @@ def test_analyze_reports_a_bound_beyond_the_ceiling_as_a_field(tmp_path, capsys)
     assert entry["membership_growth"]["holds"] is False
 
 
+def test_analyze_all_zero_table_reports_every_bound_as_unavailable(tmp_path, capsys):
+    moments = write(tmp_path / "zero.json", one_dim_moments(
+        max_degree=4, moments=[{"index": [k], "value": 0.0} for k in range(5)]))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", moments, "--out", str(report_path)]) == 0
+    warning = "sequence has L(1) <= 0; growth-based bounds unavailable"
+    out, err = capsys.readouterr()
+    assert err == "" and f"warning: {warning}\n" in out
+    report = json.loads(report_path.read_text())
+    assert report["warnings"] == [warning] and report["passed"] is True
+    assert report["results"]["psd"]["is_psd"] is True
+    assert report["results"]["support_box"] == {}
+    entry = report["results"]["polynomials"]["t"]
+    zero_form = {"error": "moment form is zero at this truncation"}
+    assert entry["archimedean_linear"] == entry["archimedean_square"] == zero_form
+    zero_rank = {"error": "pencil base matrix has zero effective rank"}
+    assert entry["rayleigh"] == entry["square_norm_bound"] == zero_rank
+    for name in ("growth_bound", "growth_vs_rayleigh", "membership_growth"):
+        assert entry[name]["error"].startswith("operation requires unit mass")
+    assert entry["membership_psd"] == {"is_psd": True, "min_eigenvalue": 0.0, "order": 1}
+
+
+def test_analyze_wrong_number_of_variable_names_is_usage_error(tmp_path, capsys):
+    moments = write(tmp_path / "moments.json", one_dim_moments())
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", moments, "--vars", "x,y", "--out", str(report_path)]) == 2
+    assert capsys.readouterr().err == "error: 2 variable names for dimension 1\n"
+    assert not report_path.exists()
+
+
 def test_disc_empty_table_is_usage_error(tmp_path, capsys):
     doc = write(tmp_path / "empty.json", {"max_level": 2, "values": []})
     assert main(["disc", doc, "--radius", "1.0", "--constant", "1.0", "--quiet"]) == 2

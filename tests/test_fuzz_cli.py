@@ -287,6 +287,13 @@ FIXED = [
      "--radius must be finite"),
     ("disc-infinite-constant", *_disc_level_12("--radius", "1", "--constant", "inf", "--out",
                                                "{out}"), 2, "--constant must be finite"),
+    # polynomial text: adjacent factors are no sum, and end-of-text errors name a position
+    ("analyze-juxtaposed-factors", {"moments": _unit_table()},
+     ["analyze", "{moments}", "--poly", "2t", "--out", "{out}", "--quiet"], 2,
+     "error: expected an operator before 't' at position 1"),
+    ("analyze-truncated-exponent", {"moments": _unit_table()},
+     ["analyze", "{moments}", "--poly", "t^", "--out", "{out}", "--quiet"], 2,
+     "error: expected integer exponent at position 2"),
     # argparse's own errors are one error line too, with no usage block
     ("certify-tol-not-a-number", *_certify(_GROWTH_FAILS, "--tol", "abc"), 2,
      "argument --tol: invalid float value: 'abc'"),

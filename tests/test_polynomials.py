@@ -9,6 +9,7 @@ from momint.polynomials import (
     Polynomial,
     enumerate_monomials,
     format_polynomial,
+    _tokenize,
     grlex_key,
     parse_polynomial,
 )
@@ -165,6 +166,60 @@ def test_parse_rejects_garbage():
     for bad in ["", "1 +", "x^", "x^-2", "@", "3//2"]:
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad, ["x"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2t", "expected an operator before 't' at position 1"),
+    ("x y", "expected an operator before 'y' at position 1"),
+    ("x^2 3", "expected an operator before '3' at position 3"),
+    ("x/2 y", "expected an operator before 'y' at position 3"),
+    ("x^", "expected integer exponent at position 2"),
+    ("x/", "expected numeric divisor at position 2"),
+    ("x * ", "expected a coefficient or variable at position 4"),
+    ("2^3", "expected a coefficient or variable at position 1"),
+    ("x -", "dangling sign at end of input"),
+])
+def test_parse_error_names_the_position(text, message):
+    with pytest.raises(PolynomialParseError) as info:
+        parse_polynomial(text, ["x"])
+    assert str(info.value) == message
+
+
+#: token soup for the property test: numbers, declared and undeclared names,
+#: every operator, spaces and a character the tokenizer refuses
+SOUP = ["2", ".5", "3.", "1e-2", "0", "x", "y", "z", "xy", "^", "*", "/", "+", "-", " ", "@"]
+SOUP_WEIGHTS = [3, 2, 2, 2, 1, 4, 4, 1, 1, 3, 4, 2, 3, 3, 4, 0.3]
+
+
+def _juxtaposed(text: str) -> bool:
+    """Whether a number or name directly follows another in the tokens."""
+    try:
+        kinds = [kind for kind, _, _ in _tokenize(text)]
+    except PolynomialParseError:  # a character that no token matches
+        return False
+    return any(a in ("num", "name") and b in ("num", "name") for a, b in zip(kinds, kinds[1:]))
+
+
+def test_parse_token_soup_property():
+    rng = random.Random(20261019)
+    accepted = juxtaposed = 0
+    for _ in range(20000):
+        text = "".join(rng.choices(SOUP, SOUP_WEIGHTS, k=rng.randint(1, 9)))
+        try:
+            p = parse_polynomial(text, ["x", "y"])
+        except PolynomialParseError:
+            juxtaposed += _juxtaposed(text)
+            continue
+        assert not _juxtaposed(text), text
+        accepted += 1
+        shown = format_polynomial(p, ["x", "y"])
+        q = parse_polynomial(shown, ["x", "y"])
+        assert format_polynomial(q, ["x", "y"]) == shown, text
+        assert set(q.terms) == set(p.terms), text
+        for key, coeff in p.terms.items():
+            assert q.terms[key] == pytest.approx(coeff, rel=1e-11), text
+    # the soup reaches both sides of the property
+    assert accepted > 1000 and juxtaposed > 1000
 
 
 def test_format_parse_round_trip():
