@@ -44,7 +44,7 @@ from .linalg import (
     range_whitener,
     sym_eig,
 )
-from .moments import MomentSequence, _monomial_array, grlex_rank
+from .moments import MomentSequence, _multiplication_matrix, _term_data
 from .policy import BISECTION_CEILING, BISECTION_TOL, MEMBERSHIP_SLACK
 from .polynomials import Polynomial
 
@@ -106,9 +106,8 @@ def _localized_matrix(
     polynomials whose terms are ordered differently may give matrices that
     differ in the last bit, and each keeps its own entry.
     """
-    if shift is None:
-        shift = Polynomial.constant(seq.dimension, 1.0)
-    key = ("matrix", order, tuple(shift.terms.items()))
+    terms = (((0,) * seq.dimension, 1.0),) if shift is None else tuple(shift.terms.items())
+    key = ("matrix", order, terms)
     cached = seq._cache.get(key)
     if cached is None:
         cached = seq._cache[key] = seq.moment_matrix(order, shift).matrix
@@ -155,6 +154,7 @@ def _growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
             f"degree {deg} exceeds n_max {seq.n_max}: no even power fits"
         )
     scaled, exponent = _power_table(seq, a, seq.max_degree // (2 * deg))
+    scaled = scaled.tolist()
     _unscaled(scaled, exponent)  # the values themselves must be finite floats
     bound = _even_power_bound(scaled)
     return GrowthBound(
@@ -171,7 +171,7 @@ def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.nda
     coefficient, so L(a^(2n)) is exactly ``v[n - 1] * 2^(2 n e)``.
 
     S, the multiplication-by-b matrix on the graded-lex basis of degree <=
-    ``top = count * deg a``, is filled by one scatter through ``grlex_rank``.
+    ``top = count * deg a``, is ``moments._multiplication_matrix``.
     ``p_n = S p_(n-1)`` from ``p_0 = 1`` holds the coefficients of b^n, and
     ``v[n - 1] = p_n^T M p_n`` with M the plain moment matrix of order top.
     For ``c - a`` this S is ``c I - S_a``: no binomial expansion, which
@@ -181,17 +181,11 @@ def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.nda
         raise ValueError("polynomial dimension mismatch")
     if a.is_zero():
         return np.zeros(count), 0
-    exponents = np.array(list(a.terms), dtype=np.intp)
-    coefficients = np.array([float(c) for c in a.terms.values()])
-    exponent = math.frexp(float(np.max(np.abs(coefficients))))[1]
-    coefficients = np.ldexp(coefficients, -exponent)
+    exponent = math.frexp(float(np.max(np.abs(_term_data(a)[1]))))[1]
     degree = max(a.degree(), 0)
     top = count * degree
     gram = _localized_matrix(seq, top).data
-    columns = _monomial_array(seq.dimension, top - degree)
-    shift = np.zeros_like(gram)
-    shift[grlex_rank(columns[:, None, :], exponents[None, :, :]),
-          np.arange(len(columns))[:, None]] = coefficients
+    shift = _multiplication_matrix(a, top - degree, exponent, width=len(gram))
     powers = np.empty((count, len(gram)))
     power = np.zeros(len(gram))
     power[0] = 1.0
@@ -217,7 +211,8 @@ def _unscaled(scaled: Iterable[float], exponent: int) -> list[float]:
 
 def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> list[float]:
     """L(a^2), L(a^4), ..., L(a^(2 count)) from the power table."""
-    return _unscaled(*_power_table(seq, a, count))
+    scaled, exponent = _power_table(seq, a, count)
+    return _unscaled(scaled.tolist(), exponent)
 
 
 def _even_power_bound(values: Iterable[float]) -> GrowthBound:

@@ -16,11 +16,14 @@ the disc kernel's, into a violation. A check's default tolerance is
 one semiring over letters of positive degree, which counts the members
 beyond the degree budget in closed form. No member is formed: each is a linear
 map (a binomial expansion per factor pair) of the pushforward moments
-z = L(g_1^b_1 ... g_n^b_n) of a few generators, each z one ``apply`` over
-the prefix memo of generator products that schmudgen's subset shifts also
-use. An expansion rounds differently from the direct product: the tests
-hold each value within 64 eps sum |coeff| |z| of it, bounded there by L(|P|),
-the member with absolute coefficients on the absolute moments.
+z = L(g_1^b_1 ... g_n^b_n) of a few generators. The z come from matrix products
+z = h_A^T K h_B over the coefficient vectors h of two halves of each
+generator product and a block K of the moment matrix: one product where every
+half fits n_max, and one more per degree of a taller half
+(``_pushforward_moments``). Each pair's expansion is one more product
+(``_contract``). An expansion rounds differently from the direct product: the
+tests hold each value within 64 eps sum |coeff| |z| of it, bounded there by
+L(|P|), the member with absolute coefficients on the absolute moments.
 ``run_check_config`` rejects every key it does not know.
 """
 
@@ -37,7 +40,15 @@ import numpy as np
 from .bounds import _even_power_values, growth_bound, quadratic_module_psd
 from .exceptions import DegreeOverflowError
 from .linalg import PsdVerdict
-from .moments import MomentSequence, _integer
+from .moments import (
+    MomentSequence,
+    _integer,
+    _moment_entries,
+    _monomial_array,
+    _multiplication_matrix,
+    _plain_block,
+    _row_blocks,
+)
 from .policy import relative_tol, saturated_limit
 from .polynomials import Polynomial, default_variable_names, format_polynomial
 
@@ -97,21 +108,27 @@ def _prefix_products(letters: Sequence[Polynomial], dimension: int):
     return product
 
 
-def _expansion_table(p: float, q: float, n: int) -> np.ndarray:
-    """T[j, k, beta] = [t^beta] (p - t)^j (q + t)^k for j + k <= n: the
-    convolution of the binomial rows of (p - t)^j and (q + t)^k."""
-    minus = np.zeros((n + 1, n + 1))
-    plus = np.zeros((n + 1, n + 1))
-    minus[0, 0] = plus[0, 0] = 1.0
+def _expansion_tables(p: np.ndarray, q: np.ndarray, n: int):
+    """``(T, sums, j)`` for every pair i at once, its members (j, k) with
+    j + k <= n listed by j + k, then j: ``sums`` and ``j`` name them, and
+    ``T[i, member, beta] = [t^beta] (p_i - t)^j (q_i + t)^k``, the
+    convolution of the binomial rows of (p_i - t)^j and (q_i + t)^k, each
+    row built from the one before. The members with j + k <= m < n are the
+    first (m + 1)(m + 2) / 2."""
+    # rows[0] of (p - t)^j, rows[1] of (q + t)^j: a - b is a + (-1) b exactly
+    rows = np.zeros((2, len(p), n + 1, n + 1))
+    rows[:, :, 0, 0] = 1.0
+    scale, sign = np.stack([p, q])[:, :, None], np.array([-1.0, 1.0])[:, None, None]
     for j in range(1, n + 1):
-        minus[j] = p * minus[j - 1]
-        minus[j, 1:] -= minus[j - 1, :-1]
-        plus[j] = q * plus[j - 1]
-        plus[j, 1:] += plus[j - 1, :-1]
-    table = np.zeros((n + 1, n + 1, n + 1))
+        rows[:, :, j] = scale * rows[:, :, j - 1]
+        rows[:, :, j, 1:] += sign * rows[:, :, j - 1, :-1]
+    minus, plus = rows
+    tables = np.zeros((len(p), n + 1, n + 1, n + 1))
     for u in range(n + 1):
-        table[:, :, u:] += minus[:, None, u, None] * plus[None, :, : n + 1 - u]
-    return table
+        tables[:, :, :, u:] += minus[:, :, None, u, None] * plus[:, None, :, : n + 1 - u]
+    sums = np.arange(n + 1).repeat(np.arange(1, n + 2))
+    j = np.arange(len(sums)) - sums * (sums + 1) // 2
+    return tables[:, j, sums - j], sums, j
 
 
 def _budget_keys(width: int, coordinates, length: int, budget: int) -> np.ndarray:
@@ -124,39 +141,145 @@ def _budget_keys(width: int, coordinates, length: int, budget: int) -> np.ndarra
     keys = np.zeros((1, width), dtype=np.min_scalar_type(-length - 1))
     room = np.array([[length, budget]])
     for column, degree, counted in coordinates:
-        top = np.minimum(room[:, 1] // degree, room[:, 0] if counted else 1)
-        rows = np.repeat(np.arange(len(keys)), top + 1)
-        value = np.arange(len(rows)) - np.repeat(np.cumsum(top + 1) - top - 1, top + 1)
+        runs = np.minimum(room[:, 1] // degree, room[:, 0] if counted else 1) + 1
+        rows = np.arange(len(keys)).repeat(runs)
+        value = np.arange(len(rows)) - (runs.cumsum() - runs).repeat(runs)
         keys = keys[rows]
         keys[:, column] = value
         room = room[rows] - value[:, None] * np.array([int(counted), degree])
     return keys
 
 
-def _contract(keys: np.ndarray, values: np.ndarray, upper: int, p: float, q: float):
+def _contract(keys: np.ndarray, values: np.ndarray, upper: int, table: np.ndarray,
+              sums: np.ndarray, j: np.ndarray):
     """Replace the generator exponent beta in column ``upper`` of every key
     by the pair's letter counts (j, k) in columns ``upper`` and ``upper + 1``,
-    with value sum_beta T[j, k, beta] values[beta] (``_expansion_table``).
+    with value sum_beta T[j, k, beta] values[beta], from one pair's
+    ``_expansion_tables`` of any size that covers the largest beta.
 
-    ``keys`` must hold runs beta = 0..top of otherwise equal keys. Each
-    (j, k) block of the result keeps the order of its runs, so the next
-    column contracted, the least significant one left, again runs over
-    contiguous rows."""
-    beta = keys[:, upper]
-    starts = np.flatnonzero(beta == 0)
-    tops = np.diff(starts, append=len(beta)) - 1
-    table = _expansion_table(p, q, int(tops.max()))
-    out_keys, out_values = [], []
-    for s in range(int(tops.max()) + 1):
-        runs = starts[tops >= s]
-        j = np.arange(s + 1)
-        block = values[runs[:, None] + j] @ table[j, s - j, : s + 1].T
-        block_keys = np.tile(keys[runs], (s + 1, 1))
-        block_keys[:, upper] = np.repeat(j, len(runs))
-        block_keys[:, upper + 1] = s - block_keys[:, upper]
-        out_keys.append(block_keys)
-        out_values.append(block.T.ravel())
-    return np.concatenate(out_keys), np.concatenate(out_values)
+    ``keys`` must hold runs beta = 0..top of otherwise equal keys. The runs,
+    zero-padded to one length, meet the table in one product. The result
+    lists the members by j + k, then j, each block keeping the order of
+    its runs, so the next column contracted, the least significant one
+    left, again runs over contiguous rows."""
+    (starts,) = (keys[:, upper] == 0).nonzero()
+    tops = np.empty_like(starts)
+    tops[:-1] = starts[1:] - starts[:-1] - 1
+    tops[-1] = len(keys) - starts[-1] - 1
+    n = int(tops.max())
+    members = (n + 1) * (n + 2) // 2
+    table, sums, j = table[:members, : n + 1], sums[:members], j[:members]
+    beta = np.arange(n + 1)
+    runs = np.zeros((len(starts), n + 1))
+    runs[beta <= tops[:, None]] = values
+    out = runs @ table.T
+    if not np.isfinite(values).all():
+        # the product adds 0 * values[beta] for beta > j + k, which an
+        # infinite value turns into nan; such runs sum over beta <= j + k only
+        (bad,) = np.nonzero(~np.isfinite(runs).all(axis=1))
+        for rows in _row_blocks(len(bad), table.size):
+            terms = table * runs[bad[rows], None, :]
+            out[bad[rows]] = np.where(beta <= sums[:, None], terms, 0.0).sum(axis=2)
+    member, run = np.nonzero(sums[:, None] <= tops)
+    out_keys = keys[starts[run]]
+    out_keys[:, upper] = j[member]
+    out_keys[:, upper + 1] = sums[member] - j[member]
+    return out_keys, out[run, member]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array, and the position of each row
+    among them."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return ordered[first], inverse
+
+
+def _half_products(seq: MomentSequence, generators, degrees: np.ndarray,
+                   a_counts: np.ndarray, b_counts: np.ndarray) -> np.ndarray:
+    """h_A^T K h_B for each row pair (A, B) of generator counts, the
+    ``generators`` by falling ``degrees``: the coefficient vectors h of the
+    distinct halves on the graded-lex basis come from the multiplication
+    matrices of the generators (``moments._multiplication_matrix``), one
+    matrix product per generator power over the halves that hold it. K
+    pairs the monomials of degree <= the tallest A with those of degree <=
+    the tallest B: a view of the plain moment matrix when A fits n_max, and
+    otherwise gathered on the monomials that the halves hold."""
+    d = seq.dimension
+    halves, inverse = _distinct_rows(np.concatenate([a_counts, b_counts]))
+    a_rows, b_rows = inverse[: len(a_counts)], inverse[len(a_counts):]
+    half_degrees = halves @ degrees
+    tall, short = int(half_degrees[a_rows].max()), int(half_degrees[b_rows].max())
+    size = [math.comb(k + d, d) for k in range(tall + 1)]
+    vectors = np.zeros((len(halves), size[tall]))
+    vectors[:, 0] = 1.0
+    # per generator: the halves by falling count of its copies, how many
+    # hold each power of it, and the degree they reach before its copies
+    weights = halves * degrees
+    holding = (-halves).argsort(axis=0, kind="stable")
+    before = (weights.cumsum(axis=1) - weights)[holding, np.arange(len(degrees))]
+    reached = np.maximum.accumulate(before, axis=0).T.tolist()
+    held = (halves[:, :, None] > np.arange(halves.max())).sum(axis=0).tolist()
+    for column, (g, w) in enumerate(zip(generators, degrees.tolist())):
+        holders = [count for count in held[column] if count]
+        if not holders:
+            continue
+        lows = [reached[column][count - 1] + power * w for power, count in enumerate(holders)]
+        # each power reads the top-left block of the widest one
+        multiply = _multiplication_matrix(g, max(lows))
+        for count, low in zip(holders, lows):
+            rows = holding[:count, column]
+            vectors[rows, : size[low + w]] = (
+                vectors[rows, : size[low]] @ multiply[: size[low + w], : size[low]].T)
+    if 2 * tall <= seq.max_degree:  # K is the plain moment matrix
+        left = vectors @ _plain_block(seq, tall)[:, : size[short]]
+        return (left[a_rows] * vectors[b_rows, : size[short]]).sum(axis=1)
+    # a taller A: K on the monomials that the halves hold, and only those
+    basis = _monomial_array(d, tall)
+    (rows,) = vectors[np.bincount(a_rows, minlength=len(halves)) > 0].any(axis=0).nonzero()
+    (columns,) = vectors[np.bincount(b_rows, minlength=len(halves)) > 0, : size[short]].any(
+        axis=0).nonzero()
+    left = vectors[:, rows] @ _moment_entries(seq, basis[rows], basis[columns])
+    return (left[a_rows] * vectors[:, columns][b_rows]).sum(axis=1)
+
+
+def _pushforward_moments(seq: MomentSequence, generators, exponents: np.ndarray) -> np.ndarray:
+    """z[r] = L(g_1^e_1 ... g_n^e_n) for each row e of ``exponents``, every
+    such product of degree <= max_degree; ValueError naming the first z, in
+    row order, that is not a finite float.
+
+    Each product splits into a taller half A, the shortest run of its
+    generator copies, taken by falling degree, that holds at least half its
+    degree, and the shorter rest B, and z = h_A^T K h_B
+    (``_half_products``). The products whose A fits n_max share one K, a
+    view of the plain moment matrix. Those with a taller A, of degree a, are
+    grouped by a: B has degree <= max_degree - a, so each group's K and
+    vectors stay about the size of the plain matrix, however tall a is, and
+    K holds only the monomials of the halves (two for A = 1 - x^a).
+    """
+    degrees = np.array([g.degree() for g in generators])
+    order = (-degrees).argsort(kind="stable")
+    degrees = degrees[order]
+    counts = exponents[:, order].astype(np.intp)
+    weights = counts * degrees
+    reach = weights.cumsum(axis=1)
+    taken = np.minimum(np.maximum(
+        (reach[:, -1:] - 2 * (reach - weights) + 2 * degrees - 1) // (2 * degrees), 0), counts)
+    group = np.maximum(taken @ degrees, seq.n_max)
+    z = np.empty(len(counts))
+    for top in sorted(set(group.tolist())):  # np.unique would import numpy.ma
+        (rows,) = (group == top).nonzero()
+        z[rows] = _half_products(seq, [generators[i] for i in order.tolist()], degrees,
+                                 taken[rows], counts[rows] - taken[rows])
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"L(p q) = {z[finite.argmin()]} is not finite")
+    return z
 
 
 def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
@@ -171,9 +294,9 @@ def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
     and upper^j lower^k = sum_beta T[j, k, beta] g^beta; any other pair has
     both sides as generators, and the prefactor is one more, each an
     identity table. So every member is a linear map of the pushforward
-    moments z_beta = L(g_1^beta_1 ... g_n^beta_n): each z that fits the
-    budget is one ``apply`` over the prefix memo of generator products,
-    and the maps are contracted one pair at a time (``_contract``).
+    moments z_beta = L(g_1^beta_1 ... g_n^beta_n), all of which that fit the
+    budget come from a few matrix products (``_pushforward_moments``), and
+    the maps are contracted one pair at a time (``_contract``).
 
     Every letter must have positive degree, so no member longer than
     L = max_degree // (smallest letter degree) fits the budget, and only the
@@ -214,15 +337,16 @@ def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
     # contiguous rows for _contract
     pairs = [(i, degrees[i], True) for i, _, _ in reversed(axes)]
     keys = _budget_keys(m + 1, singles + pairs, longest, seq.max_degree)
-    product = _prefix_products([g for g, _ in generators], seq.dimension)
-    values = np.empty(len(keys))
-    for row, exponents in enumerate(keys[:, [column for _, column in generators]].tolist()):
-        combo = tuple(g for g, count in enumerate(exponents) for _ in range(count))
-        half = len(combo) // 2
-        values[row] = seq.apply(product(combo[:half]), product(combo[half:]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for upper, p, q in axes:
-            keys, values = _contract(keys, values, upper, p, q)
+        values = _pushforward_moments(
+            seq, [g for g, _ in generators], keys[:, [column for _, column in generators]])
+        if axes:
+            uppers, p, q = zip(*axes)
+            tables, sums, j = _expansion_tables(np.array(p, dtype=float),
+                                                np.array(q, dtype=float),
+                                                int(keys[:, list(uppers)].max()))
+            for upper, table in zip(uppers, tables):
+                keys, values = _contract(keys, values, upper, table, sums, j)
     counts, prefactored = keys[:, :m], keys[:, m]
     lengths = counts.sum(axis=1)
     formed = (lengths > 0) | (prefactored > 0)
@@ -232,16 +356,17 @@ def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
         rows = rows[formed[rows]]
         return rows[np.lexsort((prefactored[rows], *(-counts[rows, ::-1].T), lengths[rows]))]
 
-    broken = listed(np.flatnonzero(~np.isfinite(values)))
-    if len(broken):
-        raise ValueError(f"L(p q) = {values[broken[0]]} is not finite")
+    finite = np.isfinite(values)
+    if not finite.all():  # the one member not formed, the empty product, is L(1)
+        raise ValueError(f"L(p q) = {values[listed((~finite).nonzero()[0])[0]]} is not finite")
     attempted += int(formed.sum())
+    (below,) = (values < -tol).nonzero()
     violations = [
         Violation(
-            describe(tuple(np.repeat(np.arange(m), counts[i]).tolist()), bool(prefactored[i])),
+            describe(tuple(np.arange(m).repeat(counts[i]).tolist()), bool(prefactored[i])),
             float(values[i]),
         )
-        for i in listed(np.flatnonzero(values < -tol))
+        for i in (listed(below) if len(below) else ())
     ]
     return violations, attempted, total - attempted
 
@@ -276,10 +401,10 @@ def product_positivity_check(
         for i, pair in enumerate(factors)
         for side, letter in zip(FactorPair._fields, pair)
     ]
-    labels = [f"({format_polynomial(letter, names)})" for _, letter in letters]
+    label = functools.cache(lambda k: f"({format_polynomial(letters[k][1], names)})")
     violations, attempted, skipped = _semiring_check(
         seq, letters, max_factors, tol,
-        describe=lambda combo, _: " * ".join(labels[k] for k in combo),
+        describe=lambda combo, _: " * ".join(map(label, combo)),
     )
     return CheckReport(tuple(violations), attempted, skipped)
 
@@ -310,10 +435,11 @@ def cone_positivity_check(
     plus = Polynomial.constant(seq.dimension, c_a) + a
     prefactor = Polynomial.constant(seq.dimension, c_b * c_b) - b * b
 
+    shown = functools.cache(lambda p: format_polynomial(p, names))
+
     def describe(combo: tuple, prefactored: bool) -> str:
-        head = f"({format_polynomial(prefactor, names)}) * " if prefactored else ""
-        low, high = (format_polynomial(p, names) for p in (minus, plus))
-        return f"{head}({low})^{combo.count(0)} * ({high})^{combo.count(1)}"
+        head = f"({shown(prefactor)}) * " if prefactored else ""
+        return f"{head}({shown(minus)})^{combo.count(0)} * ({shown(plus)})^{combo.count(1)}"
 
     violations, attempted, skipped = _semiring_check(
         seq, [("cone a", minus), ("cone a", plus)], jk_max, tol, describe,

@@ -51,6 +51,21 @@ class SymMatrix:
         arr.flags.writeable = False
         self.data = arr
 
+    @classmethod
+    def gathered(cls, values: np.ndarray, data: np.ndarray) -> "SymMatrix":
+        """``SymMatrix(data)`` for a real symmetric square ``data`` gathered
+        from ``values``, every entry of which it takes (a moment matrix and
+        its moment vector). Symmetric as gathered, the matrix is its own
+        symmetrization wherever that is finite, so only the check runs, on
+        ``values``: ``a + a`` is finite exactly where ``0.5 * (a + a)`` is."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(values + values).all():
+                raise ValueError("matrix has non-finite entries")
+        matrix = cls.__new__(cls)
+        matrix.data = data
+        matrix.data.flags.writeable = False
+        return matrix
+
     @property
     def order(self) -> int:
         return self.data.shape[0]

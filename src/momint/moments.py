@@ -12,6 +12,14 @@ graded-lex rank ``r``, the position it has in ``enumerate_monomials``, and
 order sorts by degree first, the monomials of degree <= k are a prefix of
 ``y`` for every k.
 
+Documents are read in bulk (``_listed``): one array of the indices, checked
+for shape, integrality, sign and degree with masks, and one array of the
+values; a table that lists the graded-lex enumeration in its order, as
+``to_document`` writes it, is recognized by one list comparison and needs no
+ranks. Only a list that the bulk checks refuse is read pair by pair, which
+names its first bad pair. ``to_document`` lists the indices from the cached
+exponent array of the enumeration.
+
 The oracle measures are weighted sums of product measures, so over the
 exponent table ``E`` of the stored monomials ``y = sum_c w_c prod_j
 T_(c,j)[E[:, j]]``, where ``T_(c,j)`` holds the powers of coordinate j of
@@ -47,6 +55,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -113,6 +122,13 @@ def _monomial_array(dimension: int, degree: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _index_lists(dimension: int, degree: int) -> list:
+    """``_monomial_array`` as lists of ints, the form a moment document
+    lists its indices in; private, so never mutated."""
+    return _monomial_array(dimension, degree).tolist()
+
+
+@functools.lru_cache(maxsize=64)
 def _monomial_positions(dimension: int, degree: int) -> np.ndarray:
     """``(d + 1) * R + offset`` over ``_monomial_array``: positions in the
     flat rank table, shifted to ``x^delta`` times each row by adding
@@ -165,6 +181,51 @@ def _term_data(p: Polynomial) -> tuple[np.ndarray, np.ndarray, int]:
     return p._arrays
 
 
+def _multiplication_matrix(p: Polynomial, low: int, exponent: int = 0,
+                           width: int | None = None) -> np.ndarray:
+    """Multiplication by ``2^(-exponent) p``, for a nonzero p, from the
+    graded-lex basis of degree <= ``low`` into that of degree <= ``low + deg
+    p``: ``S[rank(b + e), rank(b)] = 2^(-exponent) p_e`` for every term
+    ``p_e x^e`` and every basis monomial b of degree <= low, with ``width``
+    columns (one per such b by default, zero past them). The ranks come
+    from the cached positions of the basis plus those of the terms, as in
+    ``moment_matrix``: no table of pairwise ranks, so S is the only array of
+    its size."""
+    scaled, coefficients, degree = _term_data(p)
+    d = p.dimension
+    positions = _monomial_positions(d, low)
+    ranks = _rank_table(low + degree, d)[0].take(positions[:, :, None] + scaled).sum(axis=1)
+    matrix = np.zeros((math.comb(low + degree + d, d),
+                       len(positions) if width is None else width))
+    matrix[ranks, np.arange(len(positions))[:, None]] = np.ldexp(coefficients, -exponent)
+    return matrix
+
+
+def _plain_block(seq: "MomentSequence", order: int) -> np.ndarray:
+    """The plain moment matrix of an order <= n_max as gathered from y,
+    read-only and memoized per sequence: ``moment_matrix`` wraps it after
+    its finiteness check, and the semiring checks of ``certify`` read it
+    unchecked."""
+    key = ("plain block", order)
+    block = seq._cache.get(key)
+    if block is None:
+        block = seq._cache[key] = seq.y[_gram_index(seq.dimension, order)]
+        block.flags.writeable = False
+    return block
+
+
+def _moment_entries(seq: "MomentSequence", left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``K[i, j] = y[rank(left_i + right_j)]`` over the exponent rows ``left``
+    and ``right``, zero where the sum lies beyond the stored truncation;
+    gathered in row blocks of about PAIR_BLOCK entries."""
+    block = np.zeros((len(left), len(right)))
+    for rows in _row_blocks(len(left), len(right)):
+        ranks = grlex_rank(left[rows, None, :], right[None, :, :])
+        stored = ranks < len(seq.y)
+        block[rows][stored] = seq.y[ranks[stored]]
+    return block
+
+
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], exact through degree
     ``2*order - 1``: the Gauss rule of the Legendre recurrence
@@ -195,37 +256,101 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _dense_moments(dimension: int, max_degree: int, pairs) -> np.ndarray:
-    """The grlex moment vector of (index, value) pairs; ValueError on a bad
-    index or value, and unless each index up to max_degree is listed once."""
-    exponents, values = [], []
-    for key, value in pairs:
+#: largest index entry that the bulk ingest takes; d of them sum inside int64
+INDEX_ENTRY_LIMIT = 2**62
+
+
+def _checked_pairs(dimension: int, max_degree: int, keys, values):
+    """The exponents and float values of the listed pairs, checked one pair
+    at a time in list order; ValueError naming the first bad index or value.
+    ``_listed`` runs this only on lists that its bulk checks refuse."""
+    exponents, floats = [], []
+    for key, value in zip(keys, values):
         index = _multi_index(key, dimension)
         if sum(index) > max_degree:
             raise ValueError(f"index {index} exceeds max_degree {max_degree}")
         try:
-            values.append(float(value))
+            floats.append(float(value))
         except (TypeError, ValueError):
             raise ValueError(f"moment value at {index} must be a number, got {value!r}") from None
         exponents.extend(index)
+    return exponents, np.array(floats)
+
+
+def _bulk_array(items) -> np.ndarray | None:
+    """``np.array(items)`` when it holds booleans, integers or floats only."""
+    try:
+        array = np.array(items)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return array if array.dtype.kind in "biuf" else None
+
+
+def _listed(dimension: int, max_degree: int, keys: list, values: list):
+    """``(exponents, floats, ranks)`` of the listed indices and values;
+    ``ranks`` is None unless the indices are the graded-lex enumeration
+    itself, in its order, as ``to_document`` writes them.
+
+    The checks run in bulk: one ``np.array`` of the indices, with masks for
+    shape, integrality, sign and degree, and one of the values, which must
+    be booleans, integers or floats. They accept only what ``_multi_index``
+    and ``float`` accept pair by pair, and give the same numbers. A list
+    that they refuse goes through ``_checked_pairs``, which names its first
+    bad pair, or returns the pairs that only it accepts (a value written
+    as text, say).
+    """
+    n = len(keys)
+    floats = _bulk_array(values)
+    if dimension >= 1 and floats is not None and floats.shape == (n,):
+        floats = floats.astype(float)
+        # a complete table has at least max_degree + 1 and dimension + 1
+        # entries, which bounds the work of the comparison by the list's size
+        if (0 <= max_degree < n and dimension < n
+                and n == math.comb(max_degree + dimension, dimension)
+                and keys == _index_lists(dimension, max_degree)):
+            return _monomial_array(dimension, max_degree), floats, np.arange(n)
+        exponents = _bulk_array(keys)
+        if exponents is not None and exponents.shape == (n, dimension):
+            limit = min(max_degree, INDEX_ENTRY_LIMIT // dimension)
+            valid = (exponents >= 0) & (exponents <= limit)
+            if exponents.dtype.kind == "f":
+                valid &= exponents == np.floor(exponents)
+            if valid.all():
+                exponents = exponents.astype(np.intp)
+                if exponents.sum(axis=1).max(initial=0) <= limit:
+                    return exponents, floats, None
+    return (*_checked_pairs(dimension, max_degree, keys, values), None)
+
+
+def _dense_moments(dimension: int, max_degree: int, keys: list, values: list) -> np.ndarray:
+    """The grlex moment vector of the listed indices and values; ValueError
+    on a bad index or value (``_listed``), and unless each index up to
+    max_degree is listed once."""
+    exponents, floats, ranks = _listed(dimension, max_degree, keys, values)
     # C(max_degree + j, j) grows with j to the size of a complete table: a
     # short list fails at the first j past it, before anything is enumerated
     needed = 1
     for j in range(1, dimension + 1):
         needed = needed * (max_degree + j) // j
-        if needed > len(values):
+        if needed > len(floats):
             raise ValueError(
-                f"moment table incomplete: {len(values)} indices listed, at least {needed} needed"
+                f"moment table incomplete: {len(floats)} indices listed, at least {needed} needed"
             )
-    monomials = _monomial_array(dimension, max_degree)
-    ranks = grlex_rank(np.array(exponents, dtype=np.intp).reshape(-1, dimension))
-    counts = np.bincount(ranks, minlength=len(monomials))
-    repeated = np.flatnonzero(counts > 1)
-    if repeated.size:
-        raise ValueError(f"moment index {monomials[repeated[0]].tolist()} listed more than once")
-    # at least len(monomials) distinct ranks below len(monomials): none is missing
-    y = np.empty(len(monomials))
-    y[ranks] = values
+    # the count above passes these for an empty list; no table has them
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if ranks is None:
+        exponents = np.asarray(exponents, dtype=np.intp).reshape(-1, dimension)
+        ranks = grlex_rank(exponents)
+        repeated = np.flatnonzero(np.bincount(ranks, minlength=needed) > 1)
+        if repeated.size:
+            first = exponents[np.argmax(ranks == repeated[0])]
+            raise ValueError(f"moment index {first.tolist()} listed more than once")
+    # at least ``needed`` distinct ranks below it: none is missing
+    y = np.empty(needed)
+    y[ranks] = floats
     return y
 
 
@@ -332,7 +457,7 @@ class MomentSequence:
     __slots__ = ("dimension", "max_degree", "y", "normalized", "scale", "origin", "_cache")
 
     def __init__(self, dimension: int, max_degree: int, values: Mapping, origin: str = ""):
-        y = _dense_moments(dimension, max_degree, values.items())
+        y = _dense_moments(dimension, max_degree, list(values), list(values.values()))
         self._store(dimension, max_degree, y, origin)
 
     @classmethod
@@ -423,29 +548,31 @@ class MomentSequence:
         """Matrix of b -> L(shift * b^2) on the monomials of degree <= order."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        if shift is None:
-            shift = Polynomial.constant(self.dimension, 1.0)
-        if shift.dimension != self.dimension:
+        if shift is not None and shift.dimension != self.dimension:
             raise ValueError("shift polynomial has wrong dimension")
-        shift_degree = max(shift.degree(), 0)
+        shift_degree = 0 if shift is None else max(shift.degree(), 0)
         if 2 * order + shift_degree > self.max_degree:
             raise DegreeOverflowError(
                 f"matrix order {order} with shift degree {shift_degree} needs "
                 f"moments of degree {2 * order + shift_degree} > {self.max_degree}"
             )
-        flat = _rank_table(self.max_degree, self.dimension)[0]
         positions = _monomial_positions(self.dimension, 2 * order)
+        if shift is None:  # the one gather of this order per sequence
+            block = _plain_block(self, order)
+            return MomentMatrix(SymMatrix.gathered(self.y[: len(positions)], block))
+        flat = _rank_table(self.max_degree, self.dimension)[0]
         shifted = np.zeros(len(positions))
         for delta, coeff in shift.terms.items():
             delta_positions = (self.dimension + 1) * _suffix_sums(np.array(delta))
             shifted = shifted + float(coeff) * self.y[flat.take(positions + delta_positions).sum(1)]
-        return MomentMatrix(SymMatrix(shifted[_gram_index(self.dimension, order)]))
+        gathered = shifted[_gram_index(self.dimension, order)]
+        return MomentMatrix(SymMatrix.gathered(shifted, gathered))
 
     # -- documents ----------------------------------------------------------
 
     def to_document(self) -> dict:
-        indices = enumerate_monomials(self.dimension, self.max_degree)
-        moments = [{"index": list(i), "value": v} for i, v in zip(indices, self.y.tolist())]
+        indices = _monomial_array(self.dimension, self.max_degree).tolist()
+        moments = [{"index": i, "value": v} for i, v in zip(indices, self.y.tolist())]
         return {
             "dimension": self.dimension,
             "max_degree": self.max_degree,
@@ -457,10 +584,11 @@ class MomentSequence:
         try:
             dimension = _integer(doc["dimension"], "dimension")
             max_degree = _integer(doc["max_degree"], "max_degree")
-            pairs = [(m["index"], m["value"]) for m in doc["moments"]]
+            pairs = list(map(itemgetter("index", "value"), doc["moments"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed moment document: {exc}") from exc
-        y = _dense_moments(dimension, max_degree, pairs)
+        keys, values = [key for key, _ in pairs], [value for _, value in pairs]
+        y = _dense_moments(dimension, max_degree, keys, values)
         return cls._from_dense(dimension, max_degree, y, origin)
 
     def __repr__(self) -> str:

@@ -323,14 +323,20 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
                 exps[index_of[value]] += exponent
             else:
                 raise PolynomialParseError(f"expected a coefficient or variable at position {at}")
+            factor = kind
             kind, op, at = tokens[pos]
+            if op == "^":  # a name has taken its one exponent, a number takes none
+                raise PolynomialParseError(
+                    f"'^' at position {at} gives a factor a second exponent" if factor == "name"
+                    else f"'^' at position {at} comes after a number: an exponent must follow "
+                    "a variable")
             if kind in ("num", "name"):
                 raise PolynomialParseError(f"expected an operator before {op!r} at position {at}")
             if op in ("*", "/"):
                 pos += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + coeff
-    return Polynomial(d, terms)
+    return Polynomial._trusted(d, terms)  # keys are d-tuples of ints by construction
 
 
 def format_polynomial(p: Polynomial, variables: Sequence[str] | None = None) -> str:

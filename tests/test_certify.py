@@ -16,6 +16,7 @@ from momint.certify import (
     schmudgen_check,
     weak_absolute_value_check,
 )
+from momint import bounds
 from momint.bounds import growth_bound
 from momint.exceptions import DegreeOverflowError
 from momint.moments import MeasureSpec, MomentSequence, from_measure
@@ -735,3 +736,125 @@ def test_products_on_the_whole_box_semiring_in_bounded_memory():
         tracemalloc.stop()
     assert (report.attempted, report.skipped, report.passed) == (74612, 0, True)
     assert peak < 64 * 2**20
+
+
+# -- pushforward moments from one matrix product -------------------------------
+
+
+def _fuzz_atoms_table(degree):
+    """The moments of the fuzz corpus's three 2-D atoms (tests/test_fuzz_cli.py)."""
+    atoms = [((0.5, -0.25), 0.5), ((-0.75, 0.5), 0.3), ((0.25, 0.75), 0.2)]
+    return from_measure(MeasureSpec(atoms=atoms), degree)
+
+
+U2, V2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+
+
+def test_products_with_a_half_above_n_max_match_the_reference_loop():
+    # 0.5 -+ x^5 on a degree-8 table: every product with it has a half of
+    # degree 5 > n_max = 4, so the moment block is taller than the plain matrix
+    seq = _fuzz_atoms_table(8)
+    factors = [FactorPair(0.5 - U2**5, 0.5 + U2**5), FactorPair(0.6 - V2, 0.6 + V2)]
+    assert check_products_against_naive(seq, factors, 4) > 0
+
+
+def test_products_with_a_letter_of_full_degree_in_bounded_memory():
+    # d = 4, degree 16: the letters 0.5 -+ x1^16 fill the whole budget, and
+    # 0.5 -+ x2^9 gives halves of degree 9 > n_max = 8. Each taller group
+    # gets its own moment block and vectors, about the size of the plain
+    # matrix, where a square multiplication matrix or a table of pairwise
+    # ranks at degree 16 would take 190 MB each
+    import tracemalloc
+
+    x1, x2, x3, x4 = (Polynomial.variable(4, i) for i in range(4))
+    seq = from_measure(MeasureSpec(atoms=[((0.9, -1.05, 0.3, 0.6), 0.6),
+                                          ((-0.7, 0.8, -0.2, 0.4), 0.4)]), 16)
+    factors = [FactorPair(0.5 - x1**16, 0.5 + x1**16), FactorPair(0.5 - x2**9, 0.5 + x2**9),
+               FactorPair(1.0 - x3 * x4, 1.0 + x3 * x4)]
+    tracemalloc.start()
+    try:
+        product_positivity_check(seq, factors, max_factors=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert check_products_against_naive(seq, factors, 8) > 0
+
+
+def test_cone_with_a_prefactor_above_n_max_matches_the_reference_loop():
+    from momint.policy import relative_tol
+
+    # b = x*y + y^2 on a degree-6 table: the prefactor cb^2 - b^2 has degree
+    # 4 > n_max = 3
+    seq = _fuzz_atoms_table(6)
+    a, b = U2, U2 * V2 + V2 * V2
+    report = cone_positivity_check(seq, a, b, jk_max=4)
+    want, attempted, skipped = reference_cone(seq, a, b, 4, relative_tol(seq.y))
+    assert (report.attempted, report.skipped) == (attempted, skipped)
+    assert want and skipped
+    assert_within_expansion_bound(report.violations, want)
+
+
+def test_products_and_cone_make_no_apply_and_build_the_plain_matrix_once(monkeypatch):
+    applied, built = [], []
+    apply, moment_matrix = MomentSequence.apply, MomentSequence.moment_matrix
+
+    def counting_apply(self, p, q=None):
+        applied.append(p)
+        return apply(self, p, q)
+
+    def counting_matrix(self, order, shift=None):
+        built.append((order, None if shift is None else tuple(shift.terms.items())))
+        return moment_matrix(self, order, shift)
+
+    monkeypatch.setattr(MomentSequence, "apply", counting_apply)
+    monkeypatch.setattr(MomentSequence, "moment_matrix", counting_matrix)
+    seq = from_measure(MeasureSpec(atoms=[((0.5, -0.2, 0.1), 0.7), ((-0.3, 0.4, 0.8), 0.3),
+                                          ((1.2, 0.1, -0.6), 0.5)]), 16)
+    config = {"checks": [
+        {"check": "products", "max_factors": 5, "factors": [
+            {"upper": "1 - 0.3*x1 + 0.2*x2", "lower": "1 + 0.3*x1 - 0.2*x2"},
+            {"upper": "1 - 0.7*x1^2*x2*x3", "lower": "1 + 0.7*x1^2*x2*x3"}]},
+        {"check": "cone", "a": "0.4*x1 - 0.3*x3", "b": "0.2*x2 + 0.5*x3", "jk_max": 4},
+        {"check": "growth", "generators": [{"poly": "x1*x2", "bound": 0.9}]},
+    ]}
+    results = run_check_config(seq, config)
+    assert [name for name, _ in results] == ["products", "cone", "growth"]
+    assert results[0][1].attempted > 0 and results[1][1].violations
+    assert applied == []
+    assert built == [(8, None)]
+    # one gather: the growth check's plain matrix of order 8 wraps the block
+    # that the products check read
+    block = seq._cache[("plain block", 8)]
+    assert np.shares_memory(bounds._localized_matrix(seq, 8).data, block)
+
+
+def test_an_overflowing_moment_fails_the_products_check_as_before():
+    # a d = 2, degree-16 atom table whose second moment (of x1) is 1e308: the
+    # pushforward moments stay finite, and (1 - x1)^2 is the first member,
+    # in enumeration order, whose expansion overflows
+    seq = from_measure(MeasureSpec(atoms=[((0.3, -0.2), 0.6), ((-0.5, 0.4), 0.4)]), 16)
+    doc = seq.to_document()
+    doc["moments"][1]["value"] = 1e308
+    seq = MomentSequence.from_document(doc)
+    x1 = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError) as info:
+        product_positivity_check(seq, [FactorPair(1.0 - x1, 1.0 + x1)], max_factors=6)
+    assert str(info.value) == "L(p q) = -inf is not finite"
+
+
+def test_an_overflow_in_one_pair_leaves_the_next_pairs_shorter_members_alone():
+    # L(x1 x2) = 1e308: contracting the x1 pair makes L((1 - x1)^2 x2) = -inf,
+    # which the x2 pair's zero-padded product must not multiply by the zero
+    # coefficient of (1 - x1)^2 itself (nan); the first member listed that
+    # overflows is (1 - x1)^2 (1 - x2), at +inf
+    seq = from_measure(MeasureSpec(atoms=[((0.3, -0.2), 0.6), ((-0.5, 0.4), 0.4)]), 6)
+    doc = seq.to_document()
+    doc["moments"][4]["value"] = 1e308
+    assert doc["moments"][4]["index"] == [1, 1]
+    seq = MomentSequence.from_document(doc)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    pairs = [FactorPair(1.0 - x1, 1.0 + x1), FactorPair(1.0 - x2, 1.0 + x2)]
+    with pytest.raises(ValueError) as info:
+        product_positivity_check(seq, pairs, max_factors=3)
+    assert str(info.value) == "L(p q) = inf is not finite"

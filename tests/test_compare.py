@@ -155,3 +155,89 @@ def test_a_declared_flipped_verdict_is_counted(compare, tmp_path):
 def test_a_malformed_expectation_is_refused(compare, tmp_path, entry):
     with pytest.raises(ValueError, match="needs 'path'"):
         expectations(compare, tmp_path, [entry])
+
+
+# -- invocation entries: changed exit codes and stderr -------------------------
+
+
+def outcome(code=0, stdout="", stderr="", report='{"passed": true}'):
+    return {"code": code, "stdout": stdout, "stderr": stderr, "report": report}
+
+
+JUXTAPOSED = ("analyze-juxtaposed-factors", outcome(0),
+              outcome(2, stderr="error: expected an operator before 't' at position 1\n",
+                      report=None))
+
+
+def test_an_undeclared_exit_change_still_fails(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "analyze-other", "exit": [0, 2]},
+        {"invocation": "analyze-*", "exit": [1, 2]}])
+    assert compare.absorb_invocation(entries, *JUXTAPOSED) == ["exit", "stderr", "report"]
+    assert [e["used"] for e in entries if "used" in e] == []
+
+
+def test_a_declared_exit_change_and_its_stderr_pass(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "analyze-juxtaposed-*", "exit": [0, 2]},
+        {"invocation": "analyze-juxtaposed-factors", "stderr": "before 't' at position 1$"}])
+    assert compare.absorb_invocation(entries, *JUXTAPOSED) == []
+    assert [e["used"] for e in entries] == [1, 1]
+    assert compare.unused_entries(entries) == []
+
+
+def test_a_stderr_entry_matches_the_working_trees_stderr_only(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "*", "stderr": "at position None"}])
+    base = outcome(2, stderr="error: expected integer exponent at position None\n", report=None)
+    head = outcome(2, stderr="error: expected integer exponent at position 2\n", report=None)
+    assert compare.absorb_invocation(entries, "analyze-truncated-exponent", base, head) == [
+        "stderr"]
+    entries[0]["entry"]["stderr"] = "exponent at position 2"
+    assert compare.absorb_invocation(entries, "analyze-truncated-exponent", base, head) == []
+
+
+def test_an_unused_entry_fails(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.rayleigh.upper", "allow": {"rel": 1e-9}},
+        {"invocation": "spectral#*", "exit": [0, 1]},
+        {"path": ".passed", "allow": {"flip": [True, False]}}])
+    changes, others = walk(compare, GROWTH, changed_growth(1.0 + 1e-12))
+    usage, _ = compare.check_envelopes(entries, changes, others, {})
+    assert compare.absorb_invocation(entries, *JUXTAPOSED) == ["exit", "stderr", "report"]
+    assert compare.unused_entries(entries) == [
+        "  rel 1e-09 at .results.polynomials.*.rayleigh.upper",
+        '  exit [0, 1] at spectral#*',
+        "  flip [true, false] at .passed"]
+    assert usage[0].endswith("| 0 changes")
+
+
+def flipped(compare, tmp_path, direction, base_passed, head_passed):
+    entries = expectations(compare, tmp_path, [{"path": ".passed", "allow": {"flip": direction}}])
+    changes, others, flips = {}, {}, {}
+    assert compare._walk_changes({**GROWTH, "passed": base_passed},
+                                 {**GROWTH, "passed": head_passed}, "", changes, others,
+                                 flips) == 0
+    usage, outside = compare.check_envelopes(entries, changes, others, flips)
+    return entries[0]["used"], outside
+
+
+def test_a_flip_in_the_declared_direction_is_absorbed(compare, tmp_path):
+    assert flipped(compare, tmp_path, [True, False], True, False) == (1, [])
+
+
+def test_a_flip_in_the_wrong_direction_fails(compare, tmp_path):
+    used, outside = flipped(compare, tmp_path, [True, False], False, True)
+    assert used == 0
+    assert outside == ["  .passed | false -> true | 1 | allowed: flip [true, false]"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"invocation": "x"}, {"invocation": "x", "exit": [0, 0]}, {"invocation": "x", "exit": 2},
+    {"invocation": "x", "exit": [0, 2], "stderr": "e"}, {"invocation": 1, "stderr": "e"},
+    {"invocation": "x", "stderr": "("}, {"path": ".passed", "allow": {"flip": [True, True]}},
+    {"path": ".passed", "allow": {"flip": ["true", "false"]}},
+])
+def test_a_malformed_invocation_or_flip_entry_is_refused(compare, tmp_path, entry):
+    with pytest.raises(ValueError, match="needs '(path|invocation)'"):
+        expectations(compare, tmp_path, [entry])

@@ -194,6 +194,25 @@ def test_sym_matrix_normalizes_once():
             SymMatrix(bad)
 
 
+def test_a_gathered_symmetric_matrix_is_the_normalized_one():
+    # values[index] with a symmetric index that takes every value, as a
+    # moment matrix gathers its moment vector
+    rng = np.random.default_rng(61)
+    index = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+    values = rng.normal(size=5)
+    m = SymMatrix.gathered(values, values[index])
+    assert m.data.tobytes() == SymMatrix(values[index]).data.tobytes()
+    assert not m.data.flags.writeable
+    # the same error as the normalizer, without a warning, where the
+    # symmetrization would overflow or meet a non-finite value
+    for bad in (1e308, -1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymMatrix(np.where(index == 3, bad, values[index]))
+        with pytest.raises(ValueError, match="non-finite"):
+            spoiled = np.where(np.arange(5) == 3, bad, values)
+            SymMatrix.gathered(spoiled, spoiled[index])
+
+
 def test_eigenvalues_only_path(mp_eigenvalues):
     rng = np.random.default_rng(47)
     for n in (1, 4, 9):

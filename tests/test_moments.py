@@ -276,3 +276,84 @@ def test_moment_lookup_validates_index(lebesgue01):
             lebesgue01.moment(bad)
     with pytest.raises(DegreeOverflowError):
         lebesgue01.moment((11,))
+
+
+# -- bulk ingest: the same messages and the same numbers as pair by pair -----
+
+
+def _table_document(**changes) -> dict:
+    """The d = 2, degree-2 document with moments 1 / (1 + |alpha|), with
+    ``changes`` of the form ``{"<entry>_<field>": value}`` applied."""
+    doc = {"dimension": 2, "max_degree": 2, "moments": [
+        {"index": list(m), "value": 1.0 / (1 + sum(m))} for m in enumerate_monomials(2, 2)]}
+    for name, value in changes.items():
+        entry, field = name.split("_")
+        doc["moments"][int(entry)][field] = value
+    return doc
+
+
+#: the messages of the pair-by-pair ingest, one malformed class each; the
+#: bulk checks must name the same first bad pair in the same words
+INGEST_ERRORS = [
+    (_table_document(**{"3_index": [1, 0, 0]}), "bad multi-index [1, 0, 0] for dimension 2"),
+    (_table_document(**{"3_index": [1]}), "bad multi-index [1] for dimension 2"),
+    (_table_document(**{"3_index": [1.5, 0]}), "bad multi-index [1.5, 0] for dimension 2"),
+    (_table_document(**{"3_index": ["1", "0"]}), "bad multi-index ['1', '0'] for dimension 2"),
+    (_table_document(**{"3_index": [-1, 2]}), "bad multi-index [-1, 2] for dimension 2"),
+    (_table_document(**{"3_index": [3, 0]}), "index (3, 0) exceeds max_degree 2"),
+    (_table_document(**{"3_value": None}), "moment value at (2, 0) must be a number, got None"),
+    (_table_document(**{"3_value": "abc"}), "moment value at (2, 0) must be a number, got 'abc'"),
+    (_table_document(**{"4_index": [2, 0]}), "moment index [2, 0] listed more than once"),
+    ({**_table_document(), "moments": _table_document()["moments"][:-1]},
+     "moment table incomplete: 5 indices listed, at least 6 needed"),
+    ({**_table_document(), "max_degree": 10**30},
+     "moment table incomplete: 6 indices listed, at least "
+     "1000000000000000000000000000001 needed"),
+    # the first bad pair in list order, whichever check it fails
+    (_table_document(**{"1_value": None, "4_index": [9, 9]}),
+     "moment value at (1, 0) must be a number, got None"),
+    (_table_document(**{"2_index": [0.5, 0.5], "4_value": "x"}),
+     "bad multi-index [0.5, 0.5] for dimension 2"),
+]
+
+
+@pytest.mark.parametrize("doc, message", INGEST_ERRORS)
+def test_bulk_ingest_names_the_first_bad_pair_as_before(doc, message):
+    with pytest.raises(ValueError) as info:
+        MomentSequence.from_document(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("changes", [
+    {"1_index": [1.0, 0]}, {"1_index": [True, 0]}, {"3_value": "0.5"}, {"3_value": True},
+    {"3_value": 2**70}, {"0_index": [0.0, -0.0]},
+])
+def test_accepted_spellings_give_the_same_moments(changes):
+    plain = MomentSequence.from_document(_table_document())
+    spelled = MomentSequence.from_document(_table_document(**changes))
+    want = plain.y.copy()
+    if "3_value" in changes:
+        want[3] = float(changes["3_value"])
+    assert spelled.y.tobytes() == want.tobytes()
+
+
+def test_ingest_in_any_order_and_from_a_mapping_gives_the_same_moments():
+    doc = _table_document()
+    plain = MomentSequence.from_document(doc)
+    shuffled = {**doc, "moments": doc["moments"][::-1]}
+    assert MomentSequence.from_document(shuffled).y.tobytes() == plain.y.tobytes()
+    mapping = {tuple(m["index"]): m["value"] for m in doc["moments"][::-1]}
+    assert MomentSequence(2, 2, mapping).y.tobytes() == plain.y.tobytes()
+    assert MomentSequence.from_document(plain.to_document()).y.tobytes() == plain.y.tobytes()
+
+
+def test_to_document_writes_the_enumeration_as_before(lebesgue01):
+    import json
+
+    doc = lebesgue01.to_document()
+    # fresh lists, so the document equals its JSON round trip and a caller
+    # may edit it
+    assert doc == json.loads(json.dumps(doc))
+    assert [m["index"] for m in doc["moments"]] == [list(m) for m in enumerate_monomials(1, 10)]
+    doc["moments"][1]["index"].append(0)
+    assert lebesgue01.to_document()["moments"][1]["index"] == [1]

@@ -176,7 +176,8 @@ def test_parse_rejects_garbage():
     ("x^", "expected integer exponent at position 2"),
     ("x/", "expected numeric divisor at position 2"),
     ("x * ", "expected a coefficient or variable at position 4"),
-    ("2^3", "expected a coefficient or variable at position 1"),
+    ("2^3", "'^' at position 1 comes after a number: an exponent must follow a variable"),
+    ("x^2^3", "'^' at position 3 gives a factor a second exponent"),
     ("x -", "dangling sign at end of input"),
 ])
 def test_parse_error_names_the_position(text, message):

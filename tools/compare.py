@@ -14,10 +14,12 @@ corpus is generated once from the working tree:
   12 cycles each;
 * random atom tables for ``analyze``: signed, zero-mass, with ``--order``
   and ``--tol``, and with polynomials beyond the degree budget;
-* one ``certify`` run per check kind, and three runs of the products and
-  cone semiring on a degree-16 table: a pair whose sides do not sum to a
-  constant, the whole box semiring in d=2 (``max_factors`` 16), and a cone
-  with ``jk_max`` 8;
+* one ``certify`` run per check kind, and five runs of the products and
+  cone semiring: on a degree-16 table a pair whose sides do not sum to a
+  constant, the whole box semiring in d=2 (``max_factors`` 16) and a cone
+  with ``jk_max`` 8; a pair of degree 5 on a degree-8 table and a cone with
+  a quartic prefactor on a degree-6 table, whose products have a half of
+  degree above n_max;
 * random ``spectral`` operators of orders 1-16 and scales 1e-3 to 1e1, some
   with ``--nodes``, some with half-zero start vectors;
 
@@ -38,16 +40,30 @@ per JSON path with its first ``base -> head`` example. Entries of a
 list that differs only in order is counted as reordered. Exit status 1 on
 any difference, else 0.
 
-With ``--expect FILE`` the change is checked against declared envelopes
-instead. FILE is a JSON list of ``{"path": PATTERN, "allow": ALLOWANCE}``.
-PATTERN is a collapsed JSON path of the reports in which ``*`` matches any
-text, and the first entry that matches a path applies to it. ALLOWANCE is
-``"identical"``, ``{"abs": x}`` or ``{"rel": x}`` (the largest change of a
-number at the path) or ``"any"`` (any change, strings and bools included).
-Every exit code, stdout and stderr, every string, bool or null, every
-number at an unlisted path and the order of every violations list must stay
-identical. The summary prints how much
-of each envelope was used; exit status 0 only when every difference fits.
+With ``--expect FILE`` the change is checked against declared entries
+instead. FILE is a JSON list of entries of two kinds:
+
+* ``{"path": PATTERN, "allow": ALLOWANCE}``: PATTERN is a collapsed JSON
+  path of the reports in which ``*`` matches any text, and the first entry
+  that matches a path applies to it. ALLOWANCE is ``"identical"``,
+  ``{"abs": x}`` or ``{"rel": x}`` (the largest change of a number at the
+  path), ``{"flip": [OLD, NEW]}`` (booleans that change from OLD to NEW,
+  such as a verdict at ``.passed``; a change the other way fails) or
+  ``"any"`` (any change, strings and bools included);
+* ``{"invocation": PATTERN, "exit": [OLD, NEW]}`` or ``{"invocation":
+  PATTERN, "stderr": REGEX}``: PATTERN is an invocation name in which ``*``
+  matches any text. An ``exit`` entry covers an exit code that changes from
+  OLD to NEW, together with the stdout of that invocation and a report that
+  only one side writes; a ``stderr`` entry covers a changed stderr that
+  REGEX matches (``re.search``) on the working tree's side.
+
+Every exit code, stdout and stderr that no entry covers, every string, bool
+or null, every number at an unlisted path and the order of every violations
+list must stay identical. The summary prints how much each entry absorbed:
+changed values for a path entry, invocations for an invocation entry. An
+entry that absorbs nothing fails, so that no entry outlives the change it
+declares. Exit status 0 only when every difference fits and every entry is
+used.
 """
 
 from __future__ import annotations
@@ -155,25 +171,34 @@ def _analyze_runs(rng) -> list:
     return runs
 
 
-#: (name, check) of the semiring runs on the degree-16 table. The atom at
-#: x = -0.75 lies outside 0.6 -+ x, and the truncated growth bound of x
-#: lies below max |x|, so every report carries violations
+#: (name, table degree, check) of the semiring runs. On the degree-16 table
+#: the atom at x = -0.75 lies outside 0.6 -+ x, and the truncated growth
+#: bound of x lies below max |x|, so every report carries violations. The
+#: last two have halves of degree above n_max: the pair 0.5 -+ x^5 on a
+#: degree-8 table (the atom at y = 0.75 lies outside 0.6 -+ y), and a cone
+#: whose prefactor cb^2 - b^2 has degree 4 on a degree-6 table
 SEMIRING_CHECKS = [
-    ("products-non-constant-sum",
+    ("products-non-constant-sum", 16,
      {"check": "products", "factors": [{"upper": "x", "lower": "1 - x^2"},
                                        {"upper": "0.6 - x", "lower": "0.6 + x"}],
       "max_factors": 6}),
-    ("products-cap-16",
+    ("products-cap-16", 16,
      {"check": "products", "factors": [{"upper": "0.6 - x", "lower": "0.6 + x"},
                                        {"upper": "1 - y", "lower": "1 + y"}],
       "max_factors": 16}),
-    ("cone-jk-max-8", {"check": "cone", "a": "x", "b": "y", "jk_max": 8}),
+    ("cone-jk-max-8", 16, {"check": "cone", "a": "x", "b": "y", "jk_max": 8}),
+    ("products-tall-pair", 8,
+     {"check": "products", "factors": [{"upper": "0.5 - x^5", "lower": "0.5 + x^5"},
+                                       {"upper": "0.6 - y", "lower": "0.6 + y"}],
+      "max_factors": 4}),
+    ("cone-tall-prefactor", 6, {"check": "cone", "a": "x", "b": "x*y + y^2", "jk_max": 4}),
 ]
 
 
 def _certify_runs(fuzz) -> list:
     """One certify invocation per check kind, and one of them all, on the
-    fuzz module's table; then the semiring runs on its degree-16 table."""
+    fuzz module's degree-6 table; then the semiring runs on tables of the
+    fuzz module's atoms."""
     moments = _write("certify/moments.json", fuzz.moment_document(6))
     config = _write("certify/all.json", fuzz.CERTIFY_CONFIG)
     runs = [("certify#all", ["certify", moments, config, "--out", "certify/all.report.json"])]
@@ -183,8 +208,8 @@ def _certify_runs(fuzz) -> list:
                         {"variables": fuzz.CERTIFY_CONFIG["variables"], "checks": [check]})
         runs.append((f"certify#{kind}",
                      ["certify", moments, config, "--out", f"certify/{kind}.report.json"]))
-    moments = _write("certify/moments16.json", fuzz.moment_document(16))
-    for name, check in SEMIRING_CHECKS:
+    for name, degree, check in SEMIRING_CHECKS:
+        moments = _write(f"certify/moments{degree}.json", fuzz.moment_document(degree))
         config = _write(f"certify/{name}.json",
                         {"variables": fuzz.CERTIFY_CONFIG["variables"], "checks": [check]})
         runs.append((f"certify#{name}",
@@ -312,11 +337,12 @@ def _record(others, path, base: str, head: str):
     others[path] = (count + 1, example)
 
 
-def _walk_changes(base, head, path, changes, others) -> int:
+def _walk_changes(base, head, path, changes, others, flips=None) -> int:
     """Record the largest |change| and relative change of the numbers per
     collapsed path in ``changes``, and the count and first example of every
     other change in ``others``: a changed string, bool or null, a key or a
-    violation on one side only, a list whose length changed. Return the
+    violation on one side only, a list whose length changed. ``flips``, when
+    given, counts each changed bool per (path, base, head). Return the
     number of violations lists that differ only in order."""
     if base == head:
         return 0
@@ -325,7 +351,7 @@ def _walk_changes(base, head, path, changes, others) -> int:
         for key in {**base, **head}:
             if key in base and key in head:
                 reordered += _walk_changes(base[key], head[key], f"{path}.{key}",
-                                           changes, others)
+                                           changes, others, flips)
             else:
                 _record(others, f"{path}.{key}",
                         _shown(base[key]) if key in base else ABSENT,
@@ -350,7 +376,7 @@ def _walk_changes(base, head, path, changes, others) -> int:
                 for entry in only_head:
                     _record(others, f"{path}[]", ABSENT, _shown(entry))
         for b, h in pairs:
-            reordered += _walk_changes(b, h, f"{path}[]", changes, others)
+            reordered += _walk_changes(b, h, f"{path}[]", changes, others, flips)
     elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
           and not isinstance(base, bool) and not isinstance(head, bool)):
         absolute = abs(float(head) - float(base))
@@ -361,6 +387,8 @@ def _walk_changes(base, head, path, changes, others) -> int:
         changes[path] = (max(worst[0], absolute), max(worst[1], relative), worst[2] + 1)
     else:
         _record(others, path, _shown(base), _shown(head))
+        if flips is not None and isinstance(base, bool) and isinstance(head, bool):
+            flips[path, base, head] = flips.get((path, base, head), 0) + 1
     return reordered
 
 
@@ -375,71 +403,172 @@ def _difference(base: dict, head: dict) -> str | None:
     return ", ".join(parts) or None
 
 
+def _pattern(text: str):
+    """A compiled pattern in which ``*`` matches any text."""
+    return re.compile(".*".join(map(re.escape, text.split("*"))))
+
+
+def _valid_allowance(allow) -> bool:
+    if allow in ("identical", "any"):
+        return True
+    if not isinstance(allow, dict) or len(allow) != 1:
+        return False
+    kind, value = next(iter(allow.items()))
+    if kind == "flip":
+        return (isinstance(value, list) and len(value) == 2
+                and all(isinstance(v, bool) for v in value) and value[0] != value[1])
+    return kind in ("abs", "rel") and isinstance(value, (int, float)) and not isinstance(
+        value, bool)
+
+
+def _valid_invocation_entry(entry: dict) -> bool:
+    if not isinstance(entry.get("invocation"), str) or len(entry) != 2:
+        return False
+    if "exit" in entry:
+        codes = entry["exit"]
+        return (isinstance(codes, list) and len(codes) == 2 and codes[0] != codes[1]
+                and all(isinstance(c, int) and not isinstance(c, bool) for c in codes))
+    if "stderr" in entry and isinstance(entry["stderr"], str):
+        try:
+            re.compile(entry["stderr"])
+        except re.error:
+            return False
+        return True
+    return False
+
+
 def _load_expectations(path: str) -> list:
-    """The (pattern, compiled pattern, allowance) entries of an expectation
-    file; ValueError on a malformed entry."""
+    """The entries of an expectation file, each a dict with its ``kind``
+    (``"path"`` or ``"invocation"``), its compiled ``pattern`` and its
+    ``entry``; ValueError on a malformed entry."""
     entries = []
     for entry in json.loads(Path(path).read_text()):
+        if isinstance(entry, dict) and "invocation" in entry:
+            if not _valid_invocation_entry(entry):
+                raise ValueError(f"expectation entry {entry!r} needs 'invocation' and one of "
+                                 "'exit' (a list of two different exit codes) or 'stderr' "
+                                 "(a regular expression)")
+            entries.append({"kind": "invocation", "pattern": _pattern(entry["invocation"]),
+                            "entry": entry})
+            continue
         if not isinstance(entry, dict):
             entry = {"path": None}
-        pattern, allow = entry.get("path"), entry.get("allow")
-        valid = isinstance(pattern, str) and set(entry) == {"path", "allow"} and (
-            allow in ("identical", "any")
-            or isinstance(allow, dict) and len(allow) == 1 and next(iter(allow)) in ("abs", "rel")
-            and isinstance(next(iter(allow.values())), (int, float)))
-        if not valid:
+        if not (isinstance(entry.get("path"), str) and set(entry) == {"path", "allow"}
+                and _valid_allowance(entry["allow"])):
             raise ValueError(f"expectation entry {entry!r} needs 'path' and an 'allow' of "
-                             '"identical", "any", {"abs": x} or {"rel": x}')
-        regex = re.compile(".*".join(map(re.escape, pattern.split("*"))))
-        entries.append((pattern, regex, allow))
+                             '"identical", "any", {"abs": x}, {"rel": x} or {"flip": [a, b]}')
+        entries.append({"kind": "path", "pattern": _pattern(entry["path"]), "entry": entry})
     return entries
 
 
 def _shown_allowance(allow) -> str:
-    return allow if isinstance(allow, str) else ", ".join(f"{k} {v:g}" for k, v in allow.items())
+    if isinstance(allow, str):
+        return allow
+    kind, value = next(iter(allow.items()))
+    return f"{kind} {json.dumps(value) if kind == 'flip' else format(value, 'g')}"
 
 
-def check_envelopes(expectations: list, changes: dict, others: dict) -> tuple[list, list]:
-    """Check the per-path changes of ``_walk_changes`` against the
-    expectations. Return the usage lines, one per expectation, and the
-    violation lines, one per path whose change lies outside its envelope
-    (every path that no expectation matches allows no change)."""
-    used = {pattern: [0.0, 0.0, 0] for pattern, _, _ in expectations}
+def _shown_entry(entry: dict) -> str:
+    """One entry of an expectation file as the summary names it."""
+    if "invocation" in entry:
+        key = "exit" if "exit" in entry else "stderr"
+        return f"{key} {json.dumps(entry[key])} at {entry['invocation']}"
+    return f"{_shown_allowance(entry['allow'])} at {entry['path']}"
+
+
+def check_envelopes(expectations: list, changes: dict, others: dict,
+                    flips: dict | None = None) -> tuple[list, list]:
+    """Check the per-path changes of ``_walk_changes`` against the path
+    entries of the expectations. Return the usage lines, one per path entry,
+    and the violation lines, one per path whose change lies outside its
+    envelope (every path that no entry matches allows no change). A
+    ``flip`` allowance checks the direction of each bool in ``flips``. Each
+    entry's ``used`` is set to the number of changes it absorbed."""
+    entries = [e for e in expectations if e["kind"] == "path"]
+    worst = {id(e): [0.0, 0.0] for e in entries}
+    for e in entries:
+        e["used"] = 0
     outside = []
 
     def allowance(path):
-        for pattern, regex, allow in expectations:
-            if regex.fullmatch(path):
-                return pattern, allow
+        for e in entries:
+            if e["pattern"].fullmatch(path):
+                return e, e["entry"]["allow"]
         return None, "identical"
 
     for path, (absolute, relative, count) in sorted(changes.items()):
-        pattern, allow = allowance(path)
-        if pattern is not None:
-            row = used[pattern]
-            row[:] = max(row[0], absolute), max(row[1], relative), row[2] + count
-        fits = allow == "any" or isinstance(allow, dict) and (
+        e, allow = allowance(path)
+        fits = allow == "any" or isinstance(allow, dict) and "flip" not in allow and (
             absolute <= allow.get("abs", math.inf) and relative <= allow.get("rel", math.inf))
+        if e is not None:
+            row = worst[id(e)]
+            row[:] = max(row[0], absolute), max(row[1], relative)
+            e["used"] += count if fits else 0
         if not fits:
             outside.append(f"  {path} | abs {absolute:.3e}, rel {relative:.3e} | {count} | "
                            f"allowed: {_shown_allowance(allow)}")
     for path, (count, (base, head)) in sorted(others.items()):
-        pattern, allow = allowance(path)
-        if pattern is not None:
-            used[pattern][2] += count
-        if allow != "any":
-            outside.append(f"  {path} | {base} -> {head} | {count} | "
+        e, allow = allowance(path)
+        wrong = count
+        if isinstance(allow, dict) and "flip" in allow:
+            wrong -= (flips or {}).get((path, *allow["flip"]), 0)
+        elif allow == "any":
+            wrong = 0
+        if e is not None:
+            e["used"] += count - wrong
+        if wrong:
+            outside.append(f"  {path} | {base} -> {head} | {wrong} | "
                            f"allowed: {_shown_allowance(allow)}")
     lines = []
-    for pattern, _, allow in expectations:
-        absolute, relative, count = used[pattern]
-        if isinstance(allow, dict):
+    for e in entries:
+        absolute, relative = worst[id(e)]
+        allow = e["entry"]["allow"]
+        if isinstance(allow, dict) and "flip" not in allow:
             kind, limit = next(iter(allow.items()))
             amount = f"{absolute if kind == 'abs' else relative:.3e} of {kind} {limit:g}"
+        elif isinstance(allow, dict):
+            amount = f"flip {json.dumps(allow['flip'])}"
         else:
             amount = f"abs {absolute:.3e}, rel {relative:.3e} ({allow})"
-        lines.append(f"  {amount} at {pattern} | {count} changes")
+        lines.append(f"  {amount} at {e['entry']['path']} | {e['used']} changes")
     return lines, outside
+
+
+def absorb_invocation(expectations: list, name: str, base: dict, head: dict) -> list:
+    """What of one invocation's outcome no invocation entry covers: a list
+    of ``"exit"``, ``"stdout"``, ``"stderr"`` and ``"report"`` (a report on
+    one side only, or one that does not parse), empty when the entries
+    cover every such difference. A report present and parsed on both sides
+    is left to the path entries. Each entry's ``used`` counts the
+    invocations it covered."""
+    entries = [e for e in expectations if e["kind"] == "invocation"
+               and e["pattern"].fullmatch(name)]
+    uncovered = []
+    exit_entry = next((e for e in entries if e["entry"].get("exit") == [base["code"],
+                                                                          head["code"]]), None)
+    if base["code"] != head["code"]:
+        if exit_entry is None:
+            uncovered.append("exit")
+        else:
+            exit_entry["used"] = exit_entry.get("used", 0) + 1
+    if base["stdout"] != head["stdout"] and (exit_entry is None or base["code"] == head["code"]):
+        uncovered.append("stdout")
+    if base["stderr"] != head["stderr"]:
+        stderr_entry = next((e for e in entries if "stderr" in e["entry"]
+                             and re.search(e["entry"]["stderr"], head["stderr"])), None)
+        if stderr_entry is None:
+            uncovered.append("stderr")
+        else:
+            stderr_entry["used"] = stderr_entry.get("used", 0) + 1
+    one_sided = (base["report"] is None) != (head["report"] is None)
+    if one_sided and (exit_entry is None or base["code"] == head["code"]):
+        uncovered.append("report")
+    return uncovered
+
+
+def unused_entries(expectations: list) -> list:
+    """One line per entry that absorbed nothing (``used`` 0 or unset)."""
+    return [f"  {_shown_entry(e['entry'])}" for e in expectations if not e.get("used")]
 
 
 def compare(base_ref: str, expect: str | None = None) -> int:
@@ -478,8 +607,11 @@ def compare(base_ref: str, expect: str | None = None) -> int:
     differing = []
     changes: dict = {}
     others: dict = {}
+    flips: dict = {}
     reordered = 0
-    unwalked = []  # differences that no envelope covers
+    uncovered = []  # differences that no entry covers
+    for entry in expectations or []:
+        entry["used"] = 0
     for inv, base, head in zip(corpus, results["base"], results["head"]):
         total, count = groups.get(inv["group"], (0, 0))
         what = _difference(base, head)
@@ -492,13 +624,15 @@ def compare(base_ref: str, expect: str | None = None) -> int:
                 parsed = json.loads(base["report"]), json.loads(head["report"])
             except ValueError:
                 pass
-            lists = _walk_changes(*parsed, "", changes, others) if parsed else 0
+            lists = _walk_changes(*parsed, "", changes, others, flips) if parsed else 0
             if lists:
                 reordered += lists
                 what += f" ({lists} violations lists reordered)"
-        if lists or any(base[k] != head[k] for k in ("code", "stdout", "stderr")) or (
-                base["report"] != head["report"] and parsed is None):
-            unwalked.append(f"  {inv['group']}: {inv['id']}: {what}")
+        left = absorb_invocation(expectations or [], inv["id"], base, head)
+        if base["report"] and head["report"] and base["report"] != head["report"] and not parsed:
+            left.append("report")
+        if lists or left:
+            uncovered.append(f"  {inv['group']}: {inv['id']}: {what}")
         differing.append(f"  {inv['group']}: {inv['id']}: {what}")
     for group, (total, count) in groups.items():
         print(f"  {group}: {total} invocations, {count} differ")
@@ -520,18 +654,25 @@ def compare(base_ref: str, expect: str | None = None) -> int:
             print(f"  {path} | {count} | {base} -> {head}")
     if expectations is None:
         return 1 if differing else 0
-    usage, outside = check_envelopes(expectations, changes, others)
-    print(f"envelope use ({expect}):")
+    usage, outside = check_envelopes(expectations, changes, others, flips)
+    print(f"entry use ({expect}):")
     for line in usage:
         print(line)
+    for entry in expectations:
+        if entry["kind"] == "invocation":
+            print(f"  {_shown_entry(entry['entry'])} | {entry['used']} invocations")
     print(f"invocations with a changed exit code, stdout or stderr, a reordered or "
-          f"unparsed report: {len(unwalked)}")
-    for line in unwalked:
+          f"unparsed report that no entry covers: {len(uncovered)}")
+    for line in uncovered:
         print(line)
     print(f"changes outside their envelope: {len(outside)}")
     for line in outside:
         print(line)
-    return 1 if unwalked or outside else 0
+    unused = unused_entries(expectations)
+    print(f"entries that absorbed nothing: {len(unused)}")
+    for line in unused:
+        print(line)
+    return 1 if uncovered or outside or unused else 0
 
 
 def main(argv=None) -> int:
