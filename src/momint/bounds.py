@@ -10,13 +10,14 @@ that produced them (no operation extrapolates):
   moment matrix pencil, estimating the range of ``a`` on the support;
 * archimedean bounds: the smallest constant M making the localized matrix of
   M - a positive semidefinite, found by bisection on the range of the moment
-  form. The bisection runs on one spectrum, and two PSD checks certify its
-  result. The bound for a^2 is the same question asked of the polynomial a^2.
+  form, which must be PSD as for the pencil. The bisection runs on one
+  spectrum, and two PSD checks certify its result. The bound for a^2 is the
+  same question asked of the polynomial a^2.
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
 membership and every localized check in ``certify`` call it. Every localized
-matrix is built once per (shift, order) and sequence
+matrix is built once per shift value, order and sequence
 (``_localized_matrix``), and every pencil uses the memoized
 eigendecomposition of the plain matrix at its order (``_plain_matrix_eig``),
 so no pencil builds or factors the plain matrix again.
@@ -40,11 +41,11 @@ from .linalg import (
     PsdVerdict,
     SymMatrix,
     pencil_extremes,
+    pencil_whitened,
     psd_check,
-    range_whitener,
     sym_eig,
 )
-from .moments import MomentSequence, _multiplication_matrix, _term_data
+from .moments import MomentSequence, _multiplication_matrix
 from .policy import BISECTION_CEILING, BISECTION_TOL, MEMBERSHIP_SLACK
 from .polynomials import Polynomial
 
@@ -99,15 +100,12 @@ def _localized_matrix(
     seq: MomentSequence, order: int, shift: Polynomial | None = None
 ) -> SymMatrix:
     """The localized moment matrix of ``shift`` (default 1) at ``order``,
-    memoized per sequence.
-
-    The key is the shift's terms in insertion order, not polynomial
-    equality: ``moment_matrix`` sums the terms in that order, so two equal
-    polynomials whose terms are ordered differently may give matrices that
-    differ in the last bit, and each keeps its own entry.
-    """
-    terms = (((0,) * seq.dimension, 1.0),) if shift is None else tuple(shift.terms.items())
-    key = ("matrix", order, terms)
+    memoized per sequence and keyed by the shift's value: equal shifts share
+    one matrix, and a shift equal to 1 shares the plain matrix, which
+    ``moment_matrix(order)`` wraps from the one plain gather."""
+    if shift == Polynomial.constant(seq.dimension, 1.0):
+        shift = None
+    key = ("matrix", order, shift)
     cached = seq._cache.get(key)
     if cached is None:
         cached = seq._cache[key] = seq.moment_matrix(order, shift).matrix
@@ -170,27 +168,32 @@ def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.nda
     ``b = 2^(-e) a`` and ``e`` is the binary exponent of a's largest
     coefficient, so L(a^(2n)) is exactly ``v[n - 1] * 2^(2 n e)``.
 
-    S, the multiplication-by-b matrix on the graded-lex basis of degree <=
-    ``top = count * deg a``, is ``moments._multiplication_matrix``.
-    ``p_n = S p_(n-1)`` from ``p_0 = 1`` holds the coefficients of b^n, and
-    ``v[n - 1] = p_n^T M p_n`` with M the plain moment matrix of order top.
-    For ``c - a`` this S is ``c I - S_a``: no binomial expansion, which
-    would cancel when c is near max |a|.
+    With ``top = count * deg a``, S is multiplication by b from the
+    graded-lex basis of degree <= ``top - deg a`` into that of degree <=
+    top (``moments._multiplication_matrix``). ``p_n = S p_(n-1)`` from
+    ``p_0 = 1`` holds the coefficients of b^n, on the basis of degree <=
+    top, and ``v[n - 1] = p_n^T M p_n`` with M the plain moment matrix of
+    order top. For ``c - a`` this S is ``c I - S_a``: no binomial expansion,
+    which would cancel when c is near max |a|. The scaling is exact, but a
+    term that underflows in b drops out, and with it maybe b's degree: then
+    S has fewer rows, and the rest of p_n stays zero.
     """
     if a.dimension != seq.dimension:
         raise ValueError("polynomial dimension mismatch")
     if a.is_zero():
         return np.zeros(count), 0
-    exponent = math.frexp(float(np.max(np.abs(_term_data(a)[1]))))[1]
+    exponent = math.frexp(max(abs(float(c)) for c in a.terms.values()))[1]
     degree = max(a.degree(), 0)
     top = count * degree
     gram = _localized_matrix(seq, top).data
-    shift = _multiplication_matrix(a, top - degree, exponent, width=len(gram))
-    powers = np.empty((count, len(gram)))
+    b = a.map_coefficients(lambda c: math.ldexp(float(c), -exponent))
+    shift = _multiplication_matrix(b, top - degree)
+    powers = np.zeros((count, len(gram)))
     power = np.zeros(len(gram))
     power[0] = 1.0
     for n in range(count):
-        power = powers[n] = shift @ power
+        powers[n, : len(shift)] = shift @ power[: shift.shape[1]]
+        power = powers[n]
     return np.sum((powers @ gram) * powers, axis=1), exponent
 
 
@@ -312,22 +315,21 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
     """Smallest M with the localized matrix of (M - a) positive semidefinite
     at the given order.
 
-    The search runs on the range of the plain moment matrix (rank-deficient
-    directions are quotiented out, never perturbed): with C the compressed
-    localized matrix, M is admissible when ``psd_check(M I - C, tol=0)``
-    passes. ``_bisect`` runs first on one spectrum, ``M >= max_eig(C)``.
-    ``psd_check`` must then pass at the least point admitted and fail at the
-    greatest point refused: it is monotone in M, so it would have decided
-    every step alike, and the result is that of the PSD bisection. Otherwise,
-    or at the ceiling, the bisection reruns on ``psd_check``. The result
-    coincides with the upper Rayleigh bound of ``a``; keeping the bisection
-    route makes that equality a checkable property rather than a definition.
+    The search runs on the range of the plain moment matrix, as the pencil
+    of ``rayleigh_bounds`` does (``pencil_whitened``: rank-deficient
+    directions are quotiented out, never perturbed, and a plain matrix that
+    is not PSD, or retains nothing, raises the pencil's error): with C the
+    compressed localized matrix, M is admissible when ``psd_check(M I - C,
+    tol=0)`` passes. ``_bisect`` runs first on one spectrum, ``M >=
+    max_eig(C)``. ``psd_check`` must then pass at the least point admitted
+    and fail at the greatest point refused: it is monotone in M, so it would
+    have decided every step alike, and the result is that of the PSD
+    bisection. Otherwise, or at the ceiling, the bisection reruns on
+    ``psd_check``. The result coincides with the upper Rayleigh bound of
+    ``a``; keeping the bisection route makes that equality a checkable
+    property rather than a definition.
     """
-    localized = _localized_matrix(seq, order, a)
-    w = range_whitener(_plain_matrix_eig(seq, order))
-    if w.shape[1] == 0:
-        raise CeilingExceededError("moment form is zero at this truncation")
-    compressed = w.T @ localized.data @ w
+    compressed = pencil_whitened(_localized_matrix(seq, order, a), _plain_matrix_eig(seq, order))
     identity = np.eye(compressed.shape[0])
 
     def admissible(m: float) -> bool:

@@ -95,19 +95,6 @@ def _names(seq: MomentSequence) -> list[str]:
     return default_variable_names(seq.dimension)
 
 
-def _prefix_products(letters: Sequence[Polynomial], dimension: int):
-    """P(combo) of a tuple of letter indices, memoized by prefix: P(()) = 1
-    and P(combo) = P(combo[:-1]) * letter, so each product is formed once."""
-
-    @functools.cache
-    def product(combo: tuple) -> Polynomial:
-        if not combo:
-            return Polynomial.constant(dimension, 1.0)
-        return product(combo[:-1]) * letters[combo[-1]]
-
-    return product
-
-
 def _expansion_tables(p: np.ndarray, q: np.ndarray, n: int):
     """``(T, sums, j)`` for every pair i at once, its members (j, k) with
     j + k <= n listed by j + k, then j: ``sums`` and ``j`` name them, and
@@ -609,19 +596,23 @@ def schmudgen_check(
     """Localized PSD test for every subset product of the constraints.
 
     Each subset (including the empty one, the plain matrix) is tested at the
-    largest admissible order not exceeding ``order``. Subset products come
-    from the prefix memo, so each is formed once. A subset whose product
-    does not fit even at order zero raises DegreeOverflowError.
+    largest admissible order not exceeding ``order``. Each subset's product
+    is its prefix's product times its last constraint, formed once: subsets
+    come in ``itertools.combinations`` order, so the prefix is already
+    there. A subset whose product does not fit even at order zero raises
+    DegreeOverflowError.
     """
     constraints = list(constraints)
     names = _names(seq)
-    product = _prefix_products(constraints, seq.dimension)
+    products = {(): Polynomial.constant(seq.dimension, 1.0)}
     violations = []
     details = []
     attempted = 0
     for size in range(len(constraints) + 1):
         for subset in itertools.combinations(range(len(constraints)), size):
-            shift = product(subset)
+            if subset:
+                products[subset] = products[subset[:-1]] * constraints[subset[-1]]
+            shift = products[subset]
             shift_degree = max(shift.degree(), 0)
             if shift_degree > seq.max_degree:
                 raise DegreeOverflowError(

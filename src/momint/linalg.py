@@ -6,10 +6,10 @@ share it, together with one PSD tolerance, ``policy.relative_tol``. Each
 public entry point normalizes its input once through ``SymMatrix`` (shape,
 symmetrization, finiteness) and passes the SymMatrix inward.
 
-``pencil_extremes`` takes the base matrix B only through its
-eigendecomposition, so the one cached decomposition of a plain moment matrix
-serves every pencil at its order. A real moment matrix reaches ``psd_check``
-only through ``bounds.quadratic_module_psd``.
+``pencil_whitened``, and with it ``pencil_extremes``, takes the base matrix
+B only through its eigendecomposition, so the one cached decomposition of a
+plain moment matrix serves every pencil at its order. A real moment matrix
+reaches ``psd_check`` only through ``bounds.quadratic_module_psd``.
 """
 
 from __future__ import annotations
@@ -146,15 +146,11 @@ def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
     return decomp.eigenvectors[:, keep] / np.sqrt(values[keep])
 
 
-def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:
-    """Extreme generalized eigenvalues of the pencil (A, B), B PSD, from A
-    and B's eigendecomposition ``b_eig`` (``sym_eig(b)``, with vectors).
-
-    B may be singular: its eigenpairs with eigenvalue above
-    ``DEFAULT_RANK_TOL * max_eig(B)`` define the range, A is whitened on that
-    range, and the extremes of the whitened matrix are returned together
-    with the retained rank. Deflation, never regularization: the quotient
-    out of B's null space is exact.
+def pencil_whitened(a, b_eig: EigenDecomposition) -> np.ndarray:
+    """``W^T A W``: A compressed to the range of the PSD base matrix B and
+    whitened there (``range_whitener``), from A and B's eigendecomposition
+    ``b_eig`` (``sym_eig(b)``, with vectors). Deflation, never
+    regularization: the quotient out of B's null space is exact.
 
     Raises ValueError unless ``b_eig`` has eigenvectors of A's order,
     NotPsdError if B has an eigenvalue below
@@ -171,13 +167,20 @@ def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:
             f"pencil base matrix is not PSD: min eigenvalue {float(values[0]):.3e}"
         )
     w = range_whitener(b_eig)
-    rank = w.shape[1]
-    if rank == 0:
+    if w.shape[1] == 0:
         raise RankDeficiencyError(
             "pencil base matrix has zero effective rank", achievable=0
         )
-    inner = sym_eig(w.T @ am @ w, vectors=False).eigenvalues
-    return float(inner[0]), float(inner[-1]), rank
+    return w.T @ am @ w
+
+
+def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:
+    """Extreme generalized eigenvalues of the pencil (A, B), B PSD and maybe
+    singular, with the retained rank: the extreme eigenvalues of
+    ``pencil_whitened(a, b_eig)``, which raises on a base matrix that is not
+    PSD or retains nothing."""
+    inner = sym_eig(pencil_whitened(a, b_eig), vectors=False).eigenvalues
+    return float(inner[0]), float(inner[-1]), len(inner)
 
 
 __all__ = [
@@ -186,6 +189,7 @@ __all__ = [
     "SymMatrix",
     "gauss_rule",
     "pencil_extremes",
+    "pencil_whitened",
     "psd_check",
     "range_whitener",
     "sym_eig",

@@ -35,15 +35,21 @@ plus a per-variable offset is a position in a flattened binomial table
 
 * ``apply(p, q)`` evaluates ``L(p q) = sum p_a q_b y[rank(a + b)]`` as the
   bilinear form ``c_p @ y[ranks] @ c_q``, without forming the product
-  ``p q``. The scaled suffix sums, float coefficients and degree of a
-  polynomial are computed once and memoized on the (immutable) polynomial,
-  so repeated calls with the same factors do no per-term Python work;
+  ``p q``;
 * ``moment_matrix(order, shift)`` gathers the shifted moment vector
   ``sum_d c_d y[rank(g + d)]`` through the index table
   ``T[i, j] = rank(b_i + b_j)`` of the order-``order`` basis, cached per
-  (dimension, order). Shift terms are accumulated in ``shift.terms`` order,
-  so the entries are the same floating-point numbers a term-by-term
-  summation gives.
+  (dimension, order). Shift terms are accumulated one at a time, so the
+  entries are the same floating-point numbers a term-by-term summation in
+  sorted exponent order gives;
+* ``_multiplication_matrix(p, low)`` is multiplication by p on the
+  graded-lex basis.
+
+All three read a polynomial through ``_term_data``, the one route from its
+terms to scaled suffix sums and float coefficients, in sorted exponent
+order. So each depends on the polynomial only as a value: equal
+polynomials give the same numbers bit for bit, however their terms were
+inserted.
 
 No cache is sized like ``(max_degree + 1)^d`` or like the square of the
 number of stored monomials.
@@ -164,40 +170,32 @@ def _gram_index(dimension: int, order: int) -> np.ndarray:
 
 
 def _term_data(p: Polynomial) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rank data of a nonzero p, memoized in ``p._arrays``: the scaled suffix
-    sums ``(d + 1) * R`` with one row per variable and one column per term,
-    the float coefficients, and the degree. Terms are in sorted exponent
-    order, so equal polynomials give the same arrays however their terms
-    were inserted, and ``apply`` sums them in the same order.
+    """The numeric form of p, computed on demand: the scaled suffix sums
+    ``(d + 1) * R`` with one row per variable and one column per term, the
+    float coefficients, and the degree (0 for the zero polynomial, which has
+    no columns). Terms are in sorted exponent order, so equal polynomials
+    give the same arrays however their terms were inserted.
     """
-    if p._arrays is None:
-        keys = sorted(p.terms)
-        suffix = np.ascontiguousarray(_suffix_sums(np.array(keys, dtype=np.intp)).T)
-        scaled = (p.dimension + 1) * suffix
-        coefficients = np.array([float(p.terms[k]) for k in keys])
-        scaled.flags.writeable = False
-        coefficients.flags.writeable = False
-        p._arrays = (scaled, coefficients, int(suffix[0].max()))
-    return p._arrays
+    keys = sorted(p.terms)
+    suffix = _suffix_sums(np.array(keys, dtype=np.intp).reshape(len(keys), p.dimension))
+    scaled = (p.dimension + 1) * np.ascontiguousarray(suffix.T)
+    coefficients = np.array([float(p.terms[k]) for k in keys])
+    return scaled, coefficients, int(suffix[:, 0].max(initial=0))
 
 
-def _multiplication_matrix(p: Polynomial, low: int, exponent: int = 0,
-                           width: int | None = None) -> np.ndarray:
-    """Multiplication by ``2^(-exponent) p``, for a nonzero p, from the
-    graded-lex basis of degree <= ``low`` into that of degree <= ``low + deg
-    p``: ``S[rank(b + e), rank(b)] = 2^(-exponent) p_e`` for every term
-    ``p_e x^e`` and every basis monomial b of degree <= low, with ``width``
-    columns (one per such b by default, zero past them). The ranks come
-    from the cached positions of the basis plus those of the terms, as in
-    ``moment_matrix``: no table of pairwise ranks, so S is the only array of
-    its size."""
+def _multiplication_matrix(p: Polynomial, low: int) -> np.ndarray:
+    """Multiplication by p from the graded-lex basis of degree <= ``low``
+    into that of degree <= ``low + deg p``: ``S[rank(b + e), rank(b)] =
+    p_e`` for every term ``p_e x^e`` and every basis monomial b of degree <=
+    low. The ranks come from the cached positions of the basis plus those
+    of the terms, as in ``moment_matrix``: no table of pairwise ranks, so S
+    is the only array of its size."""
     scaled, coefficients, degree = _term_data(p)
     d = p.dimension
     positions = _monomial_positions(d, low)
     ranks = _rank_table(low + degree, d)[0].take(positions[:, :, None] + scaled).sum(axis=1)
-    matrix = np.zeros((math.comb(low + degree + d, d),
-                       len(positions) if width is None else width))
-    matrix[ranks, np.arange(len(positions))[:, None]] = np.ldexp(coefficients, -exponent)
+    matrix = np.zeros((math.comb(low + degree + d, d), len(positions)))
+    matrix[ranks, np.arange(len(positions))[:, None]] = coefficients
     return matrix
 
 
@@ -509,7 +507,7 @@ class MomentSequence:
 
         The product is never formed: L(p q) is the bilinear form
         ``sum p_a q_b y[rank(a + b)]``, in row blocks of at most PAIR_BLOCK
-        pairs, over the memoized term data of p and q (``_term_data``).
+        pairs, over the term data of p and q (``_term_data``).
         Raises DegreeOverflowError when p (or p q, of degree
         ``deg p + deg q``) needs unstored moments, and ValueError when the
         value overflows. A zero factor gives 0.0.
@@ -560,11 +558,12 @@ class MomentSequence:
         if shift is None:  # the one gather of this order per sequence
             block = _plain_block(self, order)
             return MomentMatrix(SymMatrix.gathered(self.y[: len(positions)], block))
+        scaled, coefficients, _ = _term_data(shift)
         flat = _rank_table(self.max_degree, self.dimension)[0]
+        ranks = flat.take(positions[:, :, None] + scaled).sum(axis=1)
         shifted = np.zeros(len(positions))
-        for delta, coeff in shift.terms.items():
-            delta_positions = (self.dimension + 1) * _suffix_sums(np.array(delta))
-            shifted = shifted + float(coeff) * self.y[flat.take(positions + delta_positions).sum(1)]
+        for column, coeff in zip(ranks.T, coefficients):
+            shifted = shifted + coeff * self.y[column]
         gathered = shifted[_gram_index(self.dimension, order)]
         return MomentMatrix(SymMatrix.gathered(shifted, gathered))
 

@@ -57,13 +57,14 @@ def _monomials(dimension: int, max_degree: int) -> tuple:
 class Polynomial:
     """A term map from exponent tuples to nonzero coefficients.
 
-    ``_arrays`` is a private memo for the moment layer (see
-    ``moments._term_data``): array forms of the terms, filled on first use.
-    Polynomials are immutable values, so it never goes stale; equality and
-    hashing ignore it.
+    Equality and hashing compare the maps, not the order in which the terms
+    were inserted. A product sums each coefficient over the factors' terms
+    in sorted exponent order, and the moment layer reads the terms in that
+    order too (``moments._term_data``), so equal polynomials give equal
+    products and the same moments bit for bit.
     """
 
-    __slots__ = ("dimension", "terms", "_arrays")
+    __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, terms: Mapping | None = None):
         if dimension < 1:
@@ -79,7 +80,6 @@ class Polynomial:
                 clean[tuple(int(e) for e in index)] = clean.get(index, 0) + coeff
         self.dimension = dimension
         self.terms = {k: v for k, v in clean.items() if v != 0}
-        self._arrays = None
 
     @classmethod
     def _trusted(cls, dimension: int, terms: dict) -> "Polynomial":
@@ -89,7 +89,6 @@ class Polynomial:
         p = object.__new__(cls)
         p.dimension = dimension
         p.terms = {k: v for k, v in terms.items() if v != 0}
-        p._arrays = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -169,8 +168,9 @@ class Polynomial:
         self._check_same_dimension(other)
         out: dict = {}
         add = operator.add
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
+        right = sorted(other.terms.items())
+        for ka, va in sorted(self.terms.items()):
+            for kb, vb in right:
                 key = tuple(map(add, ka, kb))
                 out[key] = out.get(key, 0) + va * vb
         return Polynomial._trusted(self.dimension, out)

@@ -18,7 +18,7 @@ from momint.exceptions import DegreeOverflowError, NotNormalizedError
 from momint.linalg import EigenDecomposition, psd_check, range_whitener, sym_eig
 from momint.moments import MeasureSpec, MomentSequence, from_measure
 from momint.policy import BISECTION_CEILING, BISECTION_TOL
-from momint.polynomials import Polynomial, enumerate_monomials
+from momint.polynomials import Polynomial, enumerate_monomials, format_polynomial
 
 T = Polynomial.variable(1, 0)
 
@@ -395,6 +395,13 @@ def test_a_tiny_polynomial_keeps_its_growth_bound(two_atoms):
     assert growth_bound(two_atoms, 1e-300 * T).value == pytest.approx(1e-300, rel=1e-12)
 
 
+def test_a_term_that_underflows_in_the_scaled_polynomial_drops_out():
+    # scaled by 2^(-e), e the binary exponent of 1e150, the t term underflows
+    # to zero: S has fewer rows than the power vectors, whose rest stays zero
+    seq = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.2, (2,): 0.5})
+    assert growth_bound(seq, 1e150 + 1e-180 * T).value == 1e150
+
+
 # -- the archimedean bound against a reference bisection ----------------------
 
 
@@ -498,13 +505,79 @@ def test_analyze_builds_each_localized_matrix_once(atom_corpus, tmp_path, monkey
     assert built and len(built) == len(set(built))
 
 
-def test_equal_shifts_in_another_term_order_keep_their_own_matrices(atom_corpus):
+def test_equal_shifts_in_another_term_order_share_one_matrix(atom_corpus):
     _, seq = atom_corpus[2]
     x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     first, second = x * 0.1 + y * 0.2 + 0.3, 0.3 + y * 0.2 + x * 0.1
     assert first == second and list(first.terms) != list(second.terms)
     matrix = bounds._localized_matrix(seq, 2, first)
-    assert bounds._localized_matrix(seq, 2, first) is matrix
-    other = bounds._localized_matrix(seq, 2, second)
-    assert other is not matrix
-    assert np.array_equal(other.data, seq.moment_matrix(2, second).matrix.data)
+    assert bounds._localized_matrix(seq, 2, second) is matrix
+    assert np.array_equal(matrix.data, seq.moment_matrix(2, second).matrix.data)
+
+
+def test_a_shift_equal_to_one_is_the_plain_matrix(atom_corpus, monkeypatch):
+    seq = from_measure(atom_corpus[2][0], 8)  # a fresh cache
+    built = []
+    original = MomentSequence.moment_matrix
+
+    def counting(self, order, shift=None):
+        built.append(shift)
+        return original(self, order, shift)
+
+    monkeypatch.setattr(MomentSequence, "moment_matrix", counting)
+    plain = bounds._localized_matrix(seq, 2, Polynomial.constant(3, 1.0))
+    assert bounds._localized_matrix(seq, 2) is plain
+    assert bounds._localized_matrix(seq, 2, Polynomial(3, {(0, 0, 0): 1})) is plain
+    assert built == [None]
+
+
+def shuffled(rng, p: Polynomial) -> Polynomial:
+    """p with its terms inserted in a random order."""
+    items = list(p.terms.items())
+    return Polynomial(p.dimension, dict(items[i] for i in rng.permutation(len(items))))
+
+
+def random_polynomial(rng, d: int, degree: int, n_terms: int) -> Polynomial:
+    monomials = enumerate_monomials(d, degree)
+    picks = rng.choice(len(monomials), size=min(n_terms, len(monomials)), replace=False)
+    return Polynomial(d, {monomials[i]: float(rng.normal()) for i in picks})
+
+
+def test_terms_in_another_order_give_the_same_matrix_bit_for_bit(atom_corpus):
+    rng = np.random.default_rng(25)
+    reordered = 0
+    for _, seq in atom_corpus[:6]:
+        for _ in range(4):
+            p = random_polynomial(rng, seq.dimension, 2, 6)
+            q = shuffled(rng, p)
+            assert q == p
+            reordered += list(q.terms) != list(p.terms)
+            for order in range(4):
+                assert np.array_equal(seq.moment_matrix(order, q).matrix.data,
+                                      seq.moment_matrix(order, p).matrix.data)
+                assert bounds._localized_matrix(seq, order, q) is \
+                    bounds._localized_matrix(seq, order, p)
+    assert reordered >= 20
+
+
+def test_terms_in_another_order_give_the_same_analyze_report(atom_corpus, tmp_path, capsys):
+    _, seq = atom_corpus[2]
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(seq.to_document()))
+    names = ["x1", "x2", "x3"]
+    rng = np.random.default_rng(26)
+    for case in range(10):
+        p = random_polynomial(rng, 3, 2, 6)
+        texts = [
+            " + ".join(format_polynomial(Polynomial(3, {k: v}), names) for k, v in q.terms.items())
+            for q in (p, shuffled(rng, p))
+        ]
+        assert texts[0] != texts[1]
+        outputs = []
+        for side, text in enumerate(texts):
+            out = tmp_path / f"{case}-{side}.json"
+            code = cli.main(["analyze", str(path), "--poly", text, "--order", "3",
+                             "--out", str(out)])
+            outputs.append((code, capsys.readouterr().out, out.read_text()))
+        first = (outputs[0][0], *(o.replace(texts[0], texts[1]) for o in outputs[0][1:]))
+        assert first == outputs[1]

@@ -332,13 +332,26 @@ def test_analyze_all_zero_table_reports_every_bound_as_unavailable(tmp_path, cap
     assert report["results"]["psd"]["is_psd"] is True
     assert report["results"]["support_box"] == {}
     entry = report["results"]["polynomials"]["t"]
-    zero_form = {"error": "moment form is zero at this truncation"}
-    assert entry["archimedean_linear"] == entry["archimedean_square"] == zero_form
+    # the archimedean bound whitens through the pencil and carries its error
     zero_rank = {"error": "pencil base matrix has zero effective rank"}
     assert entry["rayleigh"] == entry["square_norm_bound"] == zero_rank
+    assert entry["archimedean_linear"] == entry["archimedean_square"] == zero_rank
     for name in ("growth_bound", "growth_vs_rayleigh", "membership_growth"):
         assert entry[name]["error"].startswith("operation requires unit mass")
     assert entry["membership_psd"] == {"is_psd": True, "min_eigenvalue": 0.0, "order": 1}
+
+
+def test_analyze_signed_table_refuses_both_archimedean_bounds_with_the_pencil_error(tmp_path):
+    # delta(-1) - 0.5 delta(0) + delta(1): the plain matrix of order 2 is
+    # indefinite, so no bound on its range means anything
+    values = [1.5, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0]
+    moments = write(tmp_path / "signed.json", one_dim_moments(
+        max_degree=6, moments=[{"index": [k], "value": v} for k, v in enumerate(values)]))
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", moments, "--poly", "t", "--out", str(report_path), "--quiet"]) == 1
+    entry = json.loads(report_path.read_text())["results"]["polynomials"]["t"]
+    assert entry["rayleigh"]["error"].startswith("pencil base matrix is not PSD")
+    assert entry["archimedean_linear"] == entry["archimedean_square"] == entry["rayleigh"]
 
 
 def test_analyze_wrong_number_of_variable_names_is_usage_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ from momint.exceptions import NotPsdError, RankDeficiencyError
 from momint.linalg import (
     SymMatrix,
     pencil_extremes,
+    pencil_whitened,
     psd_check,
     range_whitener,
     sym_eig,
@@ -246,4 +247,5 @@ def test_range_whitener_compresses_to_identity():
     w = range_whitener(sym_eig(b))
     assert w.shape == (5, 3)
     assert np.allclose(w.T @ b @ w, np.eye(3), atol=1e-10)
+    assert np.array_equal(pencil_whitened(b, sym_eig(b)), w.T @ SymMatrix(b).data @ w)
     assert range_whitener(sym_eig(np.zeros((3, 3)))).shape == (3, 0)

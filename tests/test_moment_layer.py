@@ -24,13 +24,13 @@ def dict_loop_moment_matrix(seq, order, shift):
     """Term-by-term moment matrix over a map from exponent tuples to moments,
     built from ``enumerate_monomials`` and ``seq.y`` without ``grlex_rank``:
     the shifted value of every gamma with |gamma| <= 2*order, accumulated in
-    ``shift.terms`` order from 0.0, then read off at alpha + beta."""
+    sorted exponent order from 0.0, then read off at alpha + beta."""
     values = moment_map(seq)
     basis = enumerate_monomials(seq.dimension, order)
     table = {}
     for gamma in enumerate_monomials(seq.dimension, 2 * order):
         total = 0.0
-        for delta, coeff in shift.terms.items():
+        for delta, coeff in sorted(shift.terms.items()):
             key = tuple(g + d for g, d in zip(gamma, delta))
             total += float(coeff) * values[key]
         table[gamma] = total
@@ -246,11 +246,8 @@ def test_memo_slot_does_not_change_value_semantics():
     fresh = Polynomial(2, dict(p.terms))
     before = hash(p)
     value = seq.apply(p, p)
-    assert p._arrays is not None and fresh._arrays is None
     assert p == fresh and hash(p) == before == hash(fresh)
     assert len({p, fresh}) == 1
     clone = copy.deepcopy(p)
     assert clone == p and hash(clone) == before
     assert seq.apply(clone, clone) == value == seq.apply(fresh, fresh)
-    # arithmetic results start with an empty memo
-    assert (p * 1.0)._arrays is None and (p + fresh)._arrays is None

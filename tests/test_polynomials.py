@@ -122,6 +122,19 @@ def test_ring_axioms_exact():
         assert (p + q) + r == p + (q + r)
 
 
+def test_equal_float_polynomials_have_equal_products():
+    # each coefficient of p * p sums several float products; the sum runs
+    # over the terms in sorted order, not in the order they were inserted
+    rng = random.Random(3)
+    monomials = enumerate_monomials(3, 2)
+    for _ in range(50):
+        p = Polynomial(3, {m: rng.gauss(0.0, 1.0) for m in rng.sample(monomials, 6)})
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        q = Polynomial(3, dict(items))
+        assert q == p and q * q == p * p and q**3 == p**3
+
+
 def test_evaluate_is_ring_homomorphism_exact():
     rng = random.Random(11)
     for _ in range(40):

@@ -12,8 +12,10 @@ corpus is generated once from the working tree:
 
 * ``perfbench/workloads.build`` for all three workloads, seeds 5 and 6,
   12 cycles each;
-* random atom tables for ``analyze``: signed, zero-mass, with ``--order``
-  and ``--tol``, and with polynomials beyond the degree budget;
+* random atom tables for ``analyze``, listed in ``itertools.product``
+  order as ``perfbench`` lists its signed tables, so that their ingest takes
+  the bulk-array route: signed, zero-mass, with ``--order`` and ``--tol``,
+  and with polynomials beyond the degree budget;
 * one ``certify`` run per check kind, and five runs of the products and
   cone semiring: on a degree-16 table a pair whose sides do not sum to a
   constant, the whole box semiring in d=2 (``max_factors`` 16) and a cone
@@ -122,23 +124,14 @@ def _out_of(argv: list):
 
 
 def _moment_document(points: np.ndarray, weights: np.ndarray, max_degree: int) -> dict:
-    """The moments of sum_i w_i delta(x_i), summed atom by atom with numpy."""
-    d = points.shape[1]
-    moments = []
+    """The moments of sum_i w_i delta(x_i), summed atom by atom with numpy
+    and listed as ``perfbench/workloads.raw_moments`` lists them, in
+    ``itertools.product`` order, not in graded-lex order."""
+    import workloads
 
-    def exponents(total, dims):
-        if dims == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in exponents(total - first, dims - 1):
-                yield (first,) + rest
-
-    for total in range(max_degree + 1):
-        for e in exponents(total, d):
-            value = float(np.sum(weights * np.prod(points ** np.array(e), axis=1)))
-            moments.append({"index": list(e), "value": value})
-    return {"dimension": d, "max_degree": max_degree, "moments": moments}
+    moments = workloads.raw_moments(points, weights, max_degree)
+    return {"dimension": points.shape[1], "max_degree": max_degree,
+            "moments": [{"index": list(e), "value": v} for e, v in moments.items()]}
 
 
 def _analyze_runs(rng) -> list:
