@@ -126,10 +126,11 @@ def growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
 
     For a polynomial of degree g >= 1 the achievable powers are
     n = 1 .. max_degree // (2g), valued by ``_power_table``, whose exact
-    power-of-two scaling keeps a tiny ``a`` from underflowing; each value
-    L(a^(2n)) must still be a finite float. Constant polynomials evaluate
-    exactly to their absolute value. Requires unit mass. The result is
-    memoized per (sequence, polynomial).
+    power-of-two scaling keeps a tiny ``a`` from underflowing and a huge one
+    from overflowing: only the scaled values, the roots and the bound must be
+    finite floats (ValueError otherwise), not L(a^(2n)) itself. Constant
+    polynomials evaluate exactly to their absolute value. Requires unit mass.
+    The result is memoized per (sequence, polynomial).
     """
     _require_normalized(seq)
     if a.dimension != seq.dimension:
@@ -152,14 +153,15 @@ def _growth_bound(seq: MomentSequence, a: Polynomial) -> GrowthBound:
             f"degree {deg} exceeds n_max {seq.n_max}: no even power fits"
         )
     scaled, exponent = _power_table(seq, a, seq.max_degree // (2 * deg))
-    scaled = scaled.tolist()
-    _unscaled(scaled, exponent)  # the values themselves must be finite floats
-    bound = _even_power_bound(scaled)
+    bound = _even_power_bound(scaled.tolist())
+    try:
+        roots = tuple(math.ldexp(root, exponent) for root in bound.per_power)
+    except OverflowError:
+        roots = (math.inf,)
+    if not all(map(math.isfinite, roots)):  # a scaled value or a root
+        raise ValueError("growth bound is not finite")
     return GrowthBound(
-        value=math.ldexp(bound.value, exponent),
-        n_used=bound.n_used,
-        per_power=tuple(math.ldexp(root, exponent) for root in bound.per_power),
-        clamped=bound.clamped,
+        value=max(roots), n_used=bound.n_used, per_power=roots, clamped=bound.clamped
     )
 
 
@@ -197,11 +199,13 @@ def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.nda
     return np.sum((powers @ gram) * powers, axis=1), exponent
 
 
-def _unscaled(scaled: Iterable[float], exponent: int) -> list[float]:
-    """The values L(a^(2n)) = ``scaled[n - 1] * 2^(2 n exponent)``; ValueError
-    unless each is a finite float (L(p q) with p = q = a^n)."""
+def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> list[float]:
+    """L(a^2), L(a^4), ..., L(a^(2 count)) from the power table, as
+    ``scaled[n - 1] * 2^(2 n exponent)``; ValueError unless each is a finite
+    float (L(p q) with p = q = a^n)."""
+    scaled, exponent = _power_table(seq, a, count)
     values = []
-    for n, value in enumerate(scaled, start=1):
+    for n, value in enumerate(scaled.tolist(), start=1):
         try:
             value = math.ldexp(value, 2 * n * exponent)
         except OverflowError:
@@ -210,12 +214,6 @@ def _unscaled(scaled: Iterable[float], exponent: int) -> list[float]:
             raise ValueError(f"L(p q) = {value} is not finite")
         values.append(value)
     return values
-
-
-def _even_power_values(seq: MomentSequence, a: Polynomial, count: int) -> list[float]:
-    """L(a^2), L(a^4), ..., L(a^(2 count)) from the power table."""
-    scaled, exponent = _power_table(seq, a, count)
-    return _unscaled(scaled.tolist(), exponent)
 
 
 def _even_power_bound(values: Iterable[float]) -> GrowthBound:

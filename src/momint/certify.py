@@ -11,7 +11,9 @@ in rational arithmetic by the test suite, not at run time.
 
 The localized PSD tests (ball, schmudgen, interval) take their verdicts from
 ``bounds.quadratic_module_psd``; ``psd_violations`` turns a failed one, or
-the disc kernel's, into a violation. A check's default tolerance is
+the disc kernel's, into a violation, and ``limit_violations`` a value beyond
+its limit (growth, weak absolute value, the ball's growth half, the disc
+diagonal). A check's default tolerance is
 ``policy.relative_tol`` of the moments. The products and cone families are
 one semiring over letters of positive degree, which counts the members
 beyond the degree budget in closed form. No member is formed: each is a linear
@@ -49,12 +51,15 @@ from .moments import (
     _plain_block,
     _row_blocks,
 )
-from .policy import relative_tol, saturated_limit
+from .policy import exceeds, relative_tol, saturated_limit
 from .polynomials import Polynomial, default_variable_names, format_polynomial
 
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed inequality. ``value`` is negative, by how much it fails: a
+    smallest eigenvalue, a semiring member, or a limit's margin."""
+
     description: str
     value: float
 
@@ -89,6 +94,13 @@ def psd_violations(verdict: PsdVerdict, description: str) -> list[Violation]:
     """The violation that a failed PSD verdict reports, valued at its
     smallest eigenvalue; none for a passed one."""
     return [] if verdict.is_psd else [Violation(description, verdict.min_eigenvalue)]
+
+
+def limit_violations(describe, value: float, limit: float, tol: float) -> list[Violation]:
+    """The violation that ``value`` beyond ``limit`` (``policy.exceeds``)
+    reports, valued at its margin ``limit - value`` and labelled by
+    ``describe()``, which runs only then; none for a limit that holds."""
+    return [Violation(describe(), limit - value)] if exceeds(value, limit, tol) else []
 
 
 def _names(seq: MomentSequence) -> list[str]:
@@ -347,7 +359,7 @@ def _semiring_check(seq, letters, cap, tol, describe, prefactor=None):
     if not finite.all():  # the one member not formed, the empty product, is L(1)
         raise ValueError(f"L(p q) = {values[listed((~finite).nonzero()[0])[0]]} is not finite")
     attempted += int(formed.sum())
-    (below,) = (values < -tol).nonzero()
+    (below,) = exceeds(-values, 0.0, tol).nonzero()
     violations = [
         Violation(
             describe(tuple(np.arange(m).repeat(counts[i]).tolist()), bool(prefactored[i])),
@@ -464,20 +476,14 @@ def ball_check(
     if tol is None:
         tol = relative_tol(seq.y)
     bound = growth_bound(seq, square_sum)
-    growth_ok = bound.value <= radius * radius + tol
+    growth = limit_violations(
+        lambda: (f"growth bound {bound.value:.12g} of the square sum exceeds "
+                 f"radius^2 = {radius * radius:.12g}"),
+        bound.value, radius * radius, tol,
+    )
     violations = psd_violations(
         verdict, f"localized matrix of radius^2 - square sum at order {order}"
-    )
-    if not growth_ok:
-        violations.append(
-            Violation(
-                description=(
-                    f"growth bound {bound.value:.12g} of the square sum exceeds "
-                    f"radius^2 = {radius * radius:.12g}"
-                ),
-                value=radius * radius - bound.value,
-            )
-        )
+    ) + growth
     details = [
         {
             "condition": "localized_psd",
@@ -490,7 +496,7 @@ def ball_check(
             "value": bound.value,
             "limit": radius * radius,
             "n_used": bound.n_used,
-            "passed": growth_ok,
+            "passed": not growth,
         },
     ]
     return CheckReport(tuple(violations), 2, 0, tuple(details))
@@ -521,16 +527,11 @@ def growth_check(
         for n, value in enumerate(_even_power_values(seq, a, n_reachable), start=1):
             limit = saturated_limit(prefactor, bound, 2 * n)
             attempted += 1
-            if value > limit + tol:
-                violations.append(
-                    Violation(
-                        description=(
-                            f"L(({format_polynomial(a, names)})^{2 * n}) = "
-                            f"{value:.12g} > {limit:.12g}"
-                        ),
-                        value=value - limit,
-                    )
-                )
+            violations += limit_violations(
+                lambda: (f"L(({format_polynomial(a, names)})^{2 * n}) = "
+                         f"{value:.12g} > {limit:.12g}"),
+                value, limit, tol,
+            )
     return CheckReport(tuple(violations), attempted, skipped)
 
 
@@ -559,31 +560,21 @@ def weak_absolute_value_check(
             skipped += 1
         else:
             attempted += 1
-            if bound > v_a + tol:
-                violations.append(
-                    Violation(
-                        description=(
-                            f"growth bound {bound:.12g} of "
-                            f"{format_polynomial(a, names)} exceeds {v_a:.12g}"
-                        ),
-                        value=bound - v_a,
-                    )
-                )
+            violations += limit_violations(
+                lambda: (f"growth bound {bound:.12g} of {format_polynomial(a, names)} "
+                         f"exceeds {v_a:.12g}"),
+                bound, v_a, tol,
+            )
         if a.degree() > seq.max_degree:
             skipped += 1
             continue
         applied = abs(seq.apply(a))
         attempted += 1
-        if applied > functional_bound * v_a + tol:
-            violations.append(
-                Violation(
-                    description=(
-                        f"|L({format_polynomial(a, names)})| = {applied:.12g} exceeds "
-                        f"{functional_bound * v_a:.12g}"
-                    ),
-                    value=applied - functional_bound * v_a,
-                )
-            )
+        violations += limit_violations(
+            lambda: (f"|L({format_polynomial(a, names)})| = {applied:.12g} exceeds "
+                     f"{functional_bound * v_a:.12g}"),
+            applied, functional_bound * v_a, tol,
+        )
     return CheckReport(tuple(violations), attempted, skipped)
 
 
@@ -846,6 +837,7 @@ __all__ = [
     "cone_positivity_check",
     "growth_check",
     "interval_membership_check",
+    "limit_violations",
     "product_positivity_check",
     "psd_violations",
     "run_check_config",

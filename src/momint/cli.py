@@ -48,14 +48,16 @@ EXIT_USAGE = 2
 DEFAULT_ANALYZE_ORDER_CAP = 4
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _digest(path: str) -> str:
+def _load_json(path: str, inputs: dict | None = None, name: str | None = None) -> dict:
+    """The JSON document in the file at ``path``, read once and decoded as
+    ``open(path, encoding="utf-8")`` decodes it: newlines translated, a BOM
+    kept for ``json`` to refuse. ``inputs[name]`` records the path and the
+    sha256 of the bytes read."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+        data = handle.read()
+    if inputs is not None:
+        inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _write_json(path: str, doc: dict):
@@ -79,9 +81,7 @@ def _emit(report: dict, out: str | None, quiet: bool, lines: list[str]):
 def _report_skeleton(command: str, inputs: dict, parameters: dict) -> dict:
     return {
         "command": command,
-        "inputs": {
-            name: {"path": path, "sha256": _digest(path)} for name, path in inputs.items()
-        },
+        "inputs": inputs,
         "parameters": parameters,
         "results": {},
         "warnings": [],
@@ -156,7 +156,9 @@ def _cmd_analyze(args) -> int:
     if args.order is not None and args.order < 0:
         raise ValueError(f"--order must be >= 0, got {args.order}")
     _finite(args, "tol")
-    seq = MomentSequence.from_document(_load_json(args.moments), origin=args.moments)
+    inputs = {}
+    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"),
+                                       origin=args.moments)
     names = args.vars.split(",") if args.vars else default_variable_names(seq.dimension)
     if len(names) != seq.dimension:
         raise ValueError(
@@ -171,7 +173,7 @@ def _cmd_analyze(args) -> int:
         ]
     report = _report_skeleton(
         "analyze",
-        {"moments": args.moments},
+        inputs,
         {"order": args.order, "polynomials": [text for text, _ in polys]},
     )
     warnings = report["warnings"]
@@ -262,12 +264,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_certify(args) -> int:
     _finite(args, "tol")
-    seq = MomentSequence.from_document(_load_json(args.moments), origin=args.moments)
-    config = _load_json(args.config)
+    inputs = {}
+    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"),
+                                       origin=args.moments)
+    config = _load_json(args.config, inputs, "config")
     results = run_check_config(seq, config, default_tol=args.tol)
-    report = _report_skeleton(
-        "certify", {"moments": args.moments, "config": args.config}, {}
-    )
+    report = _report_skeleton("certify", inputs, {})
     lines = []
     all_passed = True
     rendered = []
@@ -287,7 +289,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    doc = _load_json(args.operator)
+    inputs = {}
+    doc = _load_json(args.operator, inputs, "operator")
     try:
         matrix = np.array(doc["matrix"], dtype=float)
         vector = np.array(doc["vector"], dtype=float)
@@ -296,7 +299,7 @@ def _cmd_spectral(args) -> int:
     if matrix.ndim != 2:
         raise ValueError(f"operator matrix must be two-dimensional, got shape {matrix.shape}")
     k = args.nodes if args.nodes is not None else matrix.shape[0]
-    report = _report_skeleton("spectral", {"operator": args.operator}, {"nodes": k})
+    report = _report_skeleton("spectral", inputs, {"nodes": k})
     warnings = report["warnings"]
     seq = operator_moments(matrix, vector, 2 * k)
     alpha, beta = rayleigh_interval(matrix)
@@ -351,14 +354,15 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_disc(args) -> int:
     _finite(args, "radius", "constant")
-    doc = _load_json(args.moments)
+    inputs = {}
+    doc = _load_json(args.moments, inputs, "moments")
     if "atoms" in doc:
         atoms, max_level = complex_atoms_from_document(doc)
         table = from_complex_atoms(atoms, max_level)
     else:
         table = ComplexMomentFunction.from_document(doc)
     report = _report_skeleton(
-        "disc", {"moments": args.moments}, {"radius": args.radius, "constant": args.constant}
+        "disc", inputs, {"radius": args.radius, "constant": args.constant}
     )
     verdict = psd_kernel_check(table)
     check = disc_check(table, args.radius, args.constant)

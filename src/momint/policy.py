@@ -42,6 +42,13 @@ def relative_tol(values) -> float:
     return RELATIVE_TOL * (1.0 + (float(peak.max()) if peak.size else 0.0))
 
 
+def exceeds(value, limit, tol):
+    """``value > limit + tol``, for a float or elementwise for a numpy array:
+    the one rule by which a checked number fails its limit. A NaN never
+    exceeds."""
+    return value > limit + tol
+
+
 def saturated_limit(factor: float, base: float, exponent: int) -> float:
     """``factor * base ** exponent``, saturated to inf where the power leaves
     the float range (Python's float ``**`` raises OverflowError there): such

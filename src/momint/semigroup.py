@@ -23,11 +23,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import GrowthBound, _even_power_bound
-from .certify import CheckReport, Violation, psd_violations
+from .certify import CheckReport, limit_violations, psd_violations
 from .exceptions import CoverageError
 from .linalg import PsdVerdict, psd_check
 from .moments import _integer, _multi_index
-from .policy import HERMITIAN_INGEST_TOL, relative_tol, saturated_limit
+from .policy import HERMITIAN_INGEST_TOL, exceeds, relative_tol, saturated_limit
 
 
 class SemigroupElement(NamedTuple):
@@ -79,7 +79,7 @@ class ComplexMomentFunction:
         mirror = table.T.conj()
         missing = ~(given | given.T)
         with np.errstate(invalid="ignore"):  # inf - inf is nan, never a clash
-            clash = given & given.T & (np.abs(table - mirror) > tol)
+            clash = given & given.T & exceeds(np.abs(table - mirror), 0.0, tol)
         bad = np.flatnonzero(missing | clash)
         if bad.size:
             m, n = divmod(int(bad[0]), size)
@@ -87,7 +87,7 @@ class ComplexMomentFunction:
                 raise CoverageError(f"missing table entry ({m}, {n})")
             raise ValueError(f"entries ({m}, {n}) and ({n}, {m}) are not conjugate")
         table = np.where(given, table, mirror)
-        if abs(table[0, 0].imag) > tol:
+        if exceeds(abs(table[0, 0].imag), 0.0, tol):
             raise ValueError("f(0, 0) must be real and positive")
         table[0, 0] = table[0, 0].real
         self._store(max_level, table)
@@ -260,13 +260,8 @@ def disc_check(
         limit = saturated_limit(constant, radius, 2 * n)
         # a saturated limit is written as null: strict JSON has no infinity
         diagonal.append({"n": n, "value": value, "limit": limit if limit < math.inf else None})
-        if value > limit + tol:
-            violations.append(
-                Violation(
-                    description=f"diagonal growth at n={n}: {value:.12g} > {limit:.12g}",
-                    value=value - limit,
-                )
-            )
+        violations += limit_violations(
+            lambda: f"diagonal growth at n={n}: {value:.12g} > {limit:.12g}", value, limit, tol)
     details = [
         {
             "kernel_level": f.max_level // 2,

@@ -14,6 +14,7 @@ from momint.bounds import (
     quadratic_module_psd,
     rayleigh_bounds,
 )
+from momint.certify import growth_check
 from momint.exceptions import DegreeOverflowError, NotNormalizedError
 from momint.linalg import EigenDecomposition, psd_check, range_whitener, sym_eig
 from momint.moments import MeasureSpec, MomentSequence, from_measure
@@ -400,6 +401,37 @@ def test_a_term_that_underflows_in_the_scaled_polynomial_drops_out():
     # to zero: S has fewer rows than the power vectors, whose rest stays zero
     seq = MomentSequence(1, 2, {(0,): 1.0, (1,): 0.2, (2,): 0.5})
     assert growth_bound(seq, 1e150 + 1e-180 * T).value == 1e150
+
+
+#: L(t^2) = 1e200 and L(t^4) = 1e300: L((1e200 t)^(2n)) overflows at n = 1, 2
+OVERFLOWING_POWERS = MomentSequence(1, 4, {(0,): 1.0, (1,): 0.0, (2,): 1e200, (3,): 0.0,
+                                           (4,): 1e300})
+
+
+def test_a_huge_polynomial_keeps_its_growth_bound():
+    # only the scaled power table, its roots and the bound must be finite
+    gb = growth_bound(OVERFLOWING_POWERS, 1e200 * T)
+    assert gb.value == pytest.approx(1e300, rel=1e-14)
+    assert gb.per_power == pytest.approx((1e300, 1e275), rel=1e-14)
+    assert gb.value == gb.per_power[0] and gb.n_used == 2
+
+
+def test_the_growth_check_of_a_huge_polynomial_is_still_refused():
+    # growth_check compares L(a^(2n)) itself, which is not a finite float
+    with pytest.raises(ValueError, match=r"L\(p q\) = inf is not finite"):
+        growth_check(OVERFLOWING_POWERS, [(1e200 * T, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("moments, a", [
+    ([1.0, 0.0, 1e300, 0.0, 1e300], 1e200 * T),  # a root beyond the float range
+    ([1.0] + [8e307] * 8, sum((T**k for k in range(5)), Polynomial.zero(1))),  # a scaled value
+])
+def test_a_growth_bound_beyond_the_float_range_is_a_value_error(moments, a):
+    seq = MomentSequence(1, len(moments) - 1, {(k,): v for k, v in enumerate(moments)})
+    # as in the CLI, an overflow ends in the ValueError, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="growth bound is not finite"):
+        growth_bound(seq, a)
 
 
 # -- the archimedean bound against a reference bisection ----------------------

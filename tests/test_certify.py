@@ -20,6 +20,7 @@ from momint import bounds
 from momint.bounds import growth_bound
 from momint.exceptions import DegreeOverflowError
 from momint.moments import MeasureSpec, MomentSequence, from_measure
+from momint.policy import saturated_limit
 from momint.polynomials import Polynomial, enumerate_monomials
 
 T = Polynomial.variable(1, 0)
@@ -439,12 +440,84 @@ def test_weak_absolute_value_evaluates_what_fits():
     assert [v.description for v in report.violations] == [
         f"|L(t^5)| = {applied:.12g} exceeds 0.001"
     ]
-    assert report.violations[0].value == pytest.approx(applied - 0.001, abs=1e-15)
+    assert report.violations[0].value == pytest.approx(0.001 - applied, abs=1e-15)
     report = weak_absolute_value_check(seq, [(t9, 1.0)], 1.0)
     assert (report.passed, report.attempted, report.skipped) == (True, 0, 2)
     # every entry adds exactly 2 to attempted + skipped
     report = weak_absolute_value_check(seq, [(t5, 1.0), (T, 1.0), (t9, 1.0)], 1.0)
     assert (report.attempted, report.skipped) == (3, 3)
+
+
+# -- a violation's value is negative, by how much its inequality fails --------
+
+
+def test_each_limit_violation_is_valued_at_its_margin(two_atoms):
+    # atoms at -1 and 1: L(t^(2n)) = 1, and L(1 + t) = 1
+    report = growth_check(two_atoms, [(T, 0.5, 1.0)], tol=0.0)
+    values = bounds._even_power_values(two_atoms, T, 8)
+    assert [v.value for v in report.violations] == [
+        saturated_limit(1.0, 0.5, 2 * n) - value for n, value in enumerate(values, start=1)]
+
+    a = 1.0 + T
+    report = weak_absolute_value_check(two_atoms, [(a, 0.5)], 1.0, tol=0.0)
+    assert [v.value for v in report.violations] == [
+        0.5 - growth_bound(two_atoms, a).value, 1.0 * 0.5 - abs(two_atoms.apply(a))]
+
+    report = ball_check(two_atoms, radius=0.5, order=2, tol=0.0)
+    growth = report.details[1]
+    assert not growth["passed"] and len(report.violations) == 2
+    assert report.violations[1].value == growth["limit"] - growth["value"]
+
+
+def _signed_table(rng, dimension: int, degree: int) -> MomentSequence:
+    """Moments of 2-4 atoms in [-1.5, 1.5]^d with signed weights, scaled to
+    unit mass."""
+    while True:
+        weights = rng.normal(size=int(rng.integers(2, 5)))
+        if weights.sum() > 0.1:
+            break
+    points = rng.uniform(-1.5, 1.5, size=(len(weights), dimension))
+    exponents = enumerate_monomials(dimension, degree)
+    values = np.prod(points[:, None, :] ** np.array(exponents), axis=2).T @ weights
+    return MomentSequence(dimension, degree, dict(zip(exponents, values / weights.sum())))
+
+
+def _random_config(rng, dimension: int) -> dict:
+    """One check of each kind on x1 (and x2), with random limits and tol."""
+    def c() -> float:
+        return round(float(rng.uniform(0.3, 2.0)), 3)
+
+    a = "x1" if dimension == 1 else "x1 - 0.5*x2"
+    checks = [
+        {"check": "products", "factors": [{"upper": f"{c()} - x1", "lower": f"{c()} + x1"}],
+         "max_factors": 3},
+        {"check": "cone", "a": a, "jk_max": 3},
+        {"check": "ball", "radius": c(), "order": int(rng.integers(1, 3))},
+        {"check": "growth", "generators": [{"poly": a, "bound": c(), "prefactor": c()}]},
+        {"check": "weak_absolute_value", "entries": [{"poly": a, "value": c()}],
+         "functional_bound": c()},
+        {"check": "schmudgen", "constraints": [f"{c()} - x1^2"], "order": 1},
+        {"check": "interval", "entries": [{"poly": a, "lower": -c(), "upper": c()}]},
+    ]
+    for check in checks:
+        check["tol"] = float(rng.choice([0.0, 1e-9, 1e-3]))
+    return {"variables": ["x1", "x2"][:dimension], "checks": checks}
+
+
+def test_every_violation_is_below_minus_tol_on_signed_tables():
+    rng = np.random.default_rng(2027)
+    kinds = set()
+    for trial in range(40):
+        dimension = trial % 2 + 1
+        seq = _signed_table(rng, dimension, 6)
+        config = _random_config(rng, dimension)
+        tols = [check["tol"] for check in config["checks"]]
+        for (kind, report), tol in zip(run_check_config(seq, config), tols):
+            for violation in report.violations:
+                assert violation.value < -tol, (trial, kind, violation)
+                kinds.add(kind)
+    assert kinds == {"products", "cone", "ball", "growth", "weak_absolute_value",
+                     "schmudgen", "interval"}
 
 
 def test_schmudgen_lebesgue(lebesgue01):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +469,44 @@ def one_dim_moments(**fields):
     return doc
 
 
+def write_bytes(path, doc):
+    """``doc`` as indented JSON with CRLF line ends: bytes that no report
+    re-serializes."""
+    path.write_bytes(json.dumps(doc, indent=1).replace("\n", "\r\n").encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("command, files, options", [
+    ("analyze", {"moments": one_dim_moments()}, []),
+    ("certify", {"moments": one_dim_moments(),
+                 "config": {"checks": [{"check": "growth",
+                                        "generators": [{"poly": "t", "bound": 1.0}]}]}}, []),
+    ("spectral", {"operator": {"matrix": [[2.0, 0.0], [0.0, 5.0]], "vector": [1.0, 1.0]}}, []),
+    ("disc", {"moments": {"max_level": 4, "atoms": [{"re": 0.5, "im": 0.1, "weight": 1.0}]}},
+     ["--radius", "1", "--constant", "1"]),
+])
+def test_each_input_is_reported_with_the_sha256_of_its_bytes(tmp_path, command, files, options):
+    paths = {name: write_bytes(tmp_path / f"{name}.json", doc) for name, doc in files.items()}
+    out = tmp_path / "report.json"
+    assert main([command, *paths.values(), *options, "--out", str(out), "--quiet"]) in (0, 1)
+    assert json.loads(out.read_text())["inputs"] == {
+        name: {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for name, path in paths.items()
+    }
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'\xef\xbb\xbf{"a": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                            "line 1 column 1 (char 0)"),
+    (b'{"a": \xff}', "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+])
+def test_a_bom_and_invalid_utf8_are_usage_errors(tmp_path, capsys, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main(["analyze", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def complex_table(*extra):
     from momint.semigroup import from_complex_atoms
 
@@ -521,8 +561,9 @@ NULL_VALUE = one_dim_moments(moments=[
      "matrix has non-finite entries"),
     ("spectral", {"matrix": [[1e200, 0.0], [0.0, 1.0]], "vector": [1.0, 1.0]}, None,
      "non-finite moment at (2,)"),
-    # L(p q) and a localized matrix that overflow: one error line, no warning
-    ("analyze --poly 1e200*t", OVERFLOW, None, "L(p q) = inf is not finite"),
+    # localized matrices that overflow: one error line, no warning (the
+    # growth bound of 1e200*t is finite, its rayleigh matrix is not)
+    ("analyze --poly 1e200*t", OVERFLOW, None, "matrix has non-finite entries"),
     ("analyze --poly 1e300*t^4", OVERFLOW, None, "matrix has non-finite entries"),
     # a misspelt key would silently leave its default in force
     ("certify", one_dim_moments(), {"checks": [{"check": "cone", "a": "t", "jkmax": 1}]},

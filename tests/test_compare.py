@@ -157,7 +157,7 @@ def test_a_malformed_expectation_is_refused(compare, tmp_path, entry):
         expectations(compare, tmp_path, [entry])
 
 
-# -- invocation entries: changed exit codes and stderr -------------------------
+# -- invocation entries: changed exit codes, stderr and stdout -----------------
 
 
 def outcome(code=0, stdout="", stderr="", report='{"passed": true}'):
@@ -195,6 +195,35 @@ def test_a_stderr_entry_matches_the_working_trees_stderr_only(compare, tmp_path)
         "stderr"]
     entries[0]["entry"]["stderr"] = "exponent at position 2"
     assert compare.absorb_invocation(entries, "analyze-truncated-exponent", base, head) == []
+
+
+FLIPPED_VALUE = ("certify-growth",
+                 outcome(1, stdout="growth: FAIL (1 checked, 0 skipped)\n"
+                                   "  violation: L((t)^2) = 1 > 0.25 -> 0.75\n"),
+                 outcome(1, stdout="growth: FAIL (1 checked, 0 skipped)\n"
+                                   "  violation: L((t)^2) = 1 > 0.25 -> -0.75\n"))
+
+
+def test_a_stdout_entry_covers_a_changed_stdout_with_the_same_exit_code(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "certify-*", "stdout": r"-> -0\.75$"}])
+    assert compare.absorb_invocation(entries, *FLIPPED_VALUE) == []
+    assert entries[0]["used"] == 1 and compare.unused_entries(entries) == []
+
+
+def test_a_stdout_entry_whose_regex_does_not_match_fails(compare, tmp_path):
+    # matched on the working tree's side only: the parent's value is no cover
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "certify-*", "stdout": r"-> 0\.75$"}])
+    assert compare.absorb_invocation(entries, *FLIPPED_VALUE) == ["stdout"]
+    assert compare.unused_entries(entries) == [r'  stdout "-> 0\\.75$" at certify-*']
+
+
+def test_an_unused_stdout_entry_fails(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"invocation": "certify-*", "stdout": "violation"}])
+    assert compare.absorb_invocation(entries, *JUXTAPOSED) == ["exit", "stderr", "report"]
+    assert compare.unused_entries(entries) == ['  stdout "violation" at certify-*']
 
 
 def test_an_unused_entry_fails(compare, tmp_path):
@@ -235,7 +264,9 @@ def test_a_flip_in_the_wrong_direction_fails(compare, tmp_path):
 @pytest.mark.parametrize("entry", [
     {"invocation": "x"}, {"invocation": "x", "exit": [0, 0]}, {"invocation": "x", "exit": 2},
     {"invocation": "x", "exit": [0, 2], "stderr": "e"}, {"invocation": 1, "stderr": "e"},
-    {"invocation": "x", "stderr": "("}, {"path": ".passed", "allow": {"flip": [True, True]}},
+    {"invocation": "x", "stderr": "("}, {"invocation": "x", "stdout": "("},
+    {"invocation": "x", "stdout": 1}, {"invocation": "x", "stdout": "e", "stderr": "e"},
+    {"path": ".passed", "allow": {"flip": [True, True]}},
     {"path": ".passed", "allow": {"flip": ["true", "false"]}},
 ])
 def test_a_malformed_invocation_or_flip_entry_is_refused(compare, tmp_path, entry):

@@ -190,3 +190,19 @@ def test_no_tolerance_literal_outside_the_policy_module():
         and 0.0 < abs(node.value) < 1e-3
     ]
     assert not stray, "thresholds belong in momint/policy.py: " + ", ".join(stray)
+
+
+def test_every_comparison_with_a_tolerance_is_policy_exceeds():
+    # besides exceeds itself, only psd_check's own rule and the input checks
+    # of a given tol compare with one
+    package = Path(policy.__file__).parent
+    found = sorted(
+        (path.name, ast.unparse(node))
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(n, ast.Name) and n.id == "tol" for n in ast.walk(node))
+    )
+    assert found == [("certify.py", "tol >= 0"), ("linalg.py", "min_eig >= -tol"),
+                     ("linalg.py", "tol >= 0"), ("policy.py", "value > limit + tol")]

@@ -246,6 +246,33 @@ def test_disc_check_tolerance_applies_to_kernel():
     assert not default.passed and not default.details[0]["kernel_psd"]
 
 
+def test_a_diagonal_violation_is_valued_at_its_margin():
+    # f(n, n) = 1 against 0.25^n: every n >= 1 fails, by limit - value
+    unit = from_complex_atoms([(1.0 + 0j, 1.0)], 6)
+    report = disc_check(unit, radius=0.5, constant=1.0, tol=0.0)
+    diagonal = report.details[1]["diagonal"]
+    assert [v.value for v in report.violations if v.description.startswith("diagonal")] == [
+        entry["limit"] - entry["value"] for entry in diagonal[1:]]
+
+
+def test_every_disc_violation_is_below_minus_tol(complex_corpus):
+    rng = np.random.default_rng(2027)
+    described = set()
+    for atoms in complex_corpus:
+        f = from_complex_atoms(atoms, 8)
+        # Hermitian, but no moment function: f minus 0.3 times its shift by (1, 1)
+        signed = ComplexMomentFunction(8, {k: f.value(k) - 0.3 * f.value((k[0] + 1, k[1] + 1))
+                                           if max(k) < 8 else f.value(k)
+                                           for k in np.ndindex(9, 9)})
+        for table in (f, signed):
+            tol = float(rng.choice([0.0, 1e-9, 1e-3]))
+            report = disc_check(table, rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0), tol=tol)
+            for violation in report.violations:
+                assert violation.value < -tol, violation
+                described.add(violation.description.split()[0])
+    assert described == {"kernel", "diagonal"}
+
+
 def test_disc_check_rejects_bad_parameters():
     f = from_complex_atoms([(0.5 + 0j, 1.0)], 4)
     for radius, constant in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):

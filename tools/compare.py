@@ -52,12 +52,14 @@ instead. FILE is a JSON list of entries of two kinds:
   path), ``{"flip": [OLD, NEW]}`` (booleans that change from OLD to NEW,
   such as a verdict at ``.passed``; a change the other way fails) or
   ``"any"`` (any change, strings and bools included);
-* ``{"invocation": PATTERN, "exit": [OLD, NEW]}`` or ``{"invocation":
-  PATTERN, "stderr": REGEX}``: PATTERN is an invocation name in which ``*``
-  matches any text. An ``exit`` entry covers an exit code that changes from
-  OLD to NEW, together with the stdout of that invocation and a report that
-  only one side writes; a ``stderr`` entry covers a changed stderr that
-  REGEX matches (``re.search``) on the working tree's side.
+* ``{"invocation": PATTERN, "exit": [OLD, NEW]}``, ``{"invocation":
+  PATTERN, "stderr": REGEX}`` or ``{"invocation": PATTERN, "stdout":
+  REGEX}``: PATTERN is an invocation name in which ``*`` matches any text.
+  An ``exit`` entry covers an exit code that changes from OLD to NEW,
+  together with the stdout of that invocation and a report that only one
+  side writes; a ``stderr`` or ``stdout`` entry covers a changed stderr or
+  stdout that REGEX matches (``re.search``) on the working tree's side, such
+  as the violation values that a non-quiet ``certify`` prints.
 
 Every exit code, stdout and stderr that no entry covers, every string, bool
 or null, every number at an unlisted path and the order of every violations
@@ -421,9 +423,10 @@ def _valid_invocation_entry(entry: dict) -> bool:
         codes = entry["exit"]
         return (isinstance(codes, list) and len(codes) == 2 and codes[0] != codes[1]
                 and all(isinstance(c, int) and not isinstance(c, bool) for c in codes))
-    if "stderr" in entry and isinstance(entry["stderr"], str):
+    stream = next((key for key in ("stderr", "stdout") if key in entry), None)
+    if stream and isinstance(entry[stream], str):
         try:
-            re.compile(entry["stderr"])
+            re.compile(entry[stream])
         except re.error:
             return False
         return True
@@ -439,8 +442,8 @@ def _load_expectations(path: str) -> list:
         if isinstance(entry, dict) and "invocation" in entry:
             if not _valid_invocation_entry(entry):
                 raise ValueError(f"expectation entry {entry!r} needs 'invocation' and one of "
-                                 "'exit' (a list of two different exit codes) or 'stderr' "
-                                 "(a regular expression)")
+                                 "'exit' (a list of two different exit codes), 'stderr' or "
+                                 "'stdout' (a regular expression)")
             entries.append({"kind": "invocation", "pattern": _pattern(entry["invocation"]),
                             "entry": entry})
             continue
@@ -464,7 +467,7 @@ def _shown_allowance(allow) -> str:
 def _shown_entry(entry: dict) -> str:
     """One entry of an expectation file as the summary names it."""
     if "invocation" in entry:
-        key = "exit" if "exit" in entry else "stderr"
+        key = next(key for key in ("exit", "stderr", "stdout") if key in entry)
         return f"{key} {json.dumps(entry[key])} at {entry['invocation']}"
     return f"{_shown_allowance(entry['allow'])} at {entry['path']}"
 
@@ -544,17 +547,18 @@ def absorb_invocation(expectations: list, name: str, base: dict, head: dict) -> 
             uncovered.append("exit")
         else:
             exit_entry["used"] = exit_entry.get("used", 0) + 1
-    if base["stdout"] != head["stdout"] and (exit_entry is None or base["code"] == head["code"]):
-        uncovered.append("stdout")
-    if base["stderr"] != head["stderr"]:
-        stderr_entry = next((e for e in entries if "stderr" in e["entry"]
-                             and re.search(e["entry"]["stderr"], head["stderr"])), None)
-        if stderr_entry is None:
-            uncovered.append("stderr")
+    # an exit entry's two codes differ, so it matches only a changed exit code
+    for stream in ("stdout", "stderr"):
+        if base[stream] == head[stream] or (stream == "stdout" and exit_entry):
+            continue
+        stream_entry = next((e for e in entries if stream in e["entry"]
+                             and re.search(e["entry"][stream], head[stream])), None)
+        if stream_entry is None:
+            uncovered.append(stream)
         else:
-            stderr_entry["used"] = stderr_entry.get("used", 0) + 1
+            stream_entry["used"] = stream_entry.get("used", 0) + 1
     one_sided = (base["report"] is None) != (head["report"] is None)
-    if one_sided and (exit_entry is None or base["code"] == head["code"]):
+    if one_sided and exit_entry is None:
         uncovered.append("report")
     return uncovered
 
