@@ -35,7 +35,6 @@ from .certify import (
     weak_absolute_value_check,
 )
 from .exceptions import (
-    CeilingExceededError,
     CoverageError,
     DegreeOverflowError,
     EigensolverError,

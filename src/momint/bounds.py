@@ -8,11 +8,11 @@ that produced them (no operation extrapolates):
   L(a^(2n)) is a quadratic form of the plain moment matrix (``_power_table``);
 * Rayleigh bounds: extreme generalized eigenvalues of the localized/plain
   moment matrix pencil, estimating the range of ``a`` on the support;
-* archimedean bounds: the smallest constant M making the localized matrix of
-  M - a positive semidefinite, found by bisection on the range of the moment
-  form, which must be PSD as for the pencil. The bisection runs on one
-  spectrum, and two PSD checks certify its result. The bound for a^2 is the
-  same question asked of the polynomial a^2.
+* archimedean bounds: the smallest constant M on a fixed absolute grid
+  making the localized matrix of M - a positive semidefinite on the range of
+  the moment form, which must be PSD as for the pencil. M is read off the
+  pencil's top eigenvalue, and one PSD check admits it. The bound for a^2
+  is the same question asked of the polynomial a^2.
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .exceptions import (
-    CeilingExceededError,
-    DegreeOverflowError,
-    NotNormalizedError,
-)
+from .exceptions import DegreeOverflowError, NotNormalizedError
 from .linalg import (
     EigenDecomposition,
     PsdVerdict,
@@ -46,7 +42,7 @@ from .linalg import (
     sym_eig,
 )
 from .moments import MomentSequence, _multiplication_matrix
-from .policy import BISECTION_CEILING, BISECTION_TOL, MEMBERSHIP_SLACK
+from .policy import ARCHIMEDEAN_GRID, MEMBERSHIP_SLACK
 from .polynomials import Polynomial
 
 
@@ -277,81 +273,34 @@ def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVer
     )
 
 
-def _bisect(admissible: Callable[[float], bool]) -> float:
-    """Least admissible m of a monotone predicate, to absolute tolerance
-    BISECTION_TOL (or to adjacent floats, where those lie further apart).
-
-    The bracket doubles out from [-1, 1]; its last step clamps to
-    +-BISECTION_CEILING, beyond which CeilingExceededError is raised.
-    """
-    hi = 1.0
-    while not admissible(hi):
-        if hi >= BISECTION_CEILING:
-            raise CeilingExceededError(
-                f"no admissible bound below ceiling {BISECTION_CEILING:g}"
-            )
-        hi = min(2.0 * hi, BISECTION_CEILING)
-    lo = -1.0
-    while admissible(lo):
-        if lo <= -BISECTION_CEILING:
-            raise CeilingExceededError(
-                f"bound lies below -ceiling {BISECTION_CEILING:g}; data looks degenerate"
-            )
-        lo = max(2.0 * lo, -BISECTION_CEILING)
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no float lies between: the bracket cannot shrink
-            break
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
-    """Smallest M with the localized matrix of (M - a) positive semidefinite
-    at the given order.
+    """Smallest M, on the ``ARCHIMEDEAN_GRID``, with the localized matrix of
+    (M - a) positive semidefinite at the given order.
 
     The search runs on the range of the plain moment matrix, as the pencil
     of ``rayleigh_bounds`` does (``pencil_whitened``: rank-deficient
     directions are quotiented out, never perturbed, and a plain matrix that
     is not PSD, or retains nothing, raises the pencil's error): with C the
     compressed localized matrix, M is admissible when ``psd_check(M I - C,
-    tol=0)`` passes. ``_bisect`` runs first on one spectrum, ``M >=
-    max_eig(C)``. ``psd_check`` must then pass at the least point admitted
-    and fail at the greatest point refused: it is monotone in M, so it would
-    have decided every step alike, and the result is that of the PSD
-    bisection. Otherwise, or at the ceiling, the bisection reruns on
-    ``psd_check``. The result coincides with the upper Rayleigh bound of
-    ``a``; keeping the bisection route makes that equality a checkable
-    property rather than a definition.
+    tol=0)`` passes. M starts at the least grid multiple at or above the top
+    eigenvalue of C (at that eigenvalue itself where the grid is finer than
+    its float spacing) and, while the PSD check refuses it, rises by a step
+    that starts at one grid step and doubles. So the result is admitted by
+    the PSD check, and lies within a grid step of the upper Rayleigh bound
+    of ``a`` unless the spectrum and the check disagree. An M that leaves
+    the float range is the ValueError of a non-finite matrix.
     """
     compressed = pencil_whitened(_localized_matrix(seq, order, a), _plain_matrix_eig(seq, order))
-    identity = np.eye(compressed.shape[0])
-
-    def admissible(m: float) -> bool:
-        return psd_check(m * identity - compressed, tol=0.0).is_psd
-
     top = float(sym_eig(compressed, vectors=False).eigenvalues[-1])
-    admitted, refused = math.inf, -math.inf
-
-    def above_top(m: float) -> bool:
-        nonlocal admitted, refused
-        if m >= top:
-            admitted = min(admitted, m)
-            return True
-        refused = max(refused, m)
-        return False
-
-    try:
-        bound = _bisect(above_top)
-    except CeilingExceededError:
-        pass
+    if abs(top) / ARCHIMEDEAN_GRID > 2.0**53:  # the grid is finer than top's float spacing
+        bound = top
     else:
-        if admissible(admitted) and not admissible(refused):
-            return bound
-    return _bisect(admissible)
+        bound = math.ceil(top / ARCHIMEDEAN_GRID) * ARCHIMEDEAN_GRID
+    step = max(ARCHIMEDEAN_GRID, math.ulp(bound))
+    while not psd_check(np.diag(np.full(len(compressed), bound)) - compressed, tol=0.0).is_psd:
+        bound += step
+        step *= 2.0
+    return bound
 
 
 __all__ = [

@@ -9,8 +9,11 @@ the summary). Exit status: 0 when every requested check passes, 1 when a
 mathematical check fails, 2 on input or usage errors, with one ``error:``
 line: every command runs under one numpy errstate, so an overflow ends in a
 finiteness check's ValueError rather than a warning. In ``analyze`` a
-field whose computation raises a MomintError is ``{"error": message}``
-instead. Reports are strict JSON; a saturated limit is written as null.
+field whose computation raises a MomintError or such a ValueError is
+``{"error": message}`` instead, and the exit status is that of the PSD
+verdict, which runs first and unguarded (so a bad ``--tol`` is still a
+usage error). Reports are strict JSON; a saturated limit is written as
+null.
 """
 
 from __future__ import annotations
@@ -135,10 +138,13 @@ def _admissible_order(seq: MomentSequence, shift_degree: int, requested: int | N
 
 def _guarded(compute) -> dict:
     """The report field that ``compute()`` builds, or ``{"error": message}``
-    when it raises a MomintError; any other error ends the command."""
+    when it raises a MomintError or a ValueError. Every ValueError that the
+    analyze fields reach is a finiteness check of an overflowing value (the
+    ``--tol`` sign check runs first, in the unguarded PSD verdict); any
+    other error ends the command."""
     try:
         return compute()
-    except MomintError as exc:
+    except (MomintError, ValueError) as exc:
         return {"error": str(exc)}
 
 
@@ -157,8 +163,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--order must be >= 0, got {args.order}")
     _finite(args, "tol")
     inputs = {}
-    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"),
-                                       origin=args.moments)
+    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"))
     names = args.vars.split(",") if args.vars else default_variable_names(seq.dimension)
     if len(names) != seq.dimension:
         raise ValueError(
@@ -265,8 +270,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_certify(args) -> int:
     _finite(args, "tol")
     inputs = {}
-    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"),
-                                       origin=args.moments)
+    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"))
     config = _load_json(args.config, inputs, "config")
     results = run_check_config(seq, config, default_tol=args.tol)
     report = _report_skeleton("certify", inputs, {})

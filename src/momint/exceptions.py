@@ -33,10 +33,6 @@ class EigensolverError(MomintError):
     """The dense eigensolver failed to converge on a finite matrix."""
 
 
-class CeilingExceededError(MomintError):
-    """A bisection search found no admissible bound below the configured ceiling."""
-
-
 class CoverageError(MomintError):
     """A semigroup moment table is missing entries needed for the query."""
 

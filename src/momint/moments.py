@@ -448,24 +448,24 @@ class MomentSequence:
     """Values of a linear functional on all monomials of degree <= max_degree.
 
     ``y`` holds them in graded-lex order. ``normalized`` records whether they
-    have unit mass; ``scale`` keeps the original L(1) so oracle provenance is
-    not lost.
+    have unit mass; ``scale`` keeps the original L(1), the only record of the
+    mass before normalization.
     """
 
-    __slots__ = ("dimension", "max_degree", "y", "normalized", "scale", "origin", "_cache")
+    __slots__ = ("dimension", "max_degree", "y", "normalized", "scale", "_cache")
 
-    def __init__(self, dimension: int, max_degree: int, values: Mapping, origin: str = ""):
+    def __init__(self, dimension: int, max_degree: int, values: Mapping):
         y = _dense_moments(dimension, max_degree, list(values), list(values.values()))
-        self._store(dimension, max_degree, y, origin)
+        self._store(dimension, max_degree, y)
 
     @classmethod
-    def _from_dense(cls, dimension: int, max_degree: int, y, origin: str) -> "MomentSequence":
+    def _from_dense(cls, dimension: int, max_degree: int, y) -> "MomentSequence":
         """A sequence from its grlex moment vector (no indices to check)."""
         seq = cls.__new__(cls)
-        seq._store(dimension, max_degree, y, origin)
+        seq._store(dimension, max_degree, y)
         return seq
 
-    def _store(self, dimension: int, max_degree: int, y, origin: str):
+    def _store(self, dimension: int, max_degree: int, y):
         """Check the truncation and finiteness, rescale a positive mass to 1
         and fill the slots."""
         if dimension < 1:
@@ -486,7 +486,6 @@ class MomentSequence:
         self.y = y
         self.normalized = normalized
         self.scale = mass
-        self.origin = origin
         self._cache: dict = {}
 
     @property
@@ -579,7 +578,7 @@ class MomentSequence:
         }
 
     @classmethod
-    def from_document(cls, doc: Mapping, origin: str = "document") -> "MomentSequence":
+    def from_document(cls, doc: Mapping) -> "MomentSequence":
         try:
             dimension = _integer(doc["dimension"], "dimension")
             max_degree = _integer(doc["max_degree"], "max_degree")
@@ -588,7 +587,7 @@ class MomentSequence:
             raise ValueError(f"malformed moment document: {exc}") from exc
         keys, values = [key for key, _ in pairs], [value for _, value in pairs]
         y = _dense_moments(dimension, max_degree, keys, values)
-        return cls._from_dense(dimension, max_degree, y, origin)
+        return cls._from_dense(dimension, max_degree, y)
 
     def __repr__(self) -> str:
         return (
@@ -614,7 +613,6 @@ def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
             raise ValueError(
                 f"powers of the atom coordinates overflow by degree {max_degree}"
             ) from None
-        origin = f"atoms({len(spec.atoms)})"
     else:
         bounds, order = spec.box
         needed = max_degree // 2 + 1
@@ -630,7 +628,6 @@ def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
             xs, ws = 0.5 * (hi + lo) + half * base_nodes, half * base_weights
             sides.append([float(np.sum(ws * xs**e)) for e in powers])
         components = [(1.0, sides)]
-        origin = f"box(order={order})"
     exponents = _monomial_array(spec.dimension, max_degree)
     y = np.zeros(len(exponents))
     # components in spec order, factors left to right from the weight: the
@@ -640,7 +637,7 @@ def from_measure(spec: MeasureSpec, max_degree: int) -> MomentSequence:
         for column, table in zip(exponents.T, tables):
             term *= np.array(table)[column]
         y += term
-    return MomentSequence._from_dense(spec.dimension, max_degree, y, origin)
+    return MomentSequence._from_dense(spec.dimension, max_degree, y)
 
 
 __all__ = [

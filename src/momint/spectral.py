@@ -78,7 +78,7 @@ def operator_moments(t, h, max_degree: int) -> MomentSequence:
         for k in range(1, max_degree + 1):
             current = tm @ current
             moments[k] = float(current @ vec)
-    return MomentSequence._from_dense(1, max_degree, moments, "operator")
+    return MomentSequence._from_dense(1, max_degree, moments)
 
 
 def rayleigh_interval(t) -> tuple[float, float]:

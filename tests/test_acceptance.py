@@ -19,7 +19,9 @@ from momint.bounds import (
     rayleigh_bounds,
 )
 from momint.certify import ball_check, schmudgen_check
+from momint.linalg import range_whitener, sym_eig
 from momint.moments import from_measure
+from momint.policy import ARCHIMEDEAN_GRID
 from momint.polynomials import Polynomial
 from momint.semigroup import (
     SemigroupElement,
@@ -219,17 +221,20 @@ def test_criterion_8_disc_module(complex_corpus):
     _passed(8, "complex disc module")
 
 
-def test_criterion_9_archimedean_coherence(atom_corpus):
+def test_criterion_9_archimedean_coherence(atom_corpus, mp_eigenvalues):
+    # the least M on the grid at or above the top eigenvalue of the
+    # compressed localized matrix, that eigenvalue taken from mpmath
     for _, seq in atom_corpus:
+        whitener = range_whitener(sym_eig(seq.moment_matrix(5).matrix))
         for i in range(seq.dimension):
             a = Polynomial.variable(seq.dimension, i)
-            direct = rayleigh_bounds(seq, a, 5).upper
-            bisected = archimedean_bound(seq, a, 5)
-            assert abs(bisected - direct) <= 1e-7
-            square_direct = rayleigh_bounds(seq, a * a, 5).upper
-            square_bisected = archimedean_bound(seq, a * a, 5)
-            assert abs(square_bisected - square_direct) <= 1e-7
-    _passed(9, "archimedean bounds match pencil extremes")
+            for poly in (a, a * a):
+                compressed = whitener.T @ seq.moment_matrix(5, poly).matrix.data @ whitener
+                top = mp_eigenvalues(compressed)[-1]
+                bound = archimedean_bound(seq, poly, 5)
+                rounding = 1e-12 * (1.0 + abs(top))
+                assert top - rounding <= bound <= top + ARCHIMEDEAN_GRID + rounding
+    _passed(9, "archimedean bounds on the grid above the mpmath top eigenvalue")
 
 
 def test_criterion_10_exact_square_law(atom_corpus):

@@ -18,7 +18,7 @@ from momint.certify import growth_check
 from momint.exceptions import DegreeOverflowError, NotNormalizedError
 from momint.linalg import EigenDecomposition, psd_check, range_whitener, sym_eig
 from momint.moments import MeasureSpec, MomentSequence, from_measure
-from momint.policy import BISECTION_CEILING, BISECTION_TOL
+from momint.policy import ARCHIMEDEAN_GRID
 from momint.polynomials import Polynomial, enumerate_monomials, format_polynomial
 
 T = Polynomial.variable(1, 0)
@@ -436,27 +436,37 @@ def test_a_growth_bound_beyond_the_float_range_is_a_value_error(moments, a):
 
 # -- the archimedean bound against a reference bisection ----------------------
 
+#: the reference bisection's bracket stops doubling here
+REFERENCE_CEILING = 1e12
+
+
+def compressed_localized(seq: MomentSequence, a: Polynomial, order: int) -> np.ndarray:
+    """The localized matrix of ``a`` compressed to the range of the plain
+    matrix and whitened there, built from the moment matrices directly."""
+    w = range_whitener(sym_eig(seq.moment_matrix(order).matrix))
+    return w.T @ seq.moment_matrix(order, a).matrix.data @ w
+
+
+def admitted(bound: float, compressed: np.ndarray) -> bool:
+    return psd_check(bound * np.eye(len(compressed)) - compressed, tol=0.0).is_psd
+
 
 def reference_archimedean(seq: MomentSequence, a: Polynomial, order: int) -> float:
     """The bisection with ``psd_check`` at every step, on the compressed
-    localized matrix: the route the spectrum-first search must reproduce."""
-    w = range_whitener(sym_eig(seq.moment_matrix(order).matrix))
-    compressed = w.T @ seq.moment_matrix(order, a).matrix.data @ w
-
-    def admissible(m):
-        return psd_check(m * np.eye(len(compressed)) - compressed, tol=0.0).is_psd
-
+    localized matrix, to bracket width ``ARCHIMEDEAN_GRID``: an independent
+    route to the least admitted M."""
+    compressed = compressed_localized(seq, a, order)
     hi = 1.0
-    while not admissible(hi):
-        hi = min(2.0 * hi, BISECTION_CEILING)
+    while not admitted(hi, compressed):
+        hi = min(2.0 * hi, REFERENCE_CEILING)
     lo = -1.0
-    while admissible(lo):
-        lo = max(2.0 * lo, -BISECTION_CEILING)
-    while hi - lo > BISECTION_TOL:
+    while admitted(lo, compressed):
+        lo = max(2.0 * lo, -REFERENCE_CEILING)
+    while hi - lo > ARCHIMEDEAN_GRID:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if admissible(mid):
+        if admitted(mid, compressed):
             hi = mid
         else:
             lo = mid
@@ -471,23 +481,38 @@ def archimedean_cases(atom_corpus):
             yield seq, poly, order
 
 
+def assert_on_the_grid_above_the_top(bound, seq, poly, order):
+    """Admitted by the PSD check, in [upper, upper + grid] of the pencil up
+    to rounding, and within a grid step of the reference bisection."""
+    assert admitted(bound, compressed_localized(seq, poly, order))
+    upper = rayleigh_bounds(seq, poly, order).upper
+    rounding = 1e-12 * (1.0 + abs(upper))
+    assert upper - rounding <= bound <= upper + ARCHIMEDEAN_GRID + rounding
+    assert abs(bound - reference_archimedean(seq, poly, order)) <= ARCHIMEDEAN_GRID
+
+
 def test_archimedean_bound_matches_the_reference_bisection(atom_corpus):
     for seq, poly, order in archimedean_cases(atom_corpus):
-        assert archimedean_bound(seq, poly, order) == reference_archimedean(seq, poly, order)
+        assert_on_the_grid_above_the_top(archimedean_bound(seq, poly, order), seq, poly, order)
 
 
 def test_archimedean_bound_edge_cases_match_the_reference():
-    # bounds at exactly -1 and 1, a tested point of the bracket, and at 6e11,
-    # between the last power of two and the ceiling
+    # bounds at exactly -1 and 1, on the grid, at 6e11, where the grid is
+    # finer than the float spacing, and on a rank-one plain matrix
     for a, moments in ((-T, (1.0, 1.0, 1.0)), (T, (1.0, 1.0, 1.0)), (6e11 * T, (1.0, 1.0, 1.0)),
                        (T, (1.0, -1.0, 1.0))):
         seq = MomentSequence(1, 2, {(k,): v for k, v in enumerate(moments)})
-        assert archimedean_bound(seq, a, 0) == reference_archimedean(seq, a, 0)
+        assert_on_the_grid_above_the_top(archimedean_bound(seq, a, 0), seq, a, 0)
+    seq = MomentSequence(1, 2, {(k,): 1.0 for k in range(3)})
+    assert archimedean_bound(seq, T, 0) == 1.0
+    assert archimedean_bound(seq, 6e11 * T, 0) == 6e11
 
 
 @pytest.mark.parametrize("error", [0.5, -0.5, 1e-9, -1e-9])
-def test_a_wrong_spectrum_takes_the_psd_rerun(atom_corpus, monkeypatch, error):
-    reference = [reference_archimedean(*case) for case in archimedean_cases(atom_corpus)]
+def test_a_wrong_spectrum_still_gives_an_admitted_bound(atom_corpus, monkeypatch, error):
+    # a top eigenvalue read too high is admitted as it is; one read too low
+    # is refused by the PSD check and stepped up from, by doubling steps
+    # whose sum overshoots the shortfall at most twice
     original = bounds.sym_eig
 
     def shifted(matrix, vectors=True):
@@ -496,12 +521,17 @@ def test_a_wrong_spectrum_takes_the_psd_rerun(atom_corpus, monkeypatch, error):
             return decomp
         return EigenDecomposition(decomp.eigenvalues + error, None)
 
+    cases = list(archimedean_cases(atom_corpus))
+    truth = [rayleigh_bounds(*case).upper for case in cases]
     monkeypatch.setattr(bounds, "sym_eig", shifted)
-    found = [archimedean_bound(*case) for case in archimedean_cases(atom_corpus)]
-    assert found == reference
+    for (seq, poly, order), upper in zip(cases, truth):
+        bound = archimedean_bound(seq, poly, order)
+        assert admitted(bound, compressed_localized(seq, poly, order))
+        assert upper - 1e-12 * (1.0 + abs(upper)) <= bound
+        assert bound <= upper + abs(error) + 2.0 * ARCHIMEDEAN_GRID
 
 
-def test_archimedean_bound_runs_three_eigensolves(atom_corpus, monkeypatch):
+def test_archimedean_bound_runs_two_eigensolves(atom_corpus, monkeypatch):
     seq, poly, order = next(archimedean_cases(atom_corpus))
     rayleigh_bounds(seq, poly, order)  # the plain decomposition, shared
     calls = []
@@ -514,7 +544,24 @@ def test_archimedean_bound_runs_three_eigensolves(atom_corpus, monkeypatch):
     monkeypatch.setattr(bounds, "sym_eig", counting)
     monkeypatch.setattr(linalg, "sym_eig", counting)
     archimedean_bound(seq, poly, order)
-    assert len(calls) == 3
+    # the top eigenvalue, and the PSD check that admits the bound
+    assert len(calls) == 2
+
+
+def test_an_archimedean_bound_past_the_float_range_is_a_value_error(monkeypatch):
+    # a PSD check that refuses every finite M: the step doubles until M is
+    # infinite, and the matrix M I - C is refused as non-finite
+    checked = []
+
+    def refusing(matrix, tol=None):
+        checked.append(psd_check(matrix, tol))
+        return linalg.PsdVerdict(False, -1.0, 0.0)
+
+    monkeypatch.setattr(bounds, "psd_check", refusing)
+    seq = MomentSequence(1, 2, {(k,): 1.0 for k in range(3)})
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        archimedean_bound(seq, T, 0)
+    assert 1000 < len(checked) < 1100
 
 
 # -- one localized matrix per (shift, order) ----------------------------------

@@ -271,8 +271,9 @@ def test_analyze_growth_vs_rayleigh_from_its_entries(tmp_path, two_atom_measure)
     assert "error" in entries["t^5"]["growth_vs_rayleigh"]
 
 
-def test_analyze_finds_a_bound_between_the_last_power_of_two_and_the_ceiling(tmp_path):
-    # 6e11 lies past 2^39: the bracket's last doubling clamps to the ceiling
+def test_analyze_finds_a_bound_where_the_grid_is_finer_than_the_floats(tmp_path):
+    # floats near 6e11 lie 1.2e-4 apart, far more than the grid: the bound
+    # starts at the top eigenvalue itself
     moments = write(tmp_path / "moments.json", one_dim_moments(
         moments=[{"index": [k], "value": 1.0} for k in range(3)]))
     report_path = tmp_path / "report.json"
@@ -299,7 +300,7 @@ def test_analyze_keeps_the_growth_bound_of_a_tiny_polynomial(tmp_path):
     assert tiny["value"] == pytest.approx(1e-300 * unit["value"], rel=1e-12)
 
 
-def test_analyze_reports_a_bound_beyond_the_ceiling_as_a_field(tmp_path, capsys):
+def test_analyze_reports_a_bound_beyond_1e12_as_a_value(tmp_path, capsys):
     measure = write(tmp_path / "atoms.json",
                     {"atoms": [{"point": [0.5], "weight": 1.0},
                                {"point": [-0.3], "weight": 2.0}]})
@@ -310,10 +311,12 @@ def test_analyze_reports_a_bound_beyond_the_ceiling_as_a_field(tmp_path, capsys)
                  "--out", str(report_path), "--quiet"]) == 0
     assert capsys.readouterr().err == ""
     entry = json.loads(report_path.read_text())["results"]["polynomials"]["1e13*t"]
-    # the linear bound 5e12 fails, and its error stands for the square too
-    for name in ("archimedean_linear", "archimedean_square"):
-        assert entry[name] == {"error": "no admissible bound below ceiling 1e+12"}
+    # no ceiling: the bounds are 5e12 and its square, from the pencil's top
     assert entry["rayleigh"]["upper"] == pytest.approx(5e12)
+    assert entry["archimedean_linear"] == {
+        "value": pytest.approx(entry["rayleigh"]["upper"], rel=1e-15), "order": 3}
+    assert entry["archimedean_square"] == {
+        "value": pytest.approx(entry["square_norm_bound"]["value"], rel=1e-15), "order": 3}
     for name in ("growth_bound", "membership_psd", "membership_growth"):
         assert "error" not in entry[name]
     assert entry["growth_bound"]["value"] > 0.0
@@ -561,10 +564,6 @@ NULL_VALUE = one_dim_moments(moments=[
      "matrix has non-finite entries"),
     ("spectral", {"matrix": [[1e200, 0.0], [0.0, 1.0]], "vector": [1.0, 1.0]}, None,
      "non-finite moment at (2,)"),
-    # localized matrices that overflow: one error line, no warning (the
-    # growth bound of 1e200*t is finite, its rayleigh matrix is not)
-    ("analyze --poly 1e200*t", OVERFLOW, None, "matrix has non-finite entries"),
-    ("analyze --poly 1e300*t^4", OVERFLOW, None, "matrix has non-finite entries"),
     # a misspelt key would silently leave its default in force
     ("certify", one_dim_moments(), {"checks": [{"check": "cone", "a": "t", "jkmax": 1}]},
      "unknown key 'jkmax' in cone check"),
@@ -578,8 +577,7 @@ NULL_VALUE = one_dim_moments(moments=[
     "fractional-max-level", "complex-fractional-key", "complex-repeated-key",
     "complex-repeated-float-key", "negative-tol", "huge-incomplete-real",
     "huge-incomplete-complex", "complex-nan", "complex-infinite-mass",
-    "operator-infinite", "operator-overflow", "analyze-overflow-apply",
-    "analyze-overflow-matrix", "unknown-cone-key", "unknown-products-key",
+    "operator-infinite", "operator-overflow", "unknown-cone-key", "unknown-products-key",
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, message):
     command, *options = command.split()
@@ -591,3 +589,25 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, command, doc, config, 
     assert main(argv + ["--quiet"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+@pytest.mark.parametrize("poly, computed", [
+    # the growth bound of 1e200*t is finite, its localized matrices are not
+    ("1e200*t", {"growth_bound", "membership_growth"}),
+    ("1e300*t^4", set()),
+], ids=["analyze-overflow-apply", "analyze-overflow-matrix"])
+def test_analyze_reports_an_overflowing_field_as_its_error(tmp_path, capsys, poly, computed):
+    report_path = tmp_path / "report.json"
+    code = main(["analyze", write(tmp_path / "doc.json", OVERFLOW), "--poly", poly,
+                 "--out", str(report_path), "--quiet"])
+    assert capsys.readouterr().err == ""
+    report = json.loads(report_path.read_text())
+    # the exit code is that of the PSD verdict; no warning
+    assert report["results"]["psd"]["is_psd"] is report["passed"] is True and code == 0
+    entry = report["results"]["polynomials"][poly]
+    overflowed = {"rayleigh", "archimedean_linear", "archimedean_square", "membership_psd"}
+    for name in overflowed:
+        assert entry[name] == {"error": "matrix has non-finite entries"}
+    for name in computed:
+        assert "error" not in entry[name]
+    assert report["results"]["support_box"] == {}

@@ -115,6 +115,24 @@ def test_a_change_inside_its_envelope_fits_and_its_use_is_printed(compare, tmp_p
                      " | 1 changes"]
 
 
+def test_a_key_on_one_side_takes_the_next_entry_past_a_numeric_one(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.growth_bound.value", "allow": {"abs": 1e-9}},
+        {"path": ".results.polynomials.x1*x2 + 0.25.growth_bound.*", "allow": "any"}])
+    # one report keeps its value, another gains it in place of an error
+    changes, _ = walk(compare, GROWTH, changed_growth(1.0 + 2e-10))
+    failed = {"results": {"polynomials": {"x1*x2 + 0.25": {"growth_bound": {"error": "e"}}}},
+              "passed": True}
+    _, others = walk(compare, failed, GROWTH)
+    usage, outside = compare.check_envelopes(entries, changes, others)
+    assert outside == []
+    assert [line.rsplit("| ", 1)[1] for line in usage] == ["1 changes", "2 changes"]
+    # a number beyond the abs entry fails, whatever the next entry allows
+    changes, others = walk(compare, GROWTH, changed_growth(1.0 + 1e-8))
+    _, outside = compare.check_envelopes(entries, changes, others)
+    assert len(outside) == 1 and "allowed: abs 1e-09" in outside[0]
+
+
 def test_an_exceeded_envelope_fails(compare, tmp_path):
     entries = expectations(compare, tmp_path, [
         {"path": ".results.polynomials.*.growth_bound.value", "allow": {"abs": 1e-12}}])

@@ -180,7 +180,7 @@ def test_non_finite_moment_rejected():
     with pytest.raises(ValueError, match=r"non-finite moment at \(1,\)"):
         MomentSequence(1, 2, {(0,): 1.0, (1,): math.nan, (2,): 1.0})
     with pytest.raises(ValueError, match=r"non-finite moment at \(2,\)"):
-        MomentSequence._from_dense(1, 2, np.array([1.0, 0.5, math.inf]), "operator")
+        MomentSequence._from_dense(1, 2, np.array([1.0, 0.5, math.inf]))
 
 
 @pytest.mark.parametrize("atoms, box", [

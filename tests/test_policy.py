@@ -13,7 +13,7 @@ import pytest
 from momint import cli, policy
 from momint.bounds import archimedean_bound, quadratic_module_growth
 from momint.certify import growth_check
-from momint.exceptions import CeilingExceededError, RankDeficiencyError
+from momint.exceptions import RankDeficiencyError
 from momint.linalg import pencil_extremes, psd_check, sym_eig
 from momint.moments import MomentSequence
 from momint.polynomials import Polynomial
@@ -93,16 +93,11 @@ def membership_slack(s, *_):
     return verdict.holds
 
 
-def bisection_ceiling(s, *_):
-    # the bracket doubles from 1 and its last step clamps to the ceiling, so
-    # a bound just below the ceiling is found (1e12 lies past 2^39)
-    edge = policy.BISECTION_CEILING
-    try:
-        bound = archimedean_bound(table(1.0, 1.0, 1.0), s * edge * T, 0)
-    except CeilingExceededError:
-        return False
-    assert abs(bound - s * edge) <= 2.0 * math.ulp(edge)
-    return True
+def archimedean_grid(s, *_):
+    # the top of the order-0 pencil of table(1, c, c^2) is c = 3 s grid: the
+    # bound is the least grid multiple at or above it
+    c = 3.0 * s * policy.ARCHIMEDEAN_GRID
+    return archimedean_bound(table(1.0, c, c * c), T, 0) == 3.0 * policy.ARCHIMEDEAN_GRID
 
 
 def saturation(s, *_):
@@ -149,7 +144,7 @@ def node_containment(s, tmp_path, monkeypatch):
 #: each probe is true just inside its threshold and false just outside
 BOUNDARIES = [
     psd_tolerance, check_tolerance, disc_diagonal_tolerance, rank_cutoff, hermitian_ingest,
-    weight_prune, pivot_floor, membership_slack, bisection_ceiling, saturation,
+    weight_prune, pivot_floor, membership_slack, archimedean_grid, saturation,
     moment_residual, pencil_residual, node_containment,
 ]
 

@@ -166,7 +166,7 @@ def test_moment_sequence_packaging():
     seq = operator_moments(np.diag([1.0, 2.0, 3.0]), np.ones(3), 6)
     assert isinstance(seq, MomentSequence)
     assert seq.dimension == 1 and seq.max_degree == 6
-    assert seq.normalized and seq.origin == "operator"
+    assert seq.normalized
     assert psd_check(seq.moment_matrix(3).matrix).is_psd
 
 

@@ -51,7 +51,9 @@ instead. FILE is a JSON list of entries of two kinds:
   ``{"abs": x}`` or ``{"rel": x}`` (the largest change of a number at the
   path), ``{"flip": [OLD, NEW]}`` (booleans that change from OLD to NEW,
   such as a verdict at ``.passed``; a change the other way fails) or
-  ``"any"`` (any change, strings and bools included);
+  ``"any"`` (any change, strings and bools included). An ``abs`` or
+  ``rel`` entry covers numbers only: a string, bool or null, or a key on
+  one side only, at its path takes the next entry that matches;
 * ``{"invocation": PATTERN, "exit": [OLD, NEW]}``, ``{"invocation":
   PATTERN, "stderr": REGEX}`` or ``{"invocation": PATTERN, "stdout":
   REGEX}``: PATTERN is an invocation name in which ``*`` matches any text.
@@ -486,10 +488,13 @@ def check_envelopes(expectations: list, changes: dict, others: dict,
         e["used"] = 0
     outside = []
 
-    def allowance(path):
+    def allowance(path, number=True):
         for e in entries:
-            if e["pattern"].fullmatch(path):
-                return e, e["entry"]["allow"]
+            allow = e["entry"]["allow"]
+            # an abs or rel entry covers numbers only
+            if e["pattern"].fullmatch(path) and (
+                    number or not (isinstance(allow, dict) and "flip" not in allow)):
+                return e, allow
         return None, "identical"
 
     for path, (absolute, relative, count) in sorted(changes.items()):
@@ -504,7 +509,7 @@ def check_envelopes(expectations: list, changes: dict, others: dict,
             outside.append(f"  {path} | abs {absolute:.3e}, rel {relative:.3e} | {count} | "
                            f"allowed: {_shown_allowance(allow)}")
     for path, (count, (base, head)) in sorted(others.items()):
-        e, allow = allowance(path)
+        e, allow = allowance(path, number=False)
         wrong = count
         if isinstance(allow, dict) and "flip" in allow:
             wrong -= (flips or {}).get((path, *allow["flip"]), 0)
