@@ -7,8 +7,9 @@ products and semialgebraic data, spectral-measure reconstruction by Gauss
 quadrature, and the complex disc criterion on the pair semigroup.
 ``quadratic_module_psd`` gives every PSD verdict on a real moment matrix,
 ``pencil_extremes(a, sym_eig(b))`` the Rayleigh extremes of a pencil, and
-``archimedean_bound(seq, a, order)`` the least M with M - a localized PSD;
-the bounds of a^2 are those of the polynomial ``a * a``.
+``archimedean_bound(seq, a, order)`` the least M with M - a localized PSD,
+which is the pencil's top eigenvalue admitted by the default PSD check; the
+bounds of a^2 are those of the polynomial ``a * a``.
 """
 
 from .bounds import (

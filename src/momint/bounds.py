@@ -8,11 +8,11 @@ that produced them (no operation extrapolates):
   L(a^(2n)) is a quadratic form of the plain moment matrix (``_power_table``);
 * Rayleigh bounds: extreme generalized eigenvalues of the localized/plain
   moment matrix pencil, estimating the range of ``a`` on the support;
-* archimedean bounds: the smallest constant M on a fixed absolute grid
-  making the localized matrix of M - a positive semidefinite on the range of
-  the moment form, which must be PSD as for the pencil. M is read off the
-  pencil's top eigenvalue, and one PSD check admits it. The bound for a^2
-  is the same question asked of the polynomial a^2.
+* archimedean bounds: the smallest constant M making the localized matrix
+  of M - a positive semidefinite on the range of the moment form, which must
+  be PSD as for the pencil. M is the pencil's top eigenvalue, admitted by one
+  PSD check at the package's default tolerance. The bound for a^2 is the
+  same question asked of the polynomial a^2.
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import DegreeOverflowError, NotNormalizedError
+from .exceptions import DegreeOverflowError, NotNormalizedError, NotPsdError
 from .linalg import (
     EigenDecomposition,
     PsdVerdict,
@@ -42,7 +42,7 @@ from .linalg import (
     sym_eig,
 )
 from .moments import MomentSequence, _multiplication_matrix
-from .policy import ARCHIMEDEAN_GRID, MEMBERSHIP_SLACK
+from .policy import MEMBERSHIP_SLACK
 from .polynomials import Polynomial
 
 
@@ -274,33 +274,28 @@ def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVer
 
 
 def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
-    """Smallest M, on the ``ARCHIMEDEAN_GRID``, with the localized matrix of
-    (M - a) positive semidefinite at the given order.
+    """Smallest M with the localized matrix of (M - a) positive semidefinite
+    at the given order, on the range of the plain moment matrix.
 
-    The search runs on the range of the plain moment matrix, as the pencil
-    of ``rayleigh_bounds`` does (``pencil_whitened``: rank-deficient
-    directions are quotiented out, never perturbed, and a plain matrix that
-    is not PSD, or retains nothing, raises the pencil's error): with C the
-    compressed localized matrix, M is admissible when ``psd_check(M I - C,
-    tol=0)`` passes. M starts at the least grid multiple at or above the top
-    eigenvalue of C (at that eigenvalue itself where the grid is finer than
-    its float spacing) and, while the PSD check refuses it, rises by a step
-    that starts at one grid step and doubles. So the result is admitted by
-    the PSD check, and lies within a grid step of the upper Rayleigh bound
-    of ``a`` unless the spectrum and the check disagree. An M that leaves
-    the float range is the ValueError of a non-finite matrix.
+    With C the localized matrix of ``a`` compressed to that range, as the
+    pencil of ``rayleigh_bounds`` compresses it (``pencil_whitened``:
+    rank-deficient directions are quotiented out, never perturbed, and a
+    plain matrix that is not PSD, or retains nothing, raises the pencil's
+    error), the least such M is the top eigenvalue of C, the upper Rayleigh
+    bound of ``a``. It is returned as computed, once ``psd_check(M I - C)``
+    admits it at the default tolerance; a refusal is a NotPsdError naming M
+    and the margin.
     """
     compressed = pencil_whitened(_localized_matrix(seq, order, a), _plain_matrix_eig(seq, order))
     top = float(sym_eig(compressed, vectors=False).eigenvalues[-1])
-    if abs(top) / ARCHIMEDEAN_GRID > 2.0**53:  # the grid is finer than top's float spacing
-        bound = top
-    else:
-        bound = math.ceil(top / ARCHIMEDEAN_GRID) * ARCHIMEDEAN_GRID
-    step = max(ARCHIMEDEAN_GRID, math.ulp(bound))
-    while not psd_check(np.diag(np.full(len(compressed), bound)) - compressed, tol=0.0).is_psd:
-        bound += step
-        step *= 2.0
-    return bound
+    verdict = psd_check(top * np.eye(len(compressed)) - compressed)
+    if not verdict.is_psd:
+        raise NotPsdError(
+            f"archimedean bound {top!r} is not admitted: M I - C misses its PSD "
+            f"tolerance {verdict.tolerance_used:.3e} by "
+            f"{-(verdict.min_eigenvalue + verdict.tolerance_used):.3e}"
+        )
+    return top
 
 
 __all__ = [

@@ -23,8 +23,6 @@ WEIGHT_PRUNE_TOL = 1e-12
 PIVOT_REL_TOL = 1e-12
 #: growth-route membership slack: both growth bounds converge from below
 MEMBERSHIP_SLACK = 0.05
-#: archimedean bound grid: the bound is its least admitted multiple, so the grid is its absolute error
-ARCHIMEDEAN_GRID = 1e-8
 #: spectral PASS: moment-match and pencil residuals from rounding in the quadrature
 SPECTRAL_RESIDUAL_TOL = 1e-8
 #: spectral PASS: node overshoot of the eigenvalue interval from rounding

@@ -21,7 +21,6 @@ from momint.bounds import (
 from momint.certify import ball_check, schmudgen_check
 from momint.linalg import range_whitener, sym_eig
 from momint.moments import from_measure
-from momint.policy import ARCHIMEDEAN_GRID
 from momint.polynomials import Polynomial
 from momint.semigroup import (
     SemigroupElement,
@@ -222,8 +221,8 @@ def test_criterion_8_disc_module(complex_corpus):
 
 
 def test_criterion_9_archimedean_coherence(atom_corpus, mp_eigenvalues):
-    # the least M on the grid at or above the top eigenvalue of the
-    # compressed localized matrix, that eigenvalue taken from mpmath
+    # the top eigenvalue of the compressed localized matrix, taken from
+    # mpmath
     for _, seq in atom_corpus:
         whitener = range_whitener(sym_eig(seq.moment_matrix(5).matrix))
         for i in range(seq.dimension):
@@ -232,9 +231,8 @@ def test_criterion_9_archimedean_coherence(atom_corpus, mp_eigenvalues):
                 compressed = whitener.T @ seq.moment_matrix(5, poly).matrix.data @ whitener
                 top = mp_eigenvalues(compressed)[-1]
                 bound = archimedean_bound(seq, poly, 5)
-                rounding = 1e-12 * (1.0 + abs(top))
-                assert top - rounding <= bound <= top + ARCHIMEDEAN_GRID + rounding
-    _passed(9, "archimedean bounds on the grid above the mpmath top eigenvalue")
+                assert abs(bound - top) <= 1e-12 * (1.0 + abs(top))
+    _passed(9, "archimedean bounds at the mpmath top eigenvalue")
 
 
 def test_criterion_10_exact_square_law(atom_corpus):

@@ -15,10 +15,9 @@ from momint.bounds import (
     rayleigh_bounds,
 )
 from momint.certify import growth_check
-from momint.exceptions import DegreeOverflowError, NotNormalizedError
+from momint.exceptions import DegreeOverflowError, NotNormalizedError, NotPsdError
 from momint.linalg import EigenDecomposition, psd_check, range_whitener, sym_eig
 from momint.moments import MeasureSpec, MomentSequence, from_measure
-from momint.policy import ARCHIMEDEAN_GRID
 from momint.polynomials import Polynomial, enumerate_monomials, format_polynomial
 
 T = Polynomial.variable(1, 0)
@@ -438,6 +437,8 @@ def test_a_growth_bound_beyond_the_float_range_is_a_value_error(moments, a):
 
 #: the reference bisection's bracket stops doubling here
 REFERENCE_CEILING = 1e12
+#: the reference bisection stops at this bracket width
+REFERENCE_WIDTH = 1e-10
 
 
 def compressed_localized(seq: MomentSequence, a: Polynomial, order: int) -> np.ndarray:
@@ -448,12 +449,12 @@ def compressed_localized(seq: MomentSequence, a: Polynomial, order: int) -> np.n
 
 
 def admitted(bound: float, compressed: np.ndarray) -> bool:
-    return psd_check(bound * np.eye(len(compressed)) - compressed, tol=0.0).is_psd
+    return psd_check(bound * np.eye(len(compressed)) - compressed).is_psd
 
 
 def reference_archimedean(seq: MomentSequence, a: Polynomial, order: int) -> float:
     """The bisection with ``psd_check`` at every step, on the compressed
-    localized matrix, to bracket width ``ARCHIMEDEAN_GRID``: an independent
+    localized matrix, to bracket width ``REFERENCE_WIDTH``: an independent
     route to the least admitted M."""
     compressed = compressed_localized(seq, a, order)
     hi = 1.0
@@ -462,7 +463,7 @@ def reference_archimedean(seq: MomentSequence, a: Polynomial, order: int) -> flo
     lo = -1.0
     while admitted(lo, compressed):
         lo = max(2.0 * lo, -REFERENCE_CEILING)
-    while hi - lo > ARCHIMEDEAN_GRID:
+    while hi - lo > REFERENCE_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -481,38 +482,32 @@ def archimedean_cases(atom_corpus):
             yield seq, poly, order
 
 
-def assert_on_the_grid_above_the_top(bound, seq, poly, order):
-    """Admitted by the PSD check, in [upper, upper + grid] of the pencil up
-    to rounding, and within a grid step of the reference bisection."""
+def assert_at_the_top(bound, seq, poly, order):
+    """Admitted by the default PSD check, the pencil's upper bound bit for
+    bit, and within 1e-8 of the reference bisection."""
     assert admitted(bound, compressed_localized(seq, poly, order))
-    upper = rayleigh_bounds(seq, poly, order).upper
-    rounding = 1e-12 * (1.0 + abs(upper))
-    assert upper - rounding <= bound <= upper + ARCHIMEDEAN_GRID + rounding
-    assert abs(bound - reference_archimedean(seq, poly, order)) <= ARCHIMEDEAN_GRID
+    assert bound == rayleigh_bounds(seq, poly, order).upper
+    assert abs(bound - reference_archimedean(seq, poly, order)) <= 1e-8
 
 
 def test_archimedean_bound_matches_the_reference_bisection(atom_corpus):
     for seq, poly, order in archimedean_cases(atom_corpus):
-        assert_on_the_grid_above_the_top(archimedean_bound(seq, poly, order), seq, poly, order)
+        assert_at_the_top(archimedean_bound(seq, poly, order), seq, poly, order)
 
 
 def test_archimedean_bound_edge_cases_match_the_reference():
-    # bounds at exactly -1 and 1, on the grid, at 6e11, where the grid is
-    # finer than the float spacing, and on a rank-one plain matrix
+    # bounds at exactly -1 and 1, at 6e11, and on a rank-one plain matrix
     for a, moments in ((-T, (1.0, 1.0, 1.0)), (T, (1.0, 1.0, 1.0)), (6e11 * T, (1.0, 1.0, 1.0)),
                        (T, (1.0, -1.0, 1.0))):
         seq = MomentSequence(1, 2, {(k,): v for k, v in enumerate(moments)})
-        assert_on_the_grid_above_the_top(archimedean_bound(seq, a, 0), seq, a, 0)
+        assert_at_the_top(archimedean_bound(seq, a, 0), seq, a, 0)
     seq = MomentSequence(1, 2, {(k,): 1.0 for k in range(3)})
     assert archimedean_bound(seq, T, 0) == 1.0
     assert archimedean_bound(seq, 6e11 * T, 0) == 6e11
 
 
-@pytest.mark.parametrize("error", [0.5, -0.5, 1e-9, -1e-9])
-def test_a_wrong_spectrum_still_gives_an_admitted_bound(atom_corpus, monkeypatch, error):
-    # a top eigenvalue read too high is admitted as it is; one read too low
-    # is refused by the PSD check and stepped up from, by doubling steps
-    # whose sum overshoots the shortfall at most twice
+def spectrum_read_off_by(monkeypatch, error):
+    """Make the archimedean bound read every eigenvalue ``error`` too high."""
     original = bounds.sym_eig
 
     def shifted(matrix, vectors=True):
@@ -521,14 +516,30 @@ def test_a_wrong_spectrum_still_gives_an_admitted_bound(atom_corpus, monkeypatch
             return decomp
         return EigenDecomposition(decomp.eigenvalues + error, None)
 
+    monkeypatch.setattr(bounds, "sym_eig", shifted)
+
+
+@pytest.mark.parametrize("error", [0.5, -5e-10, 1e-9])
+def test_a_wrong_spectrum_still_gives_an_admitted_bound(atom_corpus, monkeypatch, error):
+    # a top eigenvalue read too high, or too low by less than the PSD
+    # tolerance, is admitted as it was read; the tolerance of a retained
+    # rank of one is 1e-9 (1 + the shortfall), so that case reads 5e-10 low
     cases = list(archimedean_cases(atom_corpus))
     truth = [rayleigh_bounds(*case).upper for case in cases]
-    monkeypatch.setattr(bounds, "sym_eig", shifted)
+    spectrum_read_off_by(monkeypatch, error)
     for (seq, poly, order), upper in zip(cases, truth):
         bound = archimedean_bound(seq, poly, order)
         assert admitted(bound, compressed_localized(seq, poly, order))
-        assert upper - 1e-12 * (1.0 + abs(upper)) <= bound
-        assert bound <= upper + abs(error) + 2.0 * ARCHIMEDEAN_GRID
+        assert bound == upper + error
+
+
+def test_a_spectrum_read_too_low_is_refused(atom_corpus, monkeypatch):
+    cases = list(archimedean_cases(atom_corpus))
+    spectrum_read_off_by(monkeypatch, -0.5)
+    for seq, poly, order in cases:
+        with pytest.raises(NotPsdError, match=r"archimedean bound .* is not admitted: "
+                           r"M I - C misses its PSD tolerance .* by 5\.000e-01"):
+            archimedean_bound(seq, poly, order)
 
 
 def test_archimedean_bound_runs_two_eigensolves(atom_corpus, monkeypatch):
@@ -548,20 +559,26 @@ def test_archimedean_bound_runs_two_eigensolves(atom_corpus, monkeypatch):
     assert len(calls) == 2
 
 
-def test_an_archimedean_bound_past_the_float_range_is_a_value_error(monkeypatch):
-    # a PSD check that refuses every finite M: the step doubles until M is
-    # infinite, and the matrix M I - C is refused as non-finite
-    checked = []
+def test_the_archimedean_bound_scales_exactly_with_its_polynomial():
+    # every step, from the localized matrix to the top eigenvalue, commutes
+    # with a power-of-two scaling, and so must the bound
+    rng = np.random.default_rng(29)
+    for i in range(40):
+        d = i % 3 + 1
+        atoms = [(tuple(rng.uniform(-1.5, 1.5, d)), float(rng.uniform(0.2, 1.0)))
+                 for _ in range(int(rng.integers(3, 12)))]
+        seq = from_measure(MeasureSpec(atoms=atoms), 8)
+        a = Polynomial.variable(d, 0) - Polynomial.variable(d, d - 1) * 0.5 + 0.25
+        base = archimedean_bound(seq, a, 3)
+        for k in (-40, -8, 8, 40):
+            assert archimedean_bound(seq, a * 2.0**k, 3) == math.ldexp(base, k)
 
-    def refusing(matrix, tol=None):
-        checked.append(psd_check(matrix, tol))
-        return linalg.PsdVerdict(False, -1.0, 0.0)
 
-    monkeypatch.setattr(bounds, "psd_check", refusing)
-    seq = MomentSequence(1, 2, {(k,): 1.0 for k in range(3)})
-    with pytest.raises(ValueError, match="matrix has non-finite entries"):
-        archimedean_bound(seq, T, 0)
-    assert 1000 < len(checked) < 1100
+def test_a_tiny_polynomial_keeps_its_archimedean_bound():
+    # the degree-8 table of atoms 0.5 (weight 1) and -0.3 (weight 2): the
+    # bound of 1e-300*t is 1e-300 times that of t, with no absolute floor
+    seq = from_measure(MeasureSpec(atoms=[((0.5,), 1.0), ((-0.3,), 2.0)]), 8)
+    assert archimedean_bound(seq, 1e-300 * T, 3) == 5.000000000000001e-301
 
 
 # -- one localized matrix per (shift, order) ----------------------------------

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from momint.cli import main
+from momint.moments import MomentSequence
+from momint.polynomials import enumerate_monomials
 
 
 def write(path, doc):
@@ -324,6 +327,59 @@ def test_analyze_reports_a_bound_beyond_1e12_as_a_value(tmp_path, capsys):
     assert entry["membership_growth"]["holds"] is False
 
 
+def signed_atom_table(rng, dimension, max_degree, signed):
+    """The moment document of a few random atoms in [-1.5, 1.5]^dimension;
+    ``signed`` makes the first weight negative."""
+    points = rng.uniform(-1.5, 1.5, (int(rng.integers(2, 7)), dimension))
+    weights = rng.uniform(0.2, 1.5, len(points))
+    if signed:
+        weights[0] = -weights[0]
+    moments = MomentSequence(dimension, max_degree, {
+        alpha: float(np.sum(weights * np.prod(points ** np.array(alpha), axis=1)))
+        for alpha in enumerate_monomials(dimension, max_degree)})
+    return moments.to_document()
+
+
+def test_analyze_archimedean_fields_repeat_their_pencils(tmp_path):
+    # each archimedean field is the upper bound of its own pencil, value for
+    # value and error for error: genuine and signed tables, and polynomials
+    # past the degree budget
+    rng = np.random.default_rng(29)
+    for i in range(24):
+        d = i % 3 + 1
+        moments = write(tmp_path / f"{i}.json", signed_atom_table(rng, d, 6, signed=i % 2 == 1))
+        polys = ["x1", f"x1*x{d} - 0.5", "x1^3", "x1^5 + 1"] if d > 1 else ["t", "t^3", "t^5"]
+        report_path = tmp_path / f"{i}.report.json"
+        args = ["analyze", moments, "--out", str(report_path), "--quiet"]
+        if i % 4 == 2:
+            args += ["--order", "2"]
+        main(args + [arg for poly in polys for arg in ("--poly", poly)])
+        for entry in json.loads(report_path.read_text())["results"]["polynomials"].values():
+            rayleigh = entry["rayleigh"]
+            assert entry["archimedean_linear"] == (rayleigh if "error" in rayleigh else {
+                "value": rayleigh["upper"], "order": rayleigh["order"]})
+            assert entry["archimedean_square"] == entry["square_norm_bound"]
+
+
+def test_analyze_warns_of_no_negative_order(tmp_path, capsys):
+    measure = write(tmp_path / "atoms.json",
+                    {"atoms": [{"point": [0.5], "weight": 1.0},
+                               {"point": [-0.3], "weight": 2.0}]})
+    moments = tmp_path / "moments.json"
+    main(["oracle", measure, "--degree", "8", "--out", str(moments), "--quiet"])
+    report_path = tmp_path / "report.json"
+    main(["analyze", str(moments), "--poly", "t^5", "--order", "2", "--out", str(report_path)])
+    out = capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    # the linear field's order still shrinks with a warning; no order of the
+    # square fits, and its field names the degree
+    assert report["warnings"] == ["t^5: order reduced from 2 to 1 by the degree budget"]
+    assert "warning: t^5: order reduced from 2 to 1 by the degree budget\n" in out
+    assert not re.search(r"to -\d", out)
+    assert report["results"]["polynomials"]["t^5"]["square_norm_bound"] == {
+        "error": "matrix order 0 with shift degree 10 needs moments of degree 10 > 8"}
+
+
 def test_analyze_all_zero_table_reports_every_bound_as_unavailable(tmp_path, capsys):
     moments = write(tmp_path / "zero.json", one_dim_moments(
         max_degree=4, moments=[{"index": [k], "value": 0.0} for k in range(5)]))
@@ -605,9 +661,13 @@ def test_analyze_reports_an_overflowing_field_as_its_error(tmp_path, capsys, pol
     # the exit code is that of the PSD verdict; no warning
     assert report["results"]["psd"]["is_psd"] is report["passed"] is True and code == 0
     entry = report["results"]["polynomials"][poly]
-    overflowed = {"rayleigh", "archimedean_linear", "archimedean_square", "membership_psd"}
+    overflowed = {"rayleigh", "archimedean_linear", "membership_psd"}
     for name in overflowed:
         assert entry[name] == {"error": "matrix has non-finite entries"}
+    # the square's own pencil: non-finite for 1e200*t, beyond the table's
+    # degree for 1e300*t^4
+    assert entry["archimedean_square"] == entry["square_norm_bound"]
+    assert "error" in entry["square_norm_bound"]
     for name in computed:
         assert "error" not in entry[name]
     assert report["results"]["support_box"] == {}

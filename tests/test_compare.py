@@ -133,6 +133,23 @@ def test_a_key_on_one_side_takes_the_next_entry_past_a_numeric_one(compare, tmp_
     assert len(outside) == 1 and "allowed: abs 1e-09" in outside[0]
 
 
+def test_a_number_beyond_an_abs_entry_takes_a_later_rel_entry(compare, tmp_path):
+    entries = expectations(compare, tmp_path, [
+        {"path": ".results.polynomials.*.growth_bound.value", "allow": {"abs": 1e-8}},
+        {"path": ".results.polynomials.x1*x2 + 0.25.growth_bound.value", "allow": {"rel": 1e-15}}])
+    # a small value within the abs bound beside a huge one moved by one ulp
+    changes, others, numbers = {}, {}, {}
+    for base, head in ((1e-8, 2e-22), (9.042911911062565e29, 9.042911911062564e29)):
+        compare._walk_changes(changed_growth(base), changed_growth(head), "", changes, others,
+                              numbers=numbers)
+    usage, outside = compare.check_envelopes(entries, changes, others, numbers=numbers)
+    assert outside == []
+    assert [line.rsplit("| ", 1)[1] for line in usage] == ["1 changes", "1 changes"]
+    # without the per-number list, the path's largest changes fit neither entry
+    _, outside = compare.check_envelopes(entries, changes, others)
+    assert len(outside) == 1 and "allowed: abs 1e-08" in outside[0]
+
+
 def test_an_exceeded_envelope_fails(compare, tmp_path):
     entries = expectations(compare, tmp_path, [
         {"path": ".results.polynomials.*.growth_bound.value", "allow": {"abs": 1e-12}}])

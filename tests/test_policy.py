@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momint import cli, policy
+from momint import bounds, cli, policy
 from momint.bounds import archimedean_bound, quadratic_module_growth
 from momint.certify import growth_check
-from momint.exceptions import RankDeficiencyError
-from momint.linalg import pencil_extremes, psd_check, sym_eig
+from momint.exceptions import NotPsdError, RankDeficiencyError
+from momint.linalg import EigenDecomposition, pencil_extremes, psd_check, sym_eig
 from momint.moments import MomentSequence
 from momint.polynomials import Polynomial
 from momint.semigroup import ComplexMomentFunction, disc_check
@@ -93,11 +93,23 @@ def membership_slack(s, *_):
     return verdict.holds
 
 
-def archimedean_grid(s, *_):
-    # the top of the order-0 pencil of table(1, c, c^2) is c = 3 s grid: the
-    # bound is the least grid multiple at or above it
-    c = 3.0 * s * policy.ARCHIMEDEAN_GRID
-    return archimedean_bound(table(1.0, c, c * c), T, 0) == 3.0 * policy.ARCHIMEDEAN_GRID
+def archimedean_admission(s, _, monkeypatch):
+    # the order-0 pencil of table(1, 1, 1) is [1]; its top read x = s RELATIVE_TOL
+    # too low leaves M I - C = [-x], whose tolerance is RELATIVE_TOL * (1 + x)
+    x = s * policy.RELATIVE_TOL
+
+    def read_low(matrix, vectors=True):
+        decomp = sym_eig(matrix, vectors)
+        return decomp if vectors else EigenDecomposition(decomp.eigenvalues - x, None)
+
+    monkeypatch.setattr(bounds, "sym_eig", read_low)
+    try:
+        archimedean_bound(table(1.0, 1.0, 1.0), T, 0)
+    except NotPsdError:
+        return False
+    finally:
+        monkeypatch.undo()
+    return True
 
 
 def saturation(s, *_):
@@ -144,7 +156,7 @@ def node_containment(s, tmp_path, monkeypatch):
 #: each probe is true just inside its threshold and false just outside
 BOUNDARIES = [
     psd_tolerance, check_tolerance, disc_diagonal_tolerance, rank_cutoff, hermitian_ingest,
-    weight_prune, pivot_floor, membership_slack, archimedean_grid, saturation,
+    weight_prune, pivot_floor, membership_slack, archimedean_admission, saturation,
     moment_residual, pencil_residual, node_containment,
 ]
 
@@ -201,3 +213,26 @@ def test_every_comparison_with_a_tolerance_is_policy_exceeds():
     )
     assert found == [("certify.py", "tol >= 0"), ("linalg.py", "min_eig >= -tol"),
                      ("linalg.py", "tol >= 0"), ("policy.py", "value > limit + tol")]
+
+
+def test_no_psd_check_is_given_a_constant_tol():
+    # every PSD verdict takes the default tolerance or a caller's, never a
+    # constant of its own
+    def constant(node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return (node.id if isinstance(node, ast.Name) else node.attr).isupper()
+        try:
+            return ast.literal_eval(node) is not None  # None is the default
+        except ValueError:
+            return False
+
+    package = Path(policy.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("psd_check")
+        and any(constant(arg) for arg in node.args[1:]
+                + [kw.value for kw in node.keywords if kw.arg == "tol"])
+    ]
+    assert not found, "psd_check with a constant tol: " + ", ".join(found)

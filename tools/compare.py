@@ -53,7 +53,9 @@ instead. FILE is a JSON list of entries of two kinds:
   such as a verdict at ``.passed``; a change the other way fails) or
   ``"any"`` (any change, strings and bools included). An ``abs`` or
   ``rel`` entry covers numbers only: a string, bool or null, or a key on
-  one side only, at its path takes the next entry that matches;
+  one side only, at its path takes the next entry that matches. A number
+  beyond an ``abs`` or ``rel`` entry takes the next ``abs`` or ``rel``
+  entry that matches its path and holds it, never an ``"any"`` one;
 * ``{"invocation": PATTERN, "exit": [OLD, NEW]}``, ``{"invocation":
   PATTERN, "stderr": REGEX}`` or ``{"invocation": PATTERN, "stdout":
   REGEX}``: PATTERN is an invocation name in which ``*`` matches any text.
@@ -334,13 +336,14 @@ def _record(others, path, base: str, head: str):
     others[path] = (count + 1, example)
 
 
-def _walk_changes(base, head, path, changes, others, flips=None) -> int:
+def _walk_changes(base, head, path, changes, others, flips=None, numbers=None) -> int:
     """Record the largest |change| and relative change of the numbers per
     collapsed path in ``changes``, and the count and first example of every
     other change in ``others``: a changed string, bool or null, a key or a
     violation on one side only, a list whose length changed. ``flips``, when
-    given, counts each changed bool per (path, base, head). Return the
-    number of violations lists that differ only in order."""
+    given, counts each changed bool per (path, base, head), and ``numbers``
+    lists the (|change|, relative change) of each number per path. Return
+    the number of violations lists that differ only in order."""
     if base == head:
         return 0
     reordered = 0
@@ -348,7 +351,7 @@ def _walk_changes(base, head, path, changes, others, flips=None) -> int:
         for key in {**base, **head}:
             if key in base and key in head:
                 reordered += _walk_changes(base[key], head[key], f"{path}.{key}",
-                                           changes, others, flips)
+                                           changes, others, flips, numbers)
             else:
                 _record(others, f"{path}.{key}",
                         _shown(base[key]) if key in base else ABSENT,
@@ -373,7 +376,7 @@ def _walk_changes(base, head, path, changes, others, flips=None) -> int:
                 for entry in only_head:
                     _record(others, f"{path}[]", ABSENT, _shown(entry))
         for b, h in pairs:
-            reordered += _walk_changes(b, h, f"{path}[]", changes, others, flips)
+            reordered += _walk_changes(b, h, f"{path}[]", changes, others, flips, numbers)
     elif (isinstance(base, (int, float)) and isinstance(head, (int, float))
           and not isinstance(base, bool) and not isinstance(head, bool)):
         absolute = abs(float(head) - float(base))
@@ -382,6 +385,8 @@ def _walk_changes(base, head, path, changes, others, flips=None) -> int:
             absolute = relative = math.inf
         worst = changes.get(path, (0.0, 0.0, 0))
         changes[path] = (max(worst[0], absolute), max(worst[1], relative), worst[2] + 1)
+        if numbers is not None:
+            numbers.setdefault(path, []).append((absolute, relative))
     else:
         _record(others, path, _shown(base), _shown(head))
         if flips is not None and isinstance(base, bool) and isinstance(head, bool):
@@ -475,38 +480,56 @@ def _shown_entry(entry: dict) -> str:
 
 
 def check_envelopes(expectations: list, changes: dict, others: dict,
-                    flips: dict | None = None) -> tuple[list, list]:
+                    flips: dict | None = None, numbers: dict | None = None) -> tuple[list, list]:
     """Check the per-path changes of ``_walk_changes`` against the path
     entries of the expectations. Return the usage lines, one per path entry,
     and the violation lines, one per path whose change lies outside its
     envelope (every path that no entry matches allows no change). A
-    ``flip`` allowance checks the direction of each bool in ``flips``. Each
-    entry's ``used`` is set to the number of changes it absorbed."""
+    ``flip`` allowance checks the direction of each bool in ``flips``. With
+    ``numbers``, each number is checked on its own, and one beyond an abs
+    or rel entry takes the next that holds it; without, a path's largest
+    changes stand for all its numbers. Each entry's ``used`` is set to the
+    number of changes it absorbed."""
     entries = [e for e in expectations if e["kind"] == "path"]
     worst = {id(e): [0.0, 0.0] for e in entries}
     for e in entries:
         e["used"] = 0
     outside = []
 
+    def bounded(allow):
+        return isinstance(allow, dict) and "flip" not in allow
+
     def allowance(path, number=True):
         for e in entries:
             allow = e["entry"]["allow"]
             # an abs or rel entry covers numbers only
-            if e["pattern"].fullmatch(path) and (
-                    number or not (isinstance(allow, dict) and "flip" not in allow)):
+            if e["pattern"].fullmatch(path) and (number or not bounded(allow)):
                 return e, allow
         return None, "identical"
 
-    for path, (absolute, relative, count) in sorted(changes.items()):
-        e, allow = allowance(path)
-        fits = allow == "any" or isinstance(allow, dict) and "flip" not in allow and (
+    def holds(allow, absolute, relative):
+        return allow == "any" or bounded(allow) and (
             absolute <= allow.get("abs", math.inf) and relative <= allow.get("rel", math.inf))
-        if e is not None:
-            row = worst[id(e)]
-            row[:] = max(row[0], absolute), max(row[1], relative)
-            e["used"] += count if fits else 0
-        if not fits:
-            outside.append(f"  {path} | abs {absolute:.3e}, rel {relative:.3e} | {count} | "
+
+    for path, (absolute, relative, count) in sorted(changes.items()):
+        first, allow = allowance(path)
+        # a number beyond an abs or rel entry takes the next one that holds it
+        takers = [e for e in entries if e["pattern"].fullmatch(path)
+                  and bounded(e["entry"]["allow"])] if bounded(allow) else [first]
+        beyond = []
+        for change in (numbers or {}).get(path, [(absolute, relative)] * count):
+            taker = next((e for e in takers if e and holds(e["entry"]["allow"], *change)), None)
+            if taker is None:
+                beyond.append(change)
+            else:
+                taker["used"] += 1
+            owner = taker or first
+            if owner is not None:
+                row = worst[id(owner)]
+                row[:] = max(row[0], change[0]), max(row[1], change[1])
+        if beyond:
+            outside.append(f"  {path} | abs {max(a for a, _ in beyond):.3e}, "
+                           f"rel {max(r for _, r in beyond):.3e} | {len(beyond)} | "
                            f"allowed: {_shown_allowance(allow)}")
     for path, (count, (base, head)) in sorted(others.items()):
         e, allow = allowance(path, number=False)
@@ -524,7 +547,7 @@ def check_envelopes(expectations: list, changes: dict, others: dict,
     for e in entries:
         absolute, relative = worst[id(e)]
         allow = e["entry"]["allow"]
-        if isinstance(allow, dict) and "flip" not in allow:
+        if bounded(allow):
             kind, limit = next(iter(allow.items()))
             amount = f"{absolute if kind == 'abs' else relative:.3e} of {kind} {limit:g}"
         elif isinstance(allow, dict):
@@ -610,6 +633,7 @@ def compare(base_ref: str, expect: str | None = None) -> int:
     changes: dict = {}
     others: dict = {}
     flips: dict = {}
+    numbers: dict = {}
     reordered = 0
     uncovered = []  # differences that no entry covers
     for entry in expectations or []:
@@ -626,7 +650,7 @@ def compare(base_ref: str, expect: str | None = None) -> int:
                 parsed = json.loads(base["report"]), json.loads(head["report"])
             except ValueError:
                 pass
-            lists = _walk_changes(*parsed, "", changes, others, flips) if parsed else 0
+            lists = _walk_changes(*parsed, "", changes, others, flips, numbers) if parsed else 0
             if lists:
                 reordered += lists
                 what += f" ({lists} violations lists reordered)"
@@ -656,7 +680,7 @@ def compare(base_ref: str, expect: str | None = None) -> int:
             print(f"  {path} | {count} | {base} -> {head}")
     if expectations is None:
         return 1 if differing else 0
-    usage, outside = check_envelopes(expectations, changes, others, flips)
+    usage, outside = check_envelopes(expectations, changes, others, flips, numbers)
     print(f"entry use ({expect}):")
     for line in usage:
         print(line)
