@@ -13,7 +13,7 @@ field whose computation raises a MomintError or such a ValueError is
 ``{"error": message}`` instead, and the exit status is that of the PSD
 verdict, which runs first and unguarded (so a bad ``--tol`` is still a
 usage error). Reports are strict JSON; a saturated limit is written as
-null.
+null. Each call builds the arguments of the invoked command only.
 """
 
 from __future__ import annotations
@@ -301,9 +301,16 @@ def _cmd_spectral(args) -> int:
         raise ValueError(f"malformed operator document: {exc}") from exc
     if matrix.ndim != 2:
         raise ValueError(f"operator matrix must be two-dimensional, got shape {matrix.shape}")
-    k = args.nodes if args.nodes is not None else matrix.shape[0]
+    order = matrix.shape[0]
+    k = args.nodes if args.nodes is not None else order
+    if k < 1:
+        raise ValueError(f"--nodes must be >= 1, got {k}")
     report = _report_skeleton("spectral", inputs, {"nodes": k})
     warnings = report["warnings"]
+    if k > order:
+        # the moments of an order-N operator support at most N nodes
+        warnings.append(f"requested {k} nodes but the operator has order {order}; reduced")
+        k = order
     seq = operator_moments(matrix, vector, 2 * k)
     alpha, beta = rayleigh_interval(matrix)
     try:
@@ -406,59 +413,65 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: name: (help, handler, ((flag, add_argument keywords), ...)), in the order
+#: of ``momint --help``; every command also takes ``--quiet``, last
+COMMANDS = {
+    "oracle": ("moments of a known measure", _cmd_oracle, (
+        ("measure", {"help": "measure document (atoms or box)"}),
+        ("--degree", {"type": int, "required": True, "help": "even max degree"}),
+        ("--out", {"required": True, "help": "moment document to write"}),
+    )),
+    "analyze": ("bounds and verdicts for a moment document", _cmd_analyze, (
+        ("moments", {}),
+        ("--poly", {"action": "append", "help": "polynomial text (repeatable)"}),
+        ("--vars", {"help": "comma-separated variable names"}),
+        ("--order", {"type": int, "help": "matrix order (default: up to 4)"}),
+        ("--tol", {"type": float, "help": "PSD tolerance override"}),
+        ("--out", {}),
+    )),
+    "certify": ("run a check configuration", _cmd_certify, (
+        ("moments", {}),
+        ("config", {}),
+        ("--tol", {"type": float, "help": "default check tolerance"}),
+        ("--out", {}),
+    )),
+    "spectral": ("operator moments and quadrature", _cmd_spectral, (
+        ("operator", {"help": "document with 'matrix' and 'vector'"}),
+        ("--nodes", {"type": int, "help": "node count (default: order)"}),
+        ("--out", {}),
+    )),
+    "disc": ("complex moment table checks", _cmd_disc, (
+        ("moments", {"help": "complex moment or atoms document"}),
+        ("--radius", {"type": float, "required": True}),
+        ("--constant", {"type": float, "required": True}),
+        ("--out", {}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone when it names a command, else of all
+    five, so that ``--help``, a missing and an unknown command read as they
+    do with every command registered."""
     parser = _Parser(
         prog="momint",
         description="Finite-truncation analysis of moment functionals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    oracle = sub.add_parser("oracle", help="moments of a known measure")
-    oracle.add_argument("measure", help="measure document (atoms or box)")
-    oracle.add_argument("--degree", type=int, required=True, help="even max degree")
-    oracle.add_argument("--out", required=True, help="moment document to write")
-    oracle.add_argument("--quiet", action="store_true")
-    oracle.set_defaults(func=_cmd_oracle)
-
-    analyze = sub.add_parser("analyze", help="bounds and verdicts for a moment document")
-    analyze.add_argument("moments")
-    analyze.add_argument("--poly", action="append", help="polynomial text (repeatable)")
-    analyze.add_argument("--vars", help="comma-separated variable names")
-    analyze.add_argument("--order", type=int, help="matrix order (default: up to 4)")
-    analyze.add_argument("--tol", type=float, help="PSD tolerance override")
-    analyze.add_argument("--out")
-    analyze.add_argument("--quiet", action="store_true")
-    analyze.set_defaults(func=_cmd_analyze)
-
-    certify = sub.add_parser("certify", help="run a check configuration")
-    certify.add_argument("moments")
-    certify.add_argument("config")
-    certify.add_argument("--tol", type=float, help="default check tolerance")
-    certify.add_argument("--out")
-    certify.add_argument("--quiet", action="store_true")
-    certify.set_defaults(func=_cmd_certify)
-
-    spectral = sub.add_parser("spectral", help="operator moments and quadrature")
-    spectral.add_argument("operator", help="document with 'matrix' and 'vector'")
-    spectral.add_argument("--nodes", type=int, help="node count (default: order)")
-    spectral.add_argument("--out")
-    spectral.add_argument("--quiet", action="store_true")
-    spectral.set_defaults(func=_cmd_spectral)
-
-    disc = sub.add_parser("disc", help="complex moment table checks")
-    disc.add_argument("moments", help="complex moment or atoms document")
-    disc.add_argument("--radius", type=float, required=True)
-    disc.add_argument("--constant", type=float, required=True)
-    disc.add_argument("--out")
-    disc.add_argument("--quiet", action="store_true")
-    disc.set_defaults(func=_cmd_disc)
-
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_text, handler, arguments = COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            command_parser.add_argument(flag, **kwargs)
+        command_parser.add_argument("--quiet", action="store_true")
+        command_parser.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit:  # --help
         return 0
     except ValueError as exc:

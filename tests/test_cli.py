@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momint.cli import main
+from momint.cli import COMMANDS, build_parser, main
 from momint.moments import MomentSequence
 from momint.polynomials import enumerate_monomials
 
@@ -180,6 +184,31 @@ def test_spectral_requested_nodes_reduced(tmp_path, capsys):
     )
     assert main(["spectral", operator, "--nodes", "4"]) == 0
     assert "reduced" in capsys.readouterr().out
+
+
+def test_spectral_nodes_above_the_order_are_reduced_before_any_moment(tmp_path, capsys):
+    operator = write(
+        tmp_path / "op.json",
+        {"matrix": [[2.0, 0.0], [0.0, 5.0]], "vector": [1.0, 1.0]},
+    )
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    code = main(["spectral", operator, "--nodes", str(10**13), "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code in (0, 1)
+    assert "requested 10000000000000 nodes but the operator has order 2; reduced" in (
+        capsys.readouterr().out)
+    report = json.loads(out.read_text())
+    assert report["parameters"]["nodes"] == 10**13
+    assert len(report["results"]["moments"]) <= 2 * 2 + 1
+    assert report["results"]["nodes"] == pytest.approx([2.0, 5.0])
+
+
+@pytest.mark.parametrize("nodes", ["-1", "0"])
+def test_spectral_nodes_below_one_is_usage_error(tmp_path, capsys, nodes):
+    operator = write(tmp_path / "op.json", {"matrix": [[1.0]], "vector": [1.0]})
+    assert main(["spectral", operator, "--nodes", nodes, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: --nodes must be >= 1, got {nodes}\n"
 
 
 def test_spectral_zero_vector_is_usage_error(tmp_path, capsys):
@@ -457,14 +486,44 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json"), "--quiet"]) == 2
 
 
-def test_unknown_command_is_usage_error():
+def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+    # the quoting of the choices that follow changed within Python 3.12
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["disc", "--help"]])
 def test_help_exits_zero(argv, capsys):
     assert main(argv) == 0
     assert "usage: momint" in capsys.readouterr().out
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == build_parser().format_help()
+    assert all(name in out for name in ["oracle", "analyze", "certify", "spectral", "disc"])
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_names_the_command(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: momint {command} ")
+
+
+def test_a_command_parser_registers_that_command_alone():
+    (sub,) = [a for a in build_parser("disc")._actions if a.dest == "command"]
+    assert list(sub.choices) == ["disc"]
+
+
+def test_module_entry_point_reads_sys_argv():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "momint.cli", "disc", "--help"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: momint disc ")
 
 
 def test_report_is_deterministic(tmp_path, box_measure):

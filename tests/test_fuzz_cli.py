@@ -303,6 +303,16 @@ FIXED = [
     # argparse reads -inf as an option, not as a negative number
     ("disc-negative-infinite-radius", *_disc_level_12("--radius", "-inf", "--constant", "1"), 2,
      "argument --radius: expected one argument"),
+    # the command word selects the parser that is built
+    ("unknown-command", {}, ["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    ("no-command", {}, [], 2, "the following arguments are required: command"),
+    ("disc-unrecognized-option",
+     *_disc_level_12("--radius", "1", "--constant", "1", "--bogus"), 2,
+     "unrecognized arguments: --bogus"),
+    ("disc-abbreviated-options",
+     *_disc_level_12("--rad", "1.5", "--const", "2", "--out", "{out}"), 0, '"radius": 1.5'),
+    ("disc-option-equals-value",
+     *_disc_level_12("--radius=1.5", "--constant", "2", "--out", "{out}"), 0, '"radius": 1.5'),
 ]
 
 
