@@ -10,8 +10,9 @@ The exact identities that the interval and cone checks rest on are verified
 in rational arithmetic by the test suite, not at run time.
 
 The localized PSD tests (ball, schmudgen, interval) take their verdicts from
-``bounds.quadratic_module_psd``; ``psd_violations`` turns a failed one, or
-the disc kernel's, into a violation, and ``limit_violations`` a value beyond
+``bounds.quadratic_module_psd`` and report each as its ``linalg.psd_record``;
+``psd_violations`` turns a failed record, or the disc kernel's, into a
+violation, and ``limit_violations`` a value beyond
 its limit (growth, weak absolute value, the ball's growth half, the disc
 diagonal). A check's default tolerance is
 ``policy.relative_tol`` of the moments. The products and cone families are
@@ -41,7 +42,7 @@ import numpy as np
 
 from .bounds import _even_power_values, growth_bound, quadratic_module_psd
 from .exceptions import DegreeOverflowError
-from .linalg import PsdVerdict
+from .linalg import psd_record
 from .moments import (
     MomentSequence,
     _integer,
@@ -90,10 +91,13 @@ class FactorPair(NamedTuple):
     lower: Polynomial
 
 
-def psd_violations(verdict: PsdVerdict, description: str) -> list[Violation]:
-    """The violation that a failed PSD verdict reports, valued at its
-    smallest eigenvalue; none for a passed one."""
-    return [] if verdict.is_psd else [Violation(description, verdict.min_eigenvalue)]
+def psd_violations(*, shift: str, order: int, is_psd: bool, min_eigenvalue: float,
+                   tolerance: float) -> list[Violation]:
+    """The violation that a failed PSD record reports, given as
+    ``**psd_record(...)``: described by its shift and order, valued at its
+    smallest eigenvalue. None for a passed one."""
+    return [] if is_psd else [Violation(f"shift {shift} at order {order} is not PSD",
+                                         min_eigenvalue)]
 
 
 def limit_violations(describe, value: float, limit: float, tol: float) -> list[Violation]:
@@ -472,7 +476,8 @@ def ball_check(
     for c in coordinates:
         square_sum = square_sum + c * c
     shift = Polynomial.constant(seq.dimension, radius * radius) - square_sum
-    verdict = quadratic_module_psd(seq, shift, order, tol)
+    record = psd_record(quadratic_module_psd(seq, shift, order, tol),
+                        format_polynomial(shift, _names(seq)), order)
     if tol is None:
         tol = relative_tol(seq.y)
     bound = growth_bound(seq, square_sum)
@@ -481,16 +486,9 @@ def ball_check(
                  f"radius^2 = {radius * radius:.12g}"),
         bound.value, radius * radius, tol,
     )
-    violations = psd_violations(
-        verdict, f"localized matrix of radius^2 - square sum at order {order}"
-    ) + growth
+    violations = psd_violations(**record) + growth
     details = [
-        {
-            "condition": "localized_psd",
-            "order": order,
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "passed": verdict.is_psd,
-        },
+        {"condition": "localized_psd", **record},
         {
             "condition": "growth",
             "value": bound.value,
@@ -595,6 +593,7 @@ def schmudgen_check(
     """
     constraints = list(constraints)
     names = _names(seq)
+    shown = [format_polynomial(c, names) for c in constraints]
     products = {(): Polynomial.constant(seq.dimension, 1.0)}
     violations = []
     details = []
@@ -611,20 +610,11 @@ def schmudgen_check(
                     f"stored truncation {seq.max_degree} even at order zero"
                 )
             sub_order = min(order, (seq.max_degree - shift_degree) // 2)
-            verdict = quadratic_module_psd(seq, shift, sub_order, tol)
+            record = psd_record(quadratic_module_psd(seq, shift, sub_order, tol),
+                                format_polynomial(shift, names), sub_order)
             attempted += 1
-            label = (
-                "{" + ", ".join(format_polynomial(constraints[j], names) for j in subset) + "}"
-            )
-            details.append(
-                {
-                    "subset": label,
-                    "order": sub_order,
-                    "min_eigenvalue": verdict.min_eigenvalue,
-                    "passed": verdict.is_psd,
-                }
-            )
-            violations += psd_violations(verdict, f"subset {label} at order {sub_order}")
+            details.append({"subset": "{" + ", ".join(shown[j] for j in subset) + "}", **record})
+            violations += psd_violations(**record)
     return CheckReport(tuple(violations), attempted, 0, tuple(details))
 
 
@@ -656,32 +646,25 @@ def interval_membership_check(
             details.append({"poly": label, "skipped": "degree budget"})
             continue
         m = max(abs(lo), abs(hi))
-        linear_shifts = [
-            (f"{label} - {lo:g}", a - Polynomial.constant(seq.dimension, lo)),
-            (f"{hi:g} - {label}", Polynomial.constant(seq.dimension, hi) - a),
-        ]
-        entry_detail = {"poly": label, "order_linear": order}
-        found = len(violations)
-        for shift_label, shift in linear_shifts:
-            verdict = quadratic_module_psd(seq, shift, order, tol)
-            attempted += 1
-            entry_detail[shift_label] = verdict.min_eigenvalue
-            violations += psd_violations(verdict, f"shift {shift_label} at order {order}")
-        square_shift = Polynomial.constant(seq.dimension, m * m) - a * a
-        square_order = min(order, (seq.max_degree - max(square_shift.degree(), 0)) // 2)
+        square = Polynomial.constant(seq.dimension, m * m) - a * a
+        square_order = min(order, (seq.max_degree - max(square.degree(), 0)) // 2)
+        shifts = [(a - Polynomial.constant(seq.dimension, lo), order),
+                  (Polynomial.constant(seq.dimension, hi) - a, order)]
+        entry = {"poly": label, "shifts": []}
         if square_order < 0:
             skipped += 1
-            entry_detail["square"] = "degree budget"
+            entry["square"] = "degree budget"
         else:
-            verdict = quadratic_module_psd(seq, square_shift, square_order, tol)
+            shifts.append((square, square_order))
+        found = len(violations)
+        for shift, shift_order in shifts:
+            record = psd_record(quadratic_module_psd(seq, shift, shift_order, tol),
+                                format_polynomial(shift, names), shift_order)
             attempted += 1
-            entry_detail["order_square"] = square_order
-            entry_detail[f"{m:g}^2 - ({label})^2"] = verdict.min_eigenvalue
-            violations += psd_violations(
-                verdict, f"shift {m:g}^2 - ({label})^2 at order {square_order}"
-            )
-        entry_detail["passed"] = len(violations) == found
-        details.append(entry_detail)
+            entry["shifts"].append(record)
+            violations += psd_violations(**record)
+        entry["passed"] = len(violations) == found
+        details.append(entry)
     return CheckReport(tuple(violations), attempted, skipped, tuple(details))
 
 

@@ -30,9 +30,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from .certify import run_check_config
 from .exceptions import MomintError, RankDeficiencyError
+from .linalg import psd_record
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .policy import NODE_CONTAINMENT_TOL, SPECTRAL_RESIDUAL_TOL
-from .polynomials import Polynomial, default_variable_names, parse_polynomial
+from .polynomials import Polynomial, default_variable_names, format_polynomial, parse_polynomial
 from .semigroup import (
     ComplexMomentFunction,
     SemigroupElement,
@@ -154,11 +155,6 @@ def _rayleigh_field(rb) -> dict:
             "effective_rank": rb.effective_rank}
 
 
-def _membership_psd_field(verdict, order: int) -> dict:
-    return {"is_psd": verdict.is_psd, "min_eigenvalue": verdict.min_eigenvalue,
-            "order": order}
-
-
 def _cmd_analyze(args) -> int:
     if args.order is not None and args.order < 0:
         raise ValueError(f"--order must be >= 0, got {args.order}")
@@ -188,12 +184,7 @@ def _cmd_analyze(args) -> int:
     psd_order = _admissible_order(seq, 0, args.order, warnings, "psd")
     one = Polynomial.constant(seq.dimension, 1.0)
     verdict = bounds_mod.quadratic_module_psd(seq, one, psd_order, args.tol)
-    report["results"]["psd"] = {
-        "order": psd_order,
-        "is_psd": verdict.is_psd,
-        "min_eigenvalue": verdict.min_eigenvalue,
-        "tolerance": verdict.tolerance_used,
-    }
+    report["results"]["psd"] = psd_record(verdict, "1", psd_order)
     lines.append(
         f"psd (order {psd_order}): {'PASS' if verdict.is_psd else 'FAIL'} "
         f"(min eigenvalue {verdict.min_eigenvalue:.6g})"
@@ -202,7 +193,6 @@ def _cmd_analyze(args) -> int:
         warnings.append("sequence has L(1) <= 0; growth-based bounds unavailable")
 
     per_poly: dict = {}
-    box_entries: dict = {}
     for text, poly in polys:
         deg = max(poly.degree(), 0)
         order = _admissible_order(seq, deg, args.order, warnings, text)
@@ -224,27 +214,13 @@ def _cmd_analyze(args) -> int:
                 "value": bounds_mod.archimedean_bound(seq, square, sq_order),
                 "order": sq_order,
             }),
-            ("membership_psd", lambda: _membership_psd_field(
-                bounds_mod.quadratic_module_psd(seq, poly, order, tol=args.tol), order)),
+            ("membership_psd", lambda: psd_record(
+                bounds_mod.quadratic_module_psd(seq, poly, order, tol=args.tol),
+                format_polynomial(poly, names), order)),
             ("membership_growth", lambda: asdict(bounds_mod.quadratic_module_growth(seq, poly))),
         ):
             entry[name] = _guarded(compute)
         growth, rayleigh = entry["growth_bound"], entry["rayleigh"]
-        if "error" not in rayleigh:
-            box_entries[text] = {"lower": rayleigh["lower"], "upper": rayleigh["upper"],
-                                 "order": order}
-        # the growth bound against max(upper, -lower) of the Rayleigh
-        # interval: in the limit they agree, so the gap is truncation error
-        failed = growth if "error" in growth else rayleigh
-        if "error" in failed:
-            entry["growth_vs_rayleigh"] = {"error": failed["error"]}
-        else:
-            entry["growth_vs_rayleigh"] = {
-                "growth": growth["value"],
-                "upper": rayleigh["upper"],
-                "lower": rayleigh["lower"],
-                "gap": abs(growth["value"] - max(rayleigh["upper"], -rayleigh["lower"])),
-            }
         per_poly[text] = entry
 
         if "error" not in rayleigh:
@@ -258,7 +234,6 @@ def _cmd_analyze(args) -> int:
             )
 
     report["results"]["polynomials"] = per_poly
-    report["results"]["support_box"] = box_entries
     for warning in warnings:
         lines.append(f"warning: {warning}")
     report["passed"] = verdict.is_psd
@@ -378,11 +353,7 @@ def _cmd_disc(args) -> int:
     check = disc_check(table, args.radius, args.constant)
     growth = diagonal_growth_bound(table, SemigroupElement(0, 1))
     report["results"] = {
-        "kernel_psd": {
-            "level": table.max_level // 2,
-            "is_psd": verdict.is_psd,
-            "min_eigenvalue": verdict.min_eigenvalue,
-        },
+        "kernel_psd": psd_record(verdict, "1", table.max_level // 2),
         "disc": _check_report_dict(check),
         "diagonal_growth": {
             "value": growth.value,

@@ -120,6 +120,14 @@ def psd_check(a, tol: float | None = None) -> PsdVerdict:
     return PsdVerdict(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, tolerance_used=tol)
 
 
+def psd_record(verdict: PsdVerdict, shift: str, order: int) -> dict:
+    """The one report entry of a PSD verdict on the localized matrix of
+    ``shift`` (its ``format_polynomial`` text, ``"1"`` for a plain matrix and
+    for the disc kernel) at ``order`` (the kernel level for the disc)."""
+    return {"shift": shift, "order": order, "is_psd": verdict.is_psd,
+            "min_eigenvalue": verdict.min_eigenvalue, "tolerance": verdict.tolerance_used}
+
+
 def gauss_rule(alphas, betas, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch: the ascending eigenvalues of the Jacobi matrix with
     diagonal ``alphas`` and off-diagonal ``betas`` are the nodes, and each
@@ -191,6 +199,7 @@ __all__ = [
     "pencil_extremes",
     "pencil_whitened",
     "psd_check",
+    "psd_record",
     "range_whitener",
     "sym_eig",
 ]

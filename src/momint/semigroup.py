@@ -25,7 +25,7 @@ import numpy as np
 from .bounds import GrowthBound, _even_power_bound
 from .certify import CheckReport, limit_violations, psd_violations
 from .exceptions import CoverageError
-from .linalg import PsdVerdict, psd_check
+from .linalg import PsdVerdict, psd_check, psd_record
 from .moments import _integer, _multi_index
 from .policy import HERMITIAN_INGEST_TOL, exceeds, relative_tol, saturated_limit
 
@@ -251,10 +251,10 @@ def disc_check(
     A given ``tol`` applies to both; with None each part uses its default."""
     if not (radius > 0 and constant > 0):
         raise ValueError("radius and constant must be positive")
-    verdict = psd_kernel_check(f, tol=tol)
+    kernel = psd_record(psd_kernel_check(f, tol=tol), "1", f.max_level // 2)
     if tol is None:
         tol = relative_tol(f.table)
-    violations = psd_violations(verdict, f"kernel not PSD at level {f.max_level // 2}")
+    violations = psd_violations(**kernel)
     diagonal = []
     for n, value in enumerate(f.table.diagonal().real.tolist()):
         limit = saturated_limit(constant, radius, 2 * n)
@@ -262,15 +262,8 @@ def disc_check(
         diagonal.append({"n": n, "value": value, "limit": limit if limit < math.inf else None})
         violations += limit_violations(
             lambda: f"diagonal growth at n={n}: {value:.12g} > {limit:.12g}", value, limit, tol)
-    details = [
-        {
-            "kernel_level": f.max_level // 2,
-            "kernel_min_eigenvalue": verdict.min_eigenvalue,
-            "kernel_psd": verdict.is_psd,
-        },
-        {"diagonal": diagonal},
-    ]
-    return CheckReport(tuple(violations), 1 + f.max_level + 1, 0, tuple(details))
+    details = (kernel, {"diagonal": diagonal})
+    return CheckReport(tuple(violations), 1 + f.max_level + 1, 0, details)
 
 
 __all__ = [

@@ -142,7 +142,7 @@ def test_criterion_5_ball_criterion(circle4, atom_corpus):
             if radius <= 1e-6 or (not expected and rho < 0.5):
                 continue
             report = ball_check(seq, radius=radius, order=2)
-            conditions = [d["passed"] for d in report.details]
+            conditions = [report.details[0]["is_psd"], report.details[1]["passed"]]
             assert report.passed is expected
             assert conditions[0] is expected and conditions[1] is expected
     _passed(5, "ball criterion, both conditions")
@@ -158,7 +158,7 @@ def test_criterion_6_schmudgen_sensitivity(lebesgue01, unit_box_corpus):
     failing = schmudgen_check(dirac2, [T, 1.0 - T], order=2)
     assert not failing.passed
     offending = [d for d in failing.details if d["subset"] == "{-t + 1}"]
-    assert offending and not offending[0]["passed"]
+    assert offending and not offending[0]["is_psd"]
 
     for _, seq in unit_box_corpus:
         d = seq.dimension

@@ -203,8 +203,8 @@ def test_archimedean_matches_pencil(lebesgue01):
 
 
 def coordinate_box(seq, order):
-    """The per-coordinate Rayleigh intervals of the analyze report's
-    support box."""
+    """The per-coordinate Rayleigh intervals: the support box that the
+    analyze report's ``rayleigh`` fields give."""
     return [
         rayleigh_bounds(seq, Polynomial.variable(seq.dimension, i), order)
         for i in range(seq.dimension)
@@ -249,7 +249,7 @@ def test_support_box_reports_budget_failures(lebesgue01):
 
 def test_growth_vs_rayleigh_examples(two_atoms, dirac3):
     # the gap between the growth bound and max(upper, -lower) of the
-    # Rayleigh interval, as the analyze report computes it
+    # Rayleigh interval
     for seq, growth, gap_tol in ((two_atoms, 1.0, 1e-12), (dirac3, 3.0, 1e-10)):
         g = growth_bound(seq, T).value
         rb = rayleigh_bounds(seq, T, 1)

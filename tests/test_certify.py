@@ -351,11 +351,11 @@ def test_ball_conditions_agree_with_geometry(atom_corpus):
         rho = max(sum(c * c for c in pt) ** 0.5 for pt, _ in spec.atoms)
         inside = ball_check(seq, radius=rho * 1.1 + 0.1, order=2)
         assert inside.passed
-        assert inside.details[0]["passed"] and inside.details[1]["passed"]
+        assert inside.details[0]["is_psd"] and inside.details[1]["passed"]
         if rho > 0.5:
             outside = ball_check(seq, radius=rho * 0.8, order=2)
             assert not outside.passed
-            assert not outside.details[0]["passed"]
+            assert not outside.details[0]["is_psd"]
             assert not outside.details[1]["passed"]
 
 
@@ -364,11 +364,11 @@ def test_ball_psd_half_uses_the_callers_tol():
     # order 2 has min eigenvalue about -0.0445, the growth bound stays below 1
     seq = from_measure(MeasureSpec(atoms=[((0.0, 0.0), 0.5), ((1.02, 0.0), 0.5)]), 8)
     strict = ball_check(seq, 1.0, 2)
-    assert not strict.passed and not strict.details[0]["passed"]
+    assert not strict.passed and not strict.details[0]["is_psd"]
     assert strict.details[1]["passed"]
     assert -0.05 < strict.details[0]["min_eigenvalue"] < -0.04
     loose = ball_check(seq, 1.0, 2, tol=0.05)
-    assert loose.passed and loose.details[0]["passed"]
+    assert loose.passed and loose.details[0]["is_psd"]
 
 
 def test_ball_rejects_bad_radius(circle4):
@@ -534,7 +534,7 @@ def test_schmudgen_dirac_outside():
     assert any("-t + 1" in d for d in failing)
     # the singleton {t} is fine: the support is positive
     t_only = [d for d in report.details if d["subset"] == "{t}"]
-    assert t_only[0]["passed"]
+    assert t_only[0]["is_psd"]
 
 
 def test_schmudgen_boundary_atom():
@@ -555,9 +555,17 @@ def test_interval_lebesgue(lebesgue01):
 
 
 def test_interval_fails_on_symmetric_atoms(two_atoms):
-    report = interval_membership_check(two_atoms, [(T, 0.0, 1.0)], order=1)
-    assert not report.passed
-    assert any("- 0" in v.description for v in report.violations)
+    # each shift is labelled by its own text: 6 significant digits would
+    # print 0.9999999 and 1.0000001^2 as 1
+    for lo, hi, failing, shifts in (
+        (0.0, 1.0, ["shift t at order 1 is not PSD"], ["t", "-t + 1", "-t^2 + 1"]),
+        (-1.0000001, 0.9999999, ["shift -t + 0.9999999 at order 1 is not PSD"],
+         ["t + 1.0000001", "-t + 0.9999999", "-t^2 + 1.0000002"]),
+    ):
+        report = interval_membership_check(two_atoms, [(T, lo, hi)], order=1)
+        assert not report.passed
+        assert [v.description for v in report.violations] == failing
+        assert [record["shift"] for record in report.details[0]["shifts"]] == shifts
 
 
 def test_interval_degenerate_point():
@@ -586,9 +594,11 @@ def test_interval_reports_what_the_degree_budget_skips():
     beyond, cube = report.details
     assert beyond == {"poly": "t^5", "skipped": "degree budget"}
     assert cube["square"] == "degree budget" and cube["passed"] is True
-    assert cube["order_linear"] == 0 and "order_square" not in cube
-    assert cube["t^3 - -1"] == pytest.approx(1.0 + 0.4 * 0.125 - 0.6 * 0.027)
-    assert cube["1 - t^3"] == pytest.approx(1.0 - 0.4 * 0.125 + 0.6 * 0.027)
+    plus, minus = cube["shifts"]
+    assert (plus["shift"], plus["order"]) == ("t^3 + 1", 0)
+    assert (minus["shift"], minus["order"]) == ("-t^3 + 1", 0)
+    assert plus["min_eigenvalue"] == pytest.approx(1.0 + 0.4 * 0.125 - 0.6 * 0.027)
+    assert minus["min_eigenvalue"] == pytest.approx(1.0 - 0.4 * 0.125 + 0.6 * 0.027)
 
 
 def test_interval_rejects_empty(lebesgue01):

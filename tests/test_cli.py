@@ -69,7 +69,7 @@ def test_analyze_round_trip(tmp_path, box_measure, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
-    box = report["results"]["support_box"]["t"]
+    box = report["results"]["polynomials"]["t"]["rayleigh"]
     root = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
     assert abs(box["lower"] - (1.0 - root) / 2.0) <= 1e-8
     assert abs(box["upper"] - (1.0 + root) / 2.0) <= 1e-8
@@ -99,7 +99,8 @@ def test_analyze_symmetric_atoms_zero_gap(tmp_path, two_atom_measure):
     assert main(["analyze", str(moments), "--poly", "t", "--out", str(report_path), "--quiet"]) == 0
     report = json.loads(report_path.read_text())
     entry = report["results"]["polynomials"]["t"]
-    assert abs(entry["growth_vs_rayleigh"]["gap"]) <= 1e-10
+    growth, rayleigh = entry["growth_bound"]["value"], entry["rayleigh"]
+    assert abs(growth - max(rayleigh["upper"], -rayleigh["lower"])) <= 1e-10
     assert abs(entry["rayleigh"]["lower"] + 1.0) <= 1e-10
     assert abs(entry["rayleigh"]["upper"] - 1.0) <= 1e-10
 
@@ -284,25 +285,6 @@ def test_growth_bound_beyond_the_float_range_passes(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_analyze_growth_vs_rayleigh_from_its_entries(tmp_path, two_atom_measure):
-    moments = tmp_path / "moments.json"
-    main(["oracle", two_atom_measure, "--degree", "8", "--out", str(moments), "--quiet"])
-    report_path = tmp_path / "report.json"
-    assert main(["analyze", str(moments), "--poly", "t", "--poly", "t^5",
-                 "--out", str(report_path), "--quiet"]) == 0
-    entries = json.loads(report_path.read_text())["results"]["polynomials"]
-    growth, rayleigh = entries["t"]["growth_bound"], entries["t"]["rayleigh"]
-    assert entries["t"]["growth_vs_rayleigh"] == {
-        "growth": growth["value"],
-        "upper": rayleigh["upper"],
-        "lower": rayleigh["lower"],
-        "gap": abs(growth["value"] - max(rayleigh["upper"], -rayleigh["lower"])),
-    }
-    # t^5 has no even power within degree 8: the growth error is reported
-    assert entries["t^5"]["growth_vs_rayleigh"] == entries["t^5"]["growth_bound"]
-    assert "error" in entries["t^5"]["growth_vs_rayleigh"]
-
-
 def test_analyze_finds_a_bound_where_the_grid_is_finer_than_the_floats(tmp_path):
     # floats near 6e11 lie 1.2e-4 apart, far more than the grid: the bound
     # starts at the top eigenvalue itself
@@ -420,15 +402,15 @@ def test_analyze_all_zero_table_reports_every_bound_as_unavailable(tmp_path, cap
     report = json.loads(report_path.read_text())
     assert report["warnings"] == [warning] and report["passed"] is True
     assert report["results"]["psd"]["is_psd"] is True
-    assert report["results"]["support_box"] == {}
     entry = report["results"]["polynomials"]["t"]
     # the archimedean bound whitens through the pencil and carries its error
     zero_rank = {"error": "pencil base matrix has zero effective rank"}
     assert entry["rayleigh"] == entry["square_norm_bound"] == zero_rank
     assert entry["archimedean_linear"] == entry["archimedean_square"] == zero_rank
-    for name in ("growth_bound", "growth_vs_rayleigh", "membership_growth"):
+    for name in ("growth_bound", "membership_growth"):
         assert entry[name]["error"].startswith("operation requires unit mass")
-    assert entry["membership_psd"] == {"is_psd": True, "min_eigenvalue": 0.0, "order": 1}
+    assert entry["membership_psd"] == {"shift": "t", "order": 1, "is_psd": True,
+                                       "min_eigenvalue": 0.0, "tolerance": 1e-9}
 
 
 def test_analyze_signed_table_refuses_both_archimedean_bounds_with_the_pencil_error(tmp_path):
@@ -729,4 +711,81 @@ def test_analyze_reports_an_overflowing_field_as_its_error(tmp_path, capsys, pol
     assert "error" in entry["square_norm_bound"]
     for name in computed:
         assert "error" not in entry[name]
-    assert report["results"]["support_box"] == {}
+
+
+PSD_RECORD_KEYS = {"shift", "order", "is_psd", "min_eigenvalue", "tolerance"}
+
+
+def psd_records(node, path=""):
+    """(path, record) of every PSD record in a report: each object with a
+    ``min_eigenvalue``, wherever it sits."""
+    if isinstance(node, dict):
+        if "min_eigenvalue" in node:
+            yield path, node
+        for key, value in node.items():
+            yield from psd_records(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for value in node:
+            yield from psd_records(value, f"{path}[]")
+
+
+def test_every_psd_verdict_is_one_record(tmp_path):
+    # atoms at (0, 0) and (1.02, 0): outside the unit ball, the box [0, 1]^2
+    # and 1 - x >= 0, so each localized check has a FAIL beside its PASSes
+    measure = write(tmp_path / "atoms.json", {"atoms": [
+        {"point": [0.0, 0.0], "weight": 0.5}, {"point": [1.02, 0.0], "weight": 0.5}]})
+    moments = str(tmp_path / "moments.json")
+    assert main(["oracle", measure, "--degree", "6", "--out", moments, "--quiet"]) == 0
+    config = write(tmp_path / "checks.json", {"variables": ["x", "y"], "checks": [
+        {"check": "ball", "radius": 1.0, "order": 2},
+        {"check": "schmudgen", "constraints": ["x", "1 - x"], "order": 1},
+        # y^4 fits at order 1; its square shift 1 - y^8 is skipped
+        {"check": "interval", "order": 1, "entries": [
+            {"poly": "x", "lower": 0.0, "upper": 1.0},
+            {"poly": "y^4", "lower": -1.0, "upper": 1.0}]},
+    ]})
+    # a Hermitian table with a non-PSD kernel at the default tolerance
+    from momint.semigroup import ComplexMomentFunction, from_complex_atoms
+
+    psd = from_complex_atoms([(0.3 + 0.1j, 0.5), (-0.2 + 0.3j, 0.5)], 4)
+    negative = from_complex_atoms([(0.4j, 1.0)], 4)
+    signed = ComplexMomentFunction(4, {k: psd.value(k) - 1e-3 * negative.value(k)
+                                       for k in np.ndindex(5, 5)})
+    tables = [write(tmp_path / "psd.json", psd.to_document()),
+              write(tmp_path / "signed.json", signed.to_document())]
+    runs = [(["analyze", moments, "--vars", "x,y", "--poly", "x", "--poly", "1 - x"], 0),
+            (["certify", moments, config], 1)]
+    runs += [(["disc", table, "--radius", "0.5", "--constant", "1"], code)
+             for table, code in zip(tables, (0, 1))]
+    verdicts = []
+    for i, (argv, code) in enumerate(runs):
+        out = tmp_path / f"{i}.report.json"
+        assert main(argv + ["--out", str(out), "--quiet"]) == code
+        results = json.loads(out.read_text())["results"]
+        # each certify check, and the disc report as a whole, is one scope
+        for scope in results.get("checks", [results]):
+            violations = scope.get("disc", scope).get("violations")
+            for path, record in psd_records(scope):
+                assert PSD_RECORD_KEYS <= set(record), path
+                assert len(set(record) - PSD_RECORD_KEYS) <= 1, path
+                assert record["is_psd"] is (record["min_eigenvalue"] >= -record["tolerance"])
+                verdicts.append((argv[0], path, record["is_psd"]))
+                if violations is not None and not record["is_psd"]:
+                    assert [v for v in violations
+                            if v["value"] == record["min_eigenvalue"]] == [{
+                        "description": f"shift {record['shift']} at order "
+                                       f"{record['order']} is not PSD",
+                        "value": record["min_eigenvalue"]}], path
+    assert {(command, path) for command, path, _ in verdicts} == {
+        ("analyze", ".psd"), ("analyze", ".polynomials.x.membership_psd"),
+        ("analyze", ".polynomials.1 - x.membership_psd"), ("certify", ".details[]"),
+        ("certify", ".details[].shifts[]"), ("disc", ".kernel_psd"),
+        ("disc", ".disc.details[]")}
+    failed = {(command, path) for command, path, is_psd in verdicts if not is_psd}
+    assert failed == {("analyze", ".polynomials.1 - x.membership_psd"),
+                      ("certify", ".details[]"), ("certify", ".details[].shifts[]"),
+                      ("disc", ".kernel_psd"), ("disc", ".disc.details[]")}
+    interval = json.loads((tmp_path / "1.report.json").read_text())["results"]["checks"][2]
+    assert interval["skipped"] == 1 and interval["details"][1]["square"] == "degree budget"
+    assert [record["shift"] for record in interval["details"][1]["shifts"]] == [
+        "x2^4 + 1", "-x2^4 + 1"]

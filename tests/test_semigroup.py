@@ -241,9 +241,9 @@ def test_disc_check_tolerance_applies_to_kernel():
     min_eigenvalue = psd_kernel_check(signed).min_eigenvalue
     assert -1e-3 < min_eigenvalue < -1e-6
     loose = disc_check(signed, radius=0.5, constant=1.0, tol=1e-2)
-    assert loose.passed and loose.details[0]["kernel_psd"]
+    assert loose.passed and loose.details[0]["is_psd"]
     default = disc_check(signed, radius=0.5, constant=1.0)
-    assert not default.passed and not default.details[0]["kernel_psd"]
+    assert not default.passed and not default.details[0]["is_psd"]
 
 
 def test_a_diagonal_violation_is_valued_at_its_margin():
@@ -270,7 +270,7 @@ def test_every_disc_violation_is_below_minus_tol(complex_corpus):
             for violation in report.violations:
                 assert violation.value < -tol, violation
                 described.add(violation.description.split()[0])
-    assert described == {"kernel", "diagonal"}
+    assert described == {"shift", "diagonal"}
 
 
 def test_disc_check_rejects_bad_parameters():
