@@ -27,12 +27,13 @@ half fits n_max, and one more per degree of a taller half
 (``_contract``). An expansion rounds differently from the direct product: the
 tests hold each value within 64 eps sum |coeff| |z| of it, bounded there by
 L(|P|), the member with absolute coefficients on the absolute moments.
-``run_check_config`` rejects every key it does not know.
+``run_check_config`` reads each check through its row of ``CHECKS``.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,7 +54,7 @@ from .moments import (
     _row_blocks,
 )
 from .policy import exceeds, relative_tol, saturated_limit
-from .polynomials import Polynomial, default_variable_names, format_polynomial
+from .polynomials import Polynomial, default_variable_names, format_polynomial, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -415,22 +416,23 @@ def product_positivity_check(
 def cone_positivity_check(
     seq: MomentSequence,
     a: Polynomial,
-    b: Polynomial,
+    b: Polynomial | None = None,
     jk_max: int = 4,
     tol: float | None = None,
 ) -> CheckReport:
     """Two positivity families built from growth bounds.
 
     With c the growth bound of ``a`` (of positive degree) and cb that of
-    ``b``: L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j (c + a)^k) must
-    both be >= -tol for all j + k <= jk_max. They are the semiring of the
-    pair c -+ a with the prefactor cb^2 - b^2, valued from the moments
-    L(r^e a^beta), e <= 1 (see ``_semiring_check``).
+    ``b`` (None: ``a``): L((c - a)^j (c + a)^k) and L((cb^2 - b^2)(c - a)^j
+    (c + a)^k) must both be >= -tol for all j + k <= jk_max. They are the
+    semiring of the pair c -+ a with the prefactor cb^2 - b^2, valued from
+    the moments L(r^e a^beta), e <= 1 (see ``_semiring_check``).
     """
     if jk_max < 0:
         raise ValueError("jk_max must be >= 0")
     if tol is None:
         tol = relative_tol(seq.y)
+    b = a if b is None else b
     c_a = growth_bound(seq, a).value
     c_b = growth_bound(seq, b).value
     names = _names(seq)
@@ -455,7 +457,7 @@ def cone_positivity_check(
 def ball_check(
     seq: MomentSequence,
     radius: float,
-    order: int,
+    order: int = 1,
     coordinates: Sequence[Polynomial] | None = None,
     tol: float | None = None,
 ) -> CheckReport:
@@ -469,9 +471,9 @@ def ball_check(
     if not radius > 0:
         raise ValueError("radius must be positive")
     if coordinates is None:
-        coordinates = [
-            Polynomial.variable(seq.dimension, i) for i in range(seq.dimension)
-        ]
+        coordinates = [Polynomial.variable(seq.dimension, i) for i in range(seq.dimension)]
+    elif not coordinates:
+        raise ValueError("coordinate list is empty")
     square_sum = Polynomial.zero(seq.dimension)
     for c in coordinates:
         square_sum = square_sum + c * c
@@ -579,7 +581,7 @@ def weak_absolute_value_check(
 def schmudgen_check(
     seq: MomentSequence,
     constraints: Sequence[Polynomial],
-    order: int,
+    order: int = 1,
     tol: float | None = None,
 ) -> CheckReport:
     """Localized PSD test for every subset product of the constraints.
@@ -621,7 +623,7 @@ def schmudgen_check(
 def interval_membership_check(
     seq: MomentSequence,
     entries: Sequence[tuple[Polynomial, float, float]],
-    order: int,
+    order: int = 1,
     tol: float | None = None,
 ) -> CheckReport:
     """Per (a, lo, hi): localized matrices of a - lo, hi - a, and m^2 - a^2
@@ -668,7 +670,7 @@ def interval_membership_check(
     return CheckReport(tuple(violations), attempted, skipped, tuple(details))
 
 
-def _number(value, name: str) -> float:
+def _number(value, name: str, *_) -> float:
     """``float(value)``; ValueError naming ``name`` when that fails or the
     number is not finite (an infinite bound would pass vacuously)."""
     try:
@@ -680,6 +682,27 @@ def _number(value, name: str) -> float:
     return number
 
 
+def _count(value, name: str, *_) -> int:
+    return _integer(value, name)
+
+
+def _list(value, name: str, kind=str) -> list:
+    """``value``, a list of strings or, for ``kind`` dict, of objects."""
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ValueError(f"{name} must be a list of {'strings' if kind is str else 'objects'}")
+    return value
+
+
+def _polynomial(text, name: str, variables) -> Polynomial:
+    if not isinstance(text, str):
+        raise ValueError(f"polynomial must be text, got {text!r}")
+    return parse_polynomial(text, variables)
+
+
+def _polynomials(texts, name: str, variables) -> list:
+    return [parse_polynomial(text, variables) for text in _list(texts, name)]
+
+
 def _known_keys(item: dict, where: str, *keys: str):
     """ValueError naming the first key of ``item`` that is not in ``keys``:
     a misspelt key would otherwise silently leave its default in force."""
@@ -688,16 +711,61 @@ def _known_keys(item: dict, where: str, *keys: str):
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
-def _entries(item: dict, name: str, *keys: str) -> list:
-    """``item[name]``: a list of objects with only ``keys``, or a list of
-    polynomial texts when no keys are given."""
-    entries = item[name]
-    kind = dict if keys else str
-    if not isinstance(entries, list) or not all(isinstance(e, kind) for e in entries):
-        raise ValueError(f"{name} must be a list of {'objects' if keys else 'strings'}")
-    for entry in entries if keys else ():
-        _known_keys(entry, f"{name} entry", *keys)
-    return entries
+def _read(item: dict, readers: dict, defaults: dict, where: str, variables) -> dict:
+    """{key: value} for every key of ``readers``, in their order: its reader's value
+    of ``item[key]``, else ``defaults[key]``, else ValueError naming ``where``."""
+    values = {}
+    for key, reader in readers.items():
+        if key in item:
+            values[key] = reader(item[key], key, variables)
+        elif key in defaults:
+            values[key] = defaults[key]
+        else:
+            raise ValueError(f"{where} needs {key!r}")
+    return values
+
+
+@functools.cache
+def _defaults(check) -> dict:
+    """{parameter: its default} of the parameters of ``check`` that have one."""
+    parameters = inspect.signature(check).parameters.values()
+    return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+
+class _Objects(NamedTuple):
+    """The reader of a list of objects with the keys of ``readers``, a key
+    of ``defaults`` optional: each object is the tuple of its values in key
+    order. Every object's keys are checked before any is read."""
+
+    readers: dict
+    defaults: dict = {}
+
+    def __call__(self, entries, name: str, variables) -> list:
+        for entry in _list(entries, name, dict):
+            _known_keys(entry, f"{name} entry", *self.readers)
+        return [tuple(_read(entry, self.readers, self.defaults, f"{name} entry",
+                            variables).values()) for entry in entries]
+
+
+#: kind: (check, {config key: reader(value, key, variables)}). Each key is the
+#: check's parameter of the same name, read in table order; an absent key
+#: takes the parameter's default and is required where there is none.
+CHECKS = {
+    "products": (product_positivity_check, {
+        "factors": _Objects({"upper": _polynomial, "lower": _polynomial}),
+        "max_factors": _count}),
+    "cone": (cone_positivity_check, {"a": _polynomial, "b": _polynomial, "jk_max": _count}),
+    "ball": (ball_check, {"radius": _number, "order": _count, "coordinates": _polynomials}),
+    "growth": (growth_check, {"generators": _Objects(
+        {"poly": _polynomial, "bound": _number, "prefactor": _number}, {"prefactor": 1.0})}),
+    "weak_absolute_value": (weak_absolute_value_check, {
+        "entries": _Objects({"poly": _polynomial, "value": _number}),
+        "functional_bound": _number}),
+    "schmudgen": (schmudgen_check, {"constraints": _polynomials, "order": _count}),
+    "interval": (interval_membership_check, {
+        "entries": _Objects({"poly": _polynomial, "lower": _number, "upper": _number}),
+        "order": _count}),
+}
 
 
 def run_check_config(
@@ -712,107 +780,38 @@ def run_check_config(
     without their own ``tol``. Returns (name, report) pairs in document
     order. Raises ValueError on malformed configuration, including an empty
     check list, a field of the wrong type, a number that is not finite, a
-    negative tolerance and a key that the document, its check kind or its
-    entry objects do not know.
+    negative tolerance, a missing required key and a key that the document,
+    its check kind (``CHECKS``) or its entry objects do not know.
     """
-    from .polynomials import parse_polynomial
-
     if not isinstance(config, dict):
         raise ValueError("check configuration must be an object")
     _known_keys(config, "check configuration", "variables", "checks")
-    variables = config.get("variables") or default_variable_names(seq.dimension)
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ValueError("variables must be a list of strings")
+    variables = _list(config.get("variables", default_variable_names(seq.dimension)),
+                      "variables")
     if len(variables) != seq.dimension:
-        raise ValueError(
-            f"{len(variables)} variables declared for dimension {seq.dimension}"
-        )
-
-    def poly(text) -> Polynomial:
-        if not isinstance(text, str):
-            raise ValueError(f"polynomial must be text, got {text!r}")
-        return parse_polynomial(text, variables)
-
-    def known(item: dict, *keys: str):
-        _known_keys(item, f"{item['check']} check", "check", "tol", *keys)
-
-    def order(item: dict) -> int:
-        return _integer(item.get("order", 1), "order")
-
+        raise ValueError(f"{len(variables)} variables declared for dimension {seq.dimension}")
     checks = config.get("checks")
     if not checks:
         raise ValueError("no checks requested")
-    if not isinstance(checks, list) or not all(isinstance(item, dict) for item in checks):
-        raise ValueError("checks must be a list of objects")
     results = []
-    for item in checks:
+    for item in _list(checks, "checks", dict):
         kind = item.get("check")
         tol = item.get("tol", default_tol)
         if tol is not None:
             tol = _number(tol, "tol")
             if not tol >= 0:
                 raise ValueError("tol must be >= 0")
-        if kind == "products":
-            known(item, "factors", "max_factors")
-            factors = [
-                FactorPair(poly(f["upper"]), poly(f["lower"]))
-                for f in _entries(item, "factors", "upper", "lower")
-            ]
-            cap = _integer(item.get("max_factors", 6), "max_factors")
-            report = product_positivity_check(seq, factors, max_factors=cap, tol=tol)
-        elif kind == "cone":
-            known(item, "a", "b", "jk_max")
-            report = cone_positivity_check(
-                seq,
-                poly(item["a"]),
-                poly(item.get("b", item["a"])),
-                jk_max=_integer(item.get("jk_max", 4), "jk_max"),
-                tol=tol,
-            )
-        elif kind == "ball":
-            known(item, "radius", "order", "coordinates")
-            coords = item.get("coordinates") and _entries(item, "coordinates")
-            report = ball_check(
-                seq,
-                radius=_number(item["radius"], "radius"),
-                order=order(item),
-                coordinates=[poly(c) for c in coords] if coords else None,
-                tol=tol,
-            )
-        elif kind == "growth":
-            known(item, "generators")
-            generators = [
-                (poly(g["poly"]), _number(g["bound"], "bound"),
-                 _number(g.get("prefactor", 1.0), "prefactor"))
-                for g in _entries(item, "generators", "poly", "bound", "prefactor")
-            ]
-            report = growth_check(seq, generators, tol=tol)
-        elif kind == "weak_absolute_value":
-            known(item, "entries", "functional_bound")
-            entries = [
-                (poly(e["poly"]), _number(e["value"], "value"))
-                for e in _entries(item, "entries", "poly", "value")
-            ]
-            bound = _number(item["functional_bound"], "functional_bound")
-            report = weak_absolute_value_check(seq, entries, functional_bound=bound, tol=tol)
-        elif kind == "schmudgen":
-            known(item, "constraints", "order")
-            constraints = [poly(c) for c in _entries(item, "constraints")]
-            report = schmudgen_check(seq, constraints, order=order(item), tol=tol)
-        elif kind == "interval":
-            known(item, "entries", "order")
-            entries = [
-                (poly(e["poly"]), _number(e["lower"], "lower"), _number(e["upper"], "upper"))
-                for e in _entries(item, "entries", "poly", "lower", "upper")
-            ]
-            report = interval_membership_check(seq, entries, order=order(item), tol=tol)
-        else:
+        if not isinstance(kind, str) or kind not in CHECKS:
             raise ValueError(f"unknown check kind {kind!r}")
-        results.append((kind, report))
+        check, readers = CHECKS[kind]
+        _known_keys(item, f"{kind} check", "check", "tol", *readers)
+        arguments = _read(item, readers, _defaults(check), f"{kind} check", variables)
+        results.append((kind, check(seq, **arguments, tol=tol)))
     return results
 
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
     "FactorPair",
     "Violation",

@@ -166,6 +166,11 @@ def _cmd_analyze(args) -> int:
         raise ValueError(
             f"{len(names)} variable names for dimension {seq.dimension}"
         )
+    # each name labels its coordinate's entry of results.polynomials
+    if "" in names:
+        raise ValueError("empty variable name")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
     if args.poly:
         polys = [(text, parse_polynomial(text, names)) for text in args.poly]
     else:
@@ -355,12 +360,10 @@ def _cmd_disc(args) -> int:
     report["results"] = {
         "kernel_psd": psd_record(verdict, "1", table.max_level // 2),
         "disc": _check_report_dict(check),
-        "diagonal_growth": {
-            "value": growth.value,
-            "n_used": growth.n_used,
-            "per_power": list(growth.per_power),
-        },
+        "diagonal_growth": asdict(growth),
     }
+    if growth.clamped:
+        report["warnings"].append("negative diagonal values clamped to zero")
     report["passed"] = check.passed
     lines = [
         f"kernel psd (level {table.max_level // 2}): "
@@ -371,6 +374,7 @@ def _cmd_disc(args) -> int:
     ]
     for violation in check.violations:
         lines.append(f"  violation: {violation.description}")
+    lines.extend(f"warning: {w}" for w in report["warnings"])
     _emit(report, args.out, args.quiet, lines)
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
 

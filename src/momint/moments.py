@@ -414,7 +414,7 @@ class MeasureSpec:
                 return cls(atoms=[(entry["point"], entry["weight"]) for entry in doc["atoms"]])
             if "box" in doc:
                 return cls(box=(doc["box"]["bounds"], doc["box"]["order"]))
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed measure document: {exc}") from exc
         raise ValueError("measure document needs an 'atoms' or 'box' field")
 

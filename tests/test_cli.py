@@ -246,6 +246,20 @@ def test_disc_moment_document(tmp_path):
     assert report["results"]["diagonal_growth"]["value"] <= 0.5
 
 
+def test_disc_reports_clamped_diagonal_values(tmp_path, capsys):
+    # f(1, 1) = -0.5: its root is taken of 0 and the report says so
+    values = [{"m": m, "n": n, "re": {(0, 0): 1.0, (1, 1): -0.5}.get((m, n), 0.0), "im": 0.0}
+              for m in range(3) for n in range(3)]
+    doc = write(tmp_path / "table.json", {"max_level": 2, "values": values})
+    report_path = tmp_path / "report.json"
+    assert main(["disc", doc, "--radius", "1", "--constant", "1", "--out", str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert report["results"]["diagonal_growth"] == {
+        "value": 0.0, "n_used": 2, "per_power": [0.0, 0.0], "clamped": True}
+    assert report["warnings"] == ["negative diagonal values clamped to zero"]
+    assert "warning: negative diagonal values clamped to zero" in capsys.readouterr().out
+
+
 def test_disc_radius_beyond_the_float_range_passes(tmp_path, capsys):
     # radius^(2n) overflows a float from n = 6: the limit saturates to
     # infinity instead of raising OverflowError
@@ -431,6 +445,23 @@ def test_analyze_wrong_number_of_variable_names_is_usage_error(tmp_path, capsys)
     report_path = tmp_path / "report.json"
     assert main(["analyze", moments, "--vars", "x,y", "--out", str(report_path)]) == 2
     assert capsys.readouterr().err == "error: 2 variable names for dimension 1\n"
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("names, poly, message", [
+    ("x,x", [], "duplicate variable names"),
+    ("x,x", ["--poly", "x"], "duplicate variable names"),
+    ("x,", [], "empty variable name"),
+    (",", [], "empty variable name"),
+])
+def test_analyze_duplicate_or_empty_variable_names_are_usage_errors(tmp_path, capsys, names,
+                                                                     poly, message):
+    # without --poly each name labels its coordinate's entry: x,x kept one
+    moments = moment_doc_with(tmp_path, [])
+    report_path = tmp_path / "report.json"
+    argv = ["analyze", moments, "--vars", names, *poly, "--out", str(report_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not report_path.exists()
 
 

@@ -74,6 +74,21 @@ CERTIFY_CONFIG = {
     ],
 }
 
+#: every check with only its required keys, in the default variables x1, x2:
+#: each optional key takes its check's default
+CERTIFY_DEFAULTS = {
+    "checks": [
+        {"check": "products", "factors": [{"upper": "1 - x1", "lower": "1 + x1"}]},
+        {"check": "cone", "a": "x1"},
+        {"check": "ball", "radius": 1.5},
+        {"check": "growth", "generators": [{"poly": "x1*x2", "bound": 1.0}]},
+        {"check": "weak_absolute_value", "entries": [{"poly": "x1", "value": 1.0}],
+         "functional_bound": 1.0},
+        {"check": "schmudgen", "constraints": ["1 - x1^2", "1 - x2^2"]},
+        {"check": "interval", "entries": [{"poly": "x2", "lower": -1.0, "upper": 1.0}]},
+    ],
+}
+
 #: (name, files, argv): ``{file}`` in argv names a file, ``{out}`` the report
 BASES = [
     ("oracle-atoms",
@@ -98,6 +113,8 @@ BASES = [
     ("certify-cone",
      {"config": {"variables": ["x", "y"], "checks": [CERTIFY_CONFIG["checks"][1]]},
       "moments": moment_document(6)},
+     ["certify", "{moments}", "{config}", "--out", "{out}", "--quiet"]),
+    ("certify-defaults", {"config": CERTIFY_DEFAULTS, "moments": moment_document(6)},
      ["certify", "{moments}", "{config}", "--out", "{out}", "--quiet"]),
     ("spectral",
      {"operator": {"matrix": [[1.0, 0.5, 0.0], [0.5, 2.0, 0.25], [0.0, 0.25, 3.0]],
@@ -183,6 +200,26 @@ def _disc_level_12(*options: str) -> tuple:
 #: growth of t over uniform[0, 1] against the bound 0.1: a failing check
 _GROWTH_FAILS = {"checks": [{"check": "growth", "generators": [{"poly": "t", "bound": 0.1}]}]}
 
+
+def _ball(**fields) -> tuple:
+    return _certify({"checks": [{"check": "ball", "radius": 1.5, **fields}]})
+
+
+#: each kind without a required key, and each entry object without one
+_MISSING = [
+    ("products", {"max_factors": 2}, "products check needs 'factors'"),
+    ("cone", {"b": "t"}, "cone check needs 'a'"),
+    ("ball", {"order": 1}, "ball check needs 'radius'"),
+    ("growth", {}, "growth check needs 'generators'"),
+    ("weak_absolute_value", {"entries": [{"poly": "t", "value": 1}]},
+     "weak_absolute_value check needs 'functional_bound'"),
+    ("weak_absolute_value", {"functional_bound": 1}, "weak_absolute_value check needs 'entries'"),
+    ("schmudgen", {"order": 1}, "schmudgen check needs 'constraints'"),
+    ("interval", {"order": 1}, "interval check needs 'entries'"),
+    ("products", {"factors": [{"upper": "1 - t"}]}, "factors entry needs 'lower'"),
+    ("growth", {"generators": [{"poly": "t"}]}, "generators entry needs 'bound'"),
+    ("interval", {"entries": [{"poly": "t", "upper": 1}]}, "entries entry needs 'lower'"),
+]
 
 #: (name, files, argv, exit code, text in the error line or the report)
 FIXED = [
@@ -313,6 +350,29 @@ FIXED = [
      *_disc_level_12("--rad", "1.5", "--const", "2", "--out", "{out}"), 0, '"radius": 1.5'),
     ("disc-option-equals-value",
      *_disc_level_12("--radius=1.5", "--constant", "2", "--out", "{out}"), 0, '"radius": 1.5'),
+    # a present key is read, whatever its value: a falsy one is no default
+    *[(f"ball-coordinates-{value!r}", *_ball(coordinates=value), 2,
+       "coordinates must be a list of strings") for value in ({}, 0, "", False)],
+    ("ball-coordinates-empty", *_ball(coordinates=[]), 2, "coordinate list is empty"),
+    ("config-variables-zero", *_certify({"variables": 0, "checks": _GROWTH_FAILS["checks"]}), 2,
+     "variables must be a list of strings"),
+    *[(f"missing-key: {message}", *_certify({"checks": [
+        {"check": kind, **fields}]}), 2, message) for kind, fields, message in _MISSING],
+    ("check-kind-object", *_certify({"checks": [{"check": {}}]}), 2, "unknown check kind {}"),
+    ("oracle-atom-without-weight", {"measure": {"atoms": [{"point": [0.5]}]}},
+     ["oracle", "{measure}", "--degree", "4", "--out", "{out}", "--quiet"], 2,
+     "malformed measure document: 'weight'"),
+    ("oracle-box-without-bounds", {"measure": {"box": {"order": 4}}},
+     ["oracle", "{measure}", "--degree", "4", "--out", "{out}", "--quiet"], 2,
+     "malformed measure document: 'bounds'"),
+    ("analyze-duplicate-vars", {"moments": moment_document(4)},
+     ["analyze", "{moments}", "--vars", "x,x", "--out", "{out}", "--quiet"], 2,
+     "duplicate variable names"),
+    ("disc-clamped-diagonal", {"moments": {"max_level": 2, "values": [
+        {"m": m, "n": n, "re": {(0, 0): 1.0, (1, 1): -0.5}.get((m, n), 0.0), "im": 0.0}
+        for m in range(3) for n in range(3)]}},
+     ["disc", "{moments}", "--radius", "1", "--constant", "1", "--out", "{out}", "--quiet"], 1,
+     '"clamped": true'),
 ]
 
 

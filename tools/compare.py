@@ -16,7 +16,8 @@ corpus is generated once from the working tree:
   order as ``perfbench`` lists its signed tables, so that their ingest takes
   the bulk-array route: signed, zero-mass, with ``--order`` and ``--tol``,
   and with polynomials beyond the degree budget;
-* one ``certify`` run per check kind, and five runs of the products and
+* one ``certify`` run per check kind, one of every kind with only its
+  required keys (``CERTIFY_DEFAULTS``), and five runs of the products and
   cone semiring: on a degree-16 table a pair whose sides do not sum to a
   constant, the whole box semiring in d=2 (``max_factors`` 16) and a cone
   with ``jk_max`` 8; a pair of degree 5 on a degree-8 table and a cone with
@@ -195,12 +196,15 @@ SEMIRING_CHECKS = [
 
 
 def _certify_runs(fuzz) -> list:
-    """One certify invocation per check kind, and one of them all, on the
-    fuzz module's degree-6 table; then the semiring runs on tables of the
-    fuzz module's atoms."""
+    """One certify invocation per check kind, one of them all, and one of
+    them all with only their required keys, on the fuzz module's degree-6
+    table; then the semiring runs on tables of the fuzz module's atoms."""
     moments = _write("certify/moments.json", fuzz.moment_document(6))
-    config = _write("certify/all.json", fuzz.CERTIFY_CONFIG)
-    runs = [("certify#all", ["certify", moments, config, "--out", "certify/all.report.json"])]
+    runs = []
+    for name, doc in (("all", fuzz.CERTIFY_CONFIG), ("defaults", fuzz.CERTIFY_DEFAULTS)):
+        config = _write(f"certify/{name}.json", doc)
+        runs.append((f"certify#{name}",
+                     ["certify", moments, config, "--out", f"certify/{name}.report.json"]))
     for check in fuzz.CERTIFY_CONFIG["checks"]:
         kind = check["check"]
         config = _write(f"certify/{kind}.json",
