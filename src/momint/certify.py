@@ -796,11 +796,9 @@ def run_check_config(
     results = []
     for item in _list(checks, "checks", dict):
         kind = item.get("check")
-        tol = item.get("tol", default_tol)
-        if tol is not None:
-            tol = _number(tol, "tol")
-            if not tol >= 0:
-                raise ValueError("tol must be >= 0")
+        tol = _number(item["tol"], "tol") if "tol" in item else default_tol
+        if tol is not None and not tol >= 0:
+            raise ValueError("tol must be >= 0")
         if not isinstance(kind, str) or kind not in CHECKS:
             raise ValueError(f"unknown check kind {kind!r}")
         check, readers = CHECKS[kind]

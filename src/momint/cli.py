@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .certify import run_check_config
-from .exceptions import MomintError, RankDeficiencyError
+from .exceptions import MomintError
 from .linalg import psd_record
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .policy import NODE_CONTAINMENT_TOL, SPECTRAL_RESIDUAL_TOL
@@ -43,7 +43,7 @@ from .semigroup import (
     from_complex_atoms,
     psd_kernel_check,
 )
-from .spectral import operator_moments, quadrature_from_moments, rayleigh_interval
+from .spectral import chebyshev_extremes, operator_moments, operator_rule, rayleigh_interval
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -291,19 +291,12 @@ def _cmd_spectral(args) -> int:
         # the moments of an order-N operator support at most N nodes
         warnings.append(f"requested {k} nodes but the operator has order {order}; reduced")
         k = order
-    seq = operator_moments(matrix, vector, 2 * k)
+    moments = operator_moments(matrix, vector, 2 * k).y.tolist()
     alpha, beta = rayleigh_interval(matrix)
-    try:
-        measure = quadrature_from_moments(seq, k)
-    except RankDeficiencyError as exc:
-        if not exc.achievable:
-            raise
-        warnings.append(
-            f"requested {k} nodes but rank supports {exc.achievable}; reduced"
-        )
-        k = exc.achievable
-        measure = quadrature_from_moments(seq, k)
-    moments = seq.y.tolist()
+    measure = operator_rule(matrix, vector, k)
+    if len(measure.nodes) < k:
+        warnings.append(f"requested {k} nodes but rank supports {len(measure.nodes)}; reduced")
+        k = len(measure.nodes)
     residual = max(
         abs(measure.integrate_power(j) - moments[j]) / (1.0 + abs(moments[j]))
         for j in range(2 * k)
@@ -312,11 +305,9 @@ def _cmd_spectral(args) -> int:
         np.all(measure.nodes >= alpha - NODE_CONTAINMENT_TOL)
         and np.all(measure.nodes <= beta + NODE_CONTAINMENT_TOL)
     )
-    pencil_order = k - 1
-    rb = bounds_mod.rayleigh_bounds(seq, Polynomial.variable(1, 0), pencil_order)
-    pencil_residual = max(
-        abs(rb.lower - float(measure.nodes[0])), abs(rb.upper - float(measure.nodes[-1]))
-    )
+    lower, upper = chebyshev_extremes(matrix, vector, (alpha, beta), k - 1)
+    pencil_residual = max(abs(lower - float(measure.nodes[0])),
+                          abs(upper - float(measure.nodes[-1])))
     passed = (residual <= SPECTRAL_RESIDUAL_TOL and contained
               and pencil_residual <= SPECTRAL_RESIDUAL_TOL)
     report["results"] = {

@@ -10,16 +10,19 @@ symmetrization, finiteness) and passes the SymMatrix inward.
 B only through its eigendecomposition, so the one cached decomposition of a
 plain moment matrix serves every pencil at its order. A real moment matrix
 reaches ``psd_check`` only through ``bounds.quadratic_module_psd``.
+``lanczos`` is the one route from an operator or a moment table to the
+Jacobi coefficients that ``gauss_rule`` turns into a Gauss rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import EigensolverError, NotPsdError, RankDeficiencyError
-from .policy import DEFAULT_RANK_TOL, relative_tol
+from .policy import BREAKDOWN_TOL, DEFAULT_RANK_TOL, relative_tol
 
 
 class SymMatrix:
@@ -139,6 +142,36 @@ def gauss_rule(alphas, betas, mass: float) -> tuple[np.ndarray, np.ndarray]:
     return decomp.eigenvalues, mass * decomp.eigenvectors[0] ** 2
 
 
+def lanczos(a, start, steps: int, gram=None) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi coefficients ``(alphas, betas)`` of at most ``steps`` Lanczos
+    steps of ``a``, self-adjoint in the inner product ``u^T G v`` of ``gram``
+    (the dot product when None), from ``start``. Each step projects its
+    vector out of the whole basis twice, two matrix products a pass. The
+    Krylov space ends, with fewer alphas, at a new direction whose squared
+    norm is not above ``BREAKDOWN_TOL`` times ``|a q|^T |G| |a q|``. The
+    last step forms no direction, so ``betas`` is one shorter."""
+    g = np.eye(len(start)) if gram is None else gram
+    basis = np.zeros((len(start), steps))
+    g_basis = np.zeros_like(basis)  # G times each basis vector
+    q = start / math.sqrt(start @ g @ start)
+    alphas, betas = [], []
+    for j in range(steps):
+        basis[:, j], g_basis[:, j] = q, g @ q
+        v = a @ q
+        alphas.append(float(g_basis[:, j] @ v))
+        if j + 1 == steps:
+            break
+        scale = float(np.abs(v) @ np.abs(g) @ np.abs(v))
+        for _ in range(2):
+            v = v - basis[:, : j + 1] @ (g_basis[:, : j + 1].T @ v)
+        norm2 = float(v @ g @ v)
+        if not norm2 > BREAKDOWN_TOL * scale:
+            break
+        betas.append(math.sqrt(norm2))
+        q = v / betas[-1]
+    return np.array(alphas), np.array(betas)
+
+
 def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
     """Columns ``V[:, keep] / sqrt(lambda[keep])`` whitening the range of B.
 
@@ -196,6 +229,7 @@ __all__ = [
     "PsdVerdict",
     "SymMatrix",
     "gauss_rule",
+    "lanczos",
     "pencil_extremes",
     "pencil_whitened",
     "psd_check",

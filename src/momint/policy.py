@@ -19,11 +19,11 @@ DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_INGEST_TOL = 1e-12
 #: quadrature weights at or below it are dropped: rounding in the Gauss eigenvectors
 WEIGHT_PRUNE_TOL = 1e-12
-#: Hankel Cholesky pivot floor, relative to max(1, even moments): cancellation at rank deficiency
-PIVOT_REL_TOL = 1e-12
+#: Lanczos breakdown floor, relative to |A q|^T |G| |A q|: cancellation at an invariant subspace
+BREAKDOWN_TOL = 1e-12
 #: growth-route membership slack: both growth bounds converge from below
 MEMBERSHIP_SLACK = 0.05
-#: spectral PASS: moment-match and pencil residuals from rounding in the quadrature
+#: spectral PASS: moment-match and cross-check residuals from rounding in the quadrature
 SPECTRAL_RESIDUAL_TOL = 1e-8
 #: spectral PASS: node overshoot of the eigenvalue interval from rounding
 NODE_CONTAINMENT_TOL = 1e-9

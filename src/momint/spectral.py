@@ -1,21 +1,19 @@
-"""Moments of a bounded self-adjoint operator and quadrature reconstruction.
+"""Moments of a bounded self-adjoint operator and their Gauss rules.
 
 For a symmetric matrix T and a unit vector h, the sequence <T^k h, h> is the
 moment sequence of a discrete measure supported on the spectrum of T, with
 weights given by the squared overlaps of h with the eigenvectors.
-``operator_moments`` returns it as a one-dimensional MomentSequence. The
-measure is recovered here by Gauss quadrature from the moments (three-term
-recurrence coefficients via Cholesky-style orthogonalization of the Hankel
-form, then the tridiagonal eigenproblem). That is one constructive choice
-among several equivalent ones, and it loses nodes well before desk scale
-ends. On operators with eigenvalues uniform in [-2.9, 2.9] and a Gaussian h,
-every node was recovered for 19 of 20 operators at n = 8, 8 of 20 at n = 12
-and none of 20 at n = 16; the benchmark's 16 x 16 operators lose nodes in 41
-of 43 ``spectral`` runs. The cause is the Hankel pivot floor: it is relative
-to the largest even moment it reads, so at k nodes it grows like rho^(2k)
-for spectral radius rho > 1, while the pivots stay of order one and only the
-last few shrink. For one such operator at n = 16 the floor is 8.5e-3 and
-the last two pivots are 1.4e-5, so two genuine nodes fall below it.
+``operator_moments`` returns it as a one-dimensional MomentSequence.
+
+Every Gauss rule here is ``linalg.lanczos`` followed by ``linalg.gauss_rule``
+(Golub & Meurant, *Matrices, Moments and Quadrature*, 2010).
+``operator_rule``, the route of ``spectral``, runs Lanczos on T from h and
+reads no monomial moment, so moments that grow like rho^(2k) cost it no
+node. ``quadrature_from_moments`` runs the same core on polynomial
+coefficients: multiplication by x, in the Hankel inner product of the
+moments, so it keeps the Hankel form's conditioning. ``chebyshev_extremes``
+checks a rule without Lanczos: its extreme nodes are the extreme Ritz
+values of the Chebyshev vectors of h.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import RankDeficiencyError
-from .linalg import SymMatrix, gauss_rule, sym_eig
+from .linalg import SymMatrix, gauss_rule, lanczos, sym_eig
 from .moments import MomentSequence
-from .policy import PIVOT_REL_TOL, WEIGHT_PRUNE_TOL
+from .policy import WEIGHT_PRUNE_TOL
 
 
 @dataclass(frozen=True)
@@ -42,16 +40,10 @@ class DiscreteMeasure:
         return float(np.sum(self.weights * self.nodes**k))
 
 
-def operator_moments(t, h, max_degree: int) -> MomentSequence:
-    """The one-dimensional moment sequence <T^k h, h>, k = 0 .. max_degree.
-
-    ``t`` is normalized by SymMatrix and ``h`` to unit length first (zero
-    and non-finite vectors are rejected; a vector whose squared norm under-
-    or overflows is divided by its largest entry first); ``max_degree`` must
-    be even. Powers that overflow
-    raise ValueError naming the first non-finite moment, with no numpy
-    warning.
-    """
+def _operator(t, h) -> tuple[np.ndarray, np.ndarray]:
+    """T normalized by SymMatrix, and h to unit length: zero and non-finite h
+    are rejected, and only an h whose squared norm under- or overflows is
+    divided by its largest entry first, so other vectors keep their bytes."""
     tm = SymMatrix(t).data
     vec = np.array(h, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != tm.shape[0]:
@@ -61,19 +53,27 @@ def operator_moments(t, h, max_degree: int) -> MomentSequence:
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(vec))
     if norm == 0.0 or norm == math.inf:
-        # the sum of squares under- or overflowed: rescale by the largest
-        # entry first (only then, so that other vectors keep their bytes)
         peak = float(np.max(np.abs(vec)))
         if peak == 0.0:
             raise ValueError("vector h must be nonzero")
         vec = vec / peak
         norm = float(np.linalg.norm(vec))
+    return tm, vec / norm
+
+
+def operator_moments(t, h, max_degree: int) -> MomentSequence:
+    """The one-dimensional moment sequence <T^k h, h>, k = 0 .. max_degree.
+
+    ``t`` and ``h`` are normalized first (``_operator``); ``max_degree``
+    must be even. Powers that overflow raise ValueError naming the first
+    non-finite moment, with no numpy warning.
+    """
+    tm, vec = _operator(t, h)
     if max_degree < 0 or max_degree % 2 != 0:
         raise ValueError("max_degree must be an even nonnegative integer")
     moments = np.empty(max_degree + 1)
     moments[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = vec / norm
         current = vec
         for k in range(1, max_degree + 1):
             current = tm @ current
@@ -87,36 +87,15 @@ def rayleigh_interval(t) -> tuple[float, float]:
     return float(decomp.eigenvalues[0]), float(decomp.eigenvalues[-1])
 
 
-def _hankel_cholesky(moments: np.ndarray, k: int):
-    """Partial upper Cholesky factor of the Hankel form, rows 0..k-1.
-
-    Only those rows feed the recurrence coefficients (entries use moments up
-    to index 2k-1), so only their pivots must be positive; a failure at row j
-    means the measure has numerical rank j.
-    """
-    pivot_floor = PIVOT_REL_TOL * max(float(np.max(moments[: 2 * k : 2])), 1.0)
-    r = np.zeros((k, k + 1))
-    for j in range(k):
-        d = moments[2 * j] - float(r[:j, j] @ r[:j, j])
-        if d <= pivot_floor:
-            raise RankDeficiencyError(
-                f"moment data supports only {j} quadrature nodes, {k} requested",
-                achievable=j,
-            )
-        r[j, j] = math.sqrt(d)
-        for col in range(j + 1, k + 1):
-            r[j, col] = (moments[j + col] - float(r[:j, j] @ r[:j, col])) / r[j, j]
-    return r
-
-
 def quadrature_from_moments(moments, node_count: int) -> DiscreteMeasure:
     """Discrete measure with ``node_count`` nodes matching the leading moments.
 
     Accepts a plain moment list or a one-dimensional MomentSequence, such as
     ``operator_moments`` returns. Needs moments m_0 .. m_(2k-1); the result
-    integrates all of them exactly up to roundoff. Raises RankDeficiencyError
-    (carrying the achievable count) when the Hankel form has rank below
-    ``node_count``.
+    integrates all of them exactly up to roundoff. It is Lanczos of x on the
+    coefficients of 1, x, ..., x^k in the moments' Hankel inner product.
+    Raises RankDeficiencyError (carrying the achievable count) when the
+    Krylov space ends before ``node_count``.
     """
     if isinstance(moments, MomentSequence):
         if moments.dimension != 1:
@@ -133,18 +112,50 @@ def quadrature_from_moments(moments, node_count: int) -> DiscreteMeasure:
         )
     if values[0] <= 0:
         raise ValueError("total mass m_0 must be positive")
-    r = _hankel_cholesky(values, k)
-    pivots = np.diagonal(r)
-    ratios = np.diagonal(r, 1) / pivots  # r[j, j + 1] / r[j, j]
-    alphas = np.concatenate([ratios[:1], ratios[1:] - ratios[:-1]])
-    nodes, weights = gauss_rule(alphas, pivots[1:] / pivots[:-1], values[0])
+    # m_2k is never read: only the last step's vector reaches x^k, and it takes no norm
+    hankel = np.append(values[: 2 * k], 0.0)[np.add.outer(np.arange(k + 1), np.arange(k + 1))]
+    alphas, betas = lanczos(np.eye(k + 1, k=-1), np.eye(k + 1)[0], k, hankel)
+    if len(alphas) < k:
+        raise RankDeficiencyError(f"moment data supports only {len(alphas)} quadrature "
+                                  f"nodes, {k} requested", achievable=len(alphas))
+    return _pruned(*gauss_rule(alphas, betas, values[0]))
+
+
+def operator_rule(t, h, node_count: int) -> DiscreteMeasure:
+    """The Gauss rule of the measure of ``<T^k h, h>`` with at most
+    ``node_count`` nodes, fewer when the Krylov space of h ends sooner:
+    Lanczos on T from h, normalized by ``_operator``."""
+    tm, vec = _operator(t, h)
+    return _pruned(*gauss_rule(*lanczos(tm, vec, node_count), 1.0))
+
+
+def chebyshev_extremes(t, h, interval, order: int) -> tuple[float, float]:
+    """Extreme nodes of the ``order + 1``-node Gauss rule of ``<T^k h, h>``
+    with no Lanczos: the extreme Ritz values of S, T mapped from
+    ``interval`` onto [-1, 1], on the Krylov space of the rule spanned by
+    the Chebyshev vectors ``T_j(S) h``, j <= order, and orthonormalized by
+    QR (a Gram matrix of them would square their condition number)."""
+    tm, vec = _operator(t, h)
+    center, half = (interval[0] + interval[1]) / 2, (interval[1] - interval[0]) / 2 or 1.0
+    s = (tm - center * np.eye(len(vec))) / half
+    chebyshev = [vec, s @ vec]
+    for _ in range(order - 1):
+        chebyshev.append(2.0 * (s @ chebyshev[-1]) - chebyshev[-2])
+    q, _ = np.linalg.qr(np.array(chebyshev[: order + 1]).T)
+    ritz = sym_eig(q.T @ s @ q, vectors=False).eigenvalues
+    return center + half * float(ritz[0]), center + half * float(ritz[-1])
+
+
+def _pruned(nodes, weights) -> DiscreteMeasure:
     keep = weights > WEIGHT_PRUNE_TOL
     return DiscreteMeasure(nodes=nodes[keep], weights=weights[keep])
 
 
 __all__ = [
     "DiscreteMeasure",
+    "chebyshev_extremes",
     "operator_moments",
+    "operator_rule",
     "quadrature_from_moments",
     "rayleigh_interval",
 ]

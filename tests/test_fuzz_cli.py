@@ -285,6 +285,14 @@ FIXED = [
      2, "upper must be finite, got inf"),
     ("config-nan-tol", *_certify({"checks": [{**_GROWTH_FAILS["checks"][0], "tol": math.nan}]}),
      2, "tol must be finite, got nan"),
+    # a present tol is read like every present key: null is no way back to the default
+    ("config-null-tol",
+     {"moments": {"dimension": 1, "max_degree": 4, "moments": [
+         {"index": [k], "value": v} for k, v in enumerate([1.0, 0.0, 1.0, 0.0, 1.0])]},
+      "config": {"checks": [{"check": "growth", "generators": [{"poly": "t", "bound": 0.99}],
+                             "tol": None}]}},
+     ["certify", "{moments}", "{config}", "--tol", "0.5", "--out", "{out}", "--quiet"], 2,
+     "tol must be a number, got None"),
     ("disc-nan-constant",
      {"moments": {"max_level": 4, "atoms": [{"re": 0.5, "im": 0.1, "weight": 1.0}]}},
      ["disc", "{moments}", "--radius", "1", "--constant", "nan", "--quiet"], 2,

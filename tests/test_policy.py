@@ -69,17 +69,19 @@ def hermitian_ingest(s, *_):
 
 
 def weight_prune(s, *_):
-    # weight w at node 10 beside weight 1 at node 0: its pivot, about 100 w,
-    # stays far above the pivot floor
+    # weight w at node 10 beside weight 1 at node 0: its direction, about
+    # 1 / (1 + w) of the squared norm of x, stays far above the breakdown floor
     w = s * policy.WEIGHT_PRUNE_TOL
     moments = [1.0 + w] + [w * 10.0**j for j in range(1, 4)]
     return len(quadrature_from_moments(moments, 2).nodes) == 1
 
 
-def pivot_floor(s, *_):
-    # the second pivot of [1, 0, m_2, 0] is m_2; the floor is PIVOT_REL_TOL * 1
+def breakdown_floor(s, *_):
+    # on [1, 1, 1 + x, 1], the first step's new direction x - 1 has squared
+    # norm x against m_2 = 1 + x for x itself; the floor is BREAKDOWN_TOL of that
+    x = s * policy.BREAKDOWN_TOL / (1.0 - s * policy.BREAKDOWN_TOL)
     try:
-        quadrature_from_moments([1.0, 0.0, s * policy.PIVOT_REL_TOL, 0.0], 2)
+        quadrature_from_moments([1.0, 1.0, 1.0 + x, 1.0], 2)
     except RankDeficiencyError as exc:
         return exc.achievable == 1
     return False
@@ -121,7 +123,7 @@ def saturation(s, *_):
 def spectral(nodes, weights, tmp_path, monkeypatch) -> dict:
     """Results of ``spectral`` on diag(0, 1) with h = (1, 1), whose measure
     is nodes 0 and 1 with weight 1/2 each, reconstructed as the given rule."""
-    monkeypatch.setattr(cli, "quadrature_from_moments", lambda seq, k: DiscreteMeasure(
+    monkeypatch.setattr(cli, "operator_rule", lambda t, h, k: DiscreteMeasure(
         np.array(nodes), np.array(weights)))
     tmp_path.mkdir()
     operator, out = tmp_path / "operator.json", tmp_path / "report.json"
@@ -156,7 +158,7 @@ def node_containment(s, tmp_path, monkeypatch):
 #: each probe is true just inside its threshold and false just outside
 BOUNDARIES = [
     psd_tolerance, check_tolerance, disc_diagonal_tolerance, rank_cutoff, hermitian_ingest,
-    weight_prune, pivot_floor, membership_slack, archimedean_admission, saturation,
+    weight_prune, breakdown_floor, membership_slack, archimedean_admission, saturation,
     moment_residual, pencil_residual, node_containment,
 ]
 

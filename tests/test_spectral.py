@@ -10,8 +10,11 @@ from momint.exceptions import RankDeficiencyError
 from momint.linalg import psd_check
 from momint.moments import MomentSequence
 from momint.polynomials import Polynomial
+from momint.policy import SPECTRAL_RESIDUAL_TOL
 from momint.spectral import (
+    chebyshev_extremes,
     operator_moments,
+    operator_rule,
     quadrature_from_moments,
     rayleigh_interval,
 )
@@ -129,11 +132,57 @@ def test_spectral_command_reduces_to_achievable(tmp_path):
     operator = tmp_path / "operator.json"
     operator.write_text(json.dumps({"matrix": t.tolist(), "vector": h.tolist()}))
     out = tmp_path / "report.json"
-    # the retry in the command line; the verdict is not under test here
-    assert main(["spectral", str(operator), "--out", str(out), "--quiet"]) in (0, 1)
+    # the Krylov space of h ends at 5: the exact 5-node rule passes
+    assert main(["spectral", str(operator), "--out", str(out), "--quiet"]) == 0
     report = json.loads(out.read_text())
-    assert len(report["results"]["nodes"]) == 5
+    assert report["results"]["nodes"] == pytest.approx([2.0, 3.0, 4.0, 5.0, 6.0], abs=1e-12)
+    assert report["results"]["pencil_agreement_residual"] <= SPECTRAL_RESIDUAL_TOL
     assert report["warnings"] == ["requested 6 nodes but rank supports 5; reduced"]
+
+
+def eigh_rule(t, h):
+    """The eigh oracle: eigenvalues as nodes, squared overlaps of the unit h
+    as weights."""
+    eigenvalues, eigenvectors = np.linalg.eigh(t)
+    return eigenvalues, (eigenvectors.T @ (h / np.linalg.norm(h))) ** 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_operator_rule_matches_eigh(n):
+    # eigenvalues uniform in [-2.9, 2.9] behind a random rotation, Gaussian h
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        t = rotation @ np.diag(rng.uniform(-2.9, 2.9, n)) @ rotation.T
+        h = rng.normal(size=n)
+        nodes, weights = eigh_rule(t, h)
+        measure = operator_rule(t, h, n)
+        assert np.max(np.abs(measure.nodes - nodes)) <= 1e-10
+        assert np.max(np.abs(measure.weights - weights)) <= 1e-10
+
+
+@pytest.mark.parametrize("t, h, nodes, weights", [
+    # a repeated eigenvalue: its eigenspace meets the Krylov space in one line
+    (np.diag([1.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5), [1.0, 2.0, 3.0], [0.6, 0.2, 0.2]),
+    # h orthogonal to the eigenvectors of 1 and 4
+    (np.diag([1.0, 2.0, 3.0, 4.0]), [0.0, 1.0, 1.0, 0.0], [2.0, 3.0], [0.5, 0.5]),
+])
+def test_operator_rule_stops_at_an_invariant_subspace(t, h, nodes, weights):
+    rotation, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(len(t), len(t))))
+    measure = operator_rule(rotation @ t @ rotation.T, rotation @ np.array(h), len(t))
+    assert measure.nodes == pytest.approx(nodes, abs=1e-12)
+    assert measure.weights == pytest.approx(weights, abs=1e-12)
+
+
+def test_chebyshev_extremes_match_the_rule_without_lanczos(operator_corpus):
+    for t, h in operator_corpus:
+        eigenvalues, _ = eigh_rule(t, h)
+        interval = (eigenvalues[0], eigenvalues[-1])
+        for order in (2, 5):
+            measure = operator_rule(t, h, order + 1)
+            lower, upper = chebyshev_extremes(t, h, interval, order)
+            assert abs(lower - measure.nodes[0]) <= 1e-10
+            assert abs(upper - measure.nodes[-1]) <= 1e-10
 
 
 def test_random_operators_match_eigen_oracle(operator_corpus):

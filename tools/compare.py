@@ -24,7 +24,9 @@ corpus is generated once from the working tree:
   a quartic prefactor on a degree-6 table, whose products have a half of
   degree above n_max;
 * random ``spectral`` operators of orders 1-16 and scales 1e-3 to 1e1, some
-  with ``--nodes``, some with half-zero start vectors;
+  with ``--nodes``, some with half-zero start vectors, and operators whose
+  Krylov space ends early: a repeated eigenvalue, or a start vector
+  orthogonal to some eigenvectors;
 
 each invocation as given and again with ``--quiet`` toggled, and then the
 malformed documents of ``tests/test_fuzz_cli.py``: the seeded mutations
@@ -221,7 +223,9 @@ def _certify_runs(fuzz) -> list:
 
 
 def _spectral_runs(rng) -> list:
-    """200 spectral invocations on random symmetric operators."""
+    """200 spectral invocations on random symmetric operators, then 24 on
+    operators whose Krylov space from h is short: a repeated eigenvalue, or
+    h orthogonal to some eigenvectors."""
     runs = []
     for i in range(200):
         n = 1 + i % 16
@@ -235,6 +239,19 @@ def _spectral_runs(rng) -> list:
         if i % 3 == 2:
             argv += ["--nodes", str(int(rng.integers(1, n + 1)))]
         runs.append((f"spectral#{i}", argv + ["--out", f"spectral/{i}.report.json"]))
+    for i in range(200, 224):
+        n = 2 + i % 15
+        eigenvalues = rng.uniform(-3.0, 3.0, n)
+        vector = rng.normal(size=n)
+        if i % 2:
+            eigenvalues[: n // 2 + 1] = eigenvalues[0]
+        else:
+            vector[: n // 2] = 0.0
+        rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        matrix = rotation * eigenvalues @ rotation.T
+        path = _write(f"spectral/{i}.json",
+                      {"matrix": matrix.tolist(), "vector": (rotation @ vector).tolist()})
+        runs.append((f"spectral#{i}", ["spectral", path, "--out", f"spectral/{i}.report.json"]))
     return runs
 
 
