@@ -13,12 +13,14 @@ field whose computation raises a MomintError or such a ValueError is
 ``{"error": message}`` instead, and the exit status is that of the PSD
 verdict, which runs first and unguarded (so a bad ``--tol`` is still a
 usage error). Reports are strict JSON; a saturated limit is written as
-null. Each call builds the arguments of the invoked command only.
+null. Each command's parser registers that command's arguments only, and
+is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -52,8 +54,8 @@ EXIT_USAGE = 2
 DEFAULT_ANALYZE_ORDER_CAP = 4
 
 
-def _load_json(path: str, inputs: dict | None = None, name: str | None = None) -> dict:
-    """The JSON document in the file at ``path``, read once and decoded as
+def _read_text(path: str, inputs: dict | None = None, name: str | None = None) -> str:
+    """The text of the file at ``path``, read once and decoded as
     ``open(path, encoding="utf-8")`` decodes it: newlines translated, a BOM
     kept for ``json`` to refuse. ``inputs[name]`` records the path and the
     sha256 of the bytes read."""
@@ -61,7 +63,18 @@ def _load_json(path: str, inputs: dict | None = None, name: str | None = None) -
         data = handle.read()
     if inputs is not None:
         inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
-    return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _load_json(path: str, inputs: dict | None = None, name: str | None = None) -> dict:
+    """The JSON document in the file at ``path`` (``_read_text``)."""
+    return json.loads(_read_text(path, inputs, name))
+
+
+def _write_text(path: str, text: str):
+    """``text`` and a newline, as the one line of the file at ``path``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
 
 
 def _write_json(path: str, doc: dict):
@@ -69,9 +82,7 @@ def _write_json(path: str, doc: dict):
     ValueError before the file is opened. ``json.dumps`` without ``indent``
     runs the C encoder; ``json.dump`` and any ``indent`` fall back to
     Python's."""
-    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(path, json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def _emit(report: dict, out: str | None, quiet: bool, lines: list[str]):
@@ -108,7 +119,8 @@ def _cmd_oracle(args) -> int:
     doc = _load_json(args.measure)
     spec = MeasureSpec.from_document(doc)
     seq = from_measure(spec, args.degree)
-    _write_json(args.out, seq.to_document())
+    # the bytes of _write_json(args.out, seq.to_document()), without the document
+    _write_text(args.out, seq.to_text())
     if not args.quiet:
         print(
             f"wrote {len(seq.y)} moments (dimension {seq.dimension}, "
@@ -160,7 +172,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--order must be >= 0, got {args.order}")
     _finite(args, "tol")
     inputs = {}
-    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"))
+    seq = MomentSequence.from_text(_read_text(args.moments, inputs, "moments"))
     names = args.vars.split(",") if args.vars else default_variable_names(seq.dimension)
     if len(names) != seq.dimension:
         raise ValueError(
@@ -249,7 +261,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_certify(args) -> int:
     _finite(args, "tol")
     inputs = {}
-    seq = MomentSequence.from_document(_load_json(args.moments, inputs, "moments"))
+    seq = MomentSequence.from_text(_read_text(args.moments, inputs, "moments"))
     config = _load_json(args.config, inputs, "config")
     results = run_check_config(seq, config, default_tol=args.tol)
     report = _report_skeleton("certify", inputs, {})
@@ -415,10 +427,12 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=len(COMMANDS) + 1)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command`` alone when it names a command, else of all
     five, so that ``--help``, a missing and an unknown command read as they
-    do with every command registered."""
+    do with every command registered. Built once per process and shared: a
+    parser keeps no state between ``parse_args`` calls."""
     parser = _Parser(
         prog="momint",
         description="Finite-truncation analysis of moment functionals.",
@@ -437,7 +451,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        # the cache holds the six parsers: one per command, and None's
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit:  # --help
         return 0
     except ValueError as exc:

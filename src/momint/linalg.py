@@ -177,8 +177,8 @@ def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
 
     ``decomp`` is B's eigendecomposition; an eigenpair is kept when its
     eigenvalue exceeds ``DEFAULT_RANK_TOL * max(max_eig(B), 0)``. For the
-    returned W, ``W.T @ B @ W`` is the identity on the kept range, so
-    ``W.T @ A @ W`` is A compressed to that range. W has no columns when nothing is kept; the
+    returned W, ``W^H B W`` is the identity on the kept range, so
+    ``W^H A W`` is A compressed to that range. W has no columns when nothing is kept; the
     caller decides which error that is.
     """
     values = decomp.eigenvalues
@@ -188,7 +188,7 @@ def range_whitener(decomp: EigenDecomposition) -> np.ndarray:
 
 
 def pencil_whitened(a, b_eig: EigenDecomposition) -> np.ndarray:
-    """``W^T A W``: A compressed to the range of the PSD base matrix B and
+    """``W^H A W``: A compressed to the range of the PSD base matrix B and
     whitened there (``range_whitener``), from A and B's eigendecomposition
     ``b_eig`` (``sym_eig(b)``, with vectors). Deflation, never
     regularization: the quotient out of B's null space is exact.
@@ -212,7 +212,7 @@ def pencil_whitened(a, b_eig: EigenDecomposition) -> np.ndarray:
         raise RankDeficiencyError(
             "pencil base matrix has zero effective rank", achievable=0
         )
-    return w.T @ am @ w
+    return w.conj().T @ am @ w
 
 
 def pencil_extremes(a, b_eig: EigenDecomposition) -> tuple[float, float, int]:

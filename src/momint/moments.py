@@ -18,7 +18,12 @@ values; a table that lists the graded-lex enumeration in its order, as
 ``to_document`` writes it, is recognized by one list comparison and needs no
 ranks. Only a list that the bulk checks refuse is read pair by pair, which
 names its first bad pair. ``to_document`` lists the indices from the cached
-exponent array of the enumeration.
+exponent array of the enumeration. As text, no document is built on the
+common path: ``to_text`` writes the bytes of ``json.dumps`` of
+``to_document`` from cached entry texts and the JSON text of the values,
+and ``from_text`` reads exactly those bytes back with one list comparison
+against the same cached texts; any other text goes through ``json`` and
+``from_document``.
 
 The oracle measures are weighted sums of product measures, so over the
 exponent table ``E`` of the stored monomials ``y = sum_c w_c prod_j
@@ -58,10 +63,12 @@ number of stored monomials.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -132,6 +139,37 @@ def _index_lists(dimension: int, degree: int) -> list:
     """``_monomial_array`` as lists of ints, the form a moment document
     lists its indices in; private, so never mutated."""
     return _monomial_array(dimension, degree).tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _index_pieces(dimension: int, degree: int) -> list:
+    """The text of each entry of a moment document up to its value, as
+    ``json.dumps`` writes it: ``{"index": [i, j, k], "value": ``, one per
+    monomial of ``_index_lists``; private, so never mutated."""
+    return [f'{{"index": {json.dumps(index)}, "value": ' for index in _index_lists(dimension, degree)]
+
+
+#: the head of a moment document as ``to_text`` writes it
+_TEXT_HEAD = re.compile(
+    r'\{"dimension": ([1-9][0-9]{0,8}), "max_degree": (0|[1-9][0-9]{0,8}), "moments": \[')
+#: a JSON number with a fraction or an exponent, which ``json`` reads with
+#: ``float``; the values of ``to_text`` are of this form
+_JSON_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+#: the values of a document's entries, as ``from_text`` joins them
+_JSON_FLOATS = re.compile(rf"{_JSON_FLOAT}(?:\}}, {_JSON_FLOAT})*")
+
+
+def _table_size(dimension: int, max_degree: int, limit: int) -> int:
+    """``C(max_degree + dimension, dimension)``, or the first ``C(max_degree
+    + j, j)`` above ``limit``. These grow with j to the size of a complete
+    table, so a table larger than ``limit`` is found before any huge count
+    is formed."""
+    size = 1
+    for j in range(1, dimension + 1):
+        size = size * (max_degree + j) // j
+        if size > limit:
+            break
+    return size
 
 
 @functools.lru_cache(maxsize=64)
@@ -325,15 +363,12 @@ def _dense_moments(dimension: int, max_degree: int, keys: list, values: list) ->
     on a bad index or value (``_listed``), and unless each index up to
     max_degree is listed once."""
     exponents, floats, ranks = _listed(dimension, max_degree, keys, values)
-    # C(max_degree + j, j) grows with j to the size of a complete table: a
-    # short list fails at the first j past it, before anything is enumerated
-    needed = 1
-    for j in range(1, dimension + 1):
-        needed = needed * (max_degree + j) // j
-        if needed > len(floats):
-            raise ValueError(
-                f"moment table incomplete: {len(floats)} indices listed, at least {needed} needed"
-            )
+    # a short list fails before anything is enumerated
+    needed = _table_size(dimension, max_degree, len(floats))
+    if needed > len(floats):
+        raise ValueError(
+            f"moment table incomplete: {len(floats)} indices listed, at least {needed} needed"
+        )
     # the count above passes these for an empty list; no table has them
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -576,6 +611,47 @@ class MomentSequence:
             "max_degree": self.max_degree,
             "moments": moments,
         }
+
+    def to_text(self) -> str:
+        """``json.dumps(self.to_document(), sort_keys=True, allow_nan=False)``,
+        byte for byte, without the document: the cached text of each entry
+        up to its value (``_index_pieces``), joined with the JSON text of the
+        values. A non-finite value raises json's ValueError."""
+        values = json.dumps(self.y.tolist(), allow_nan=False)[1:-1].split(", ")
+        pieces = _index_pieces(self.dimension, self.max_degree)
+        return (f'{{"dimension": {json.dumps(self.dimension)}, '
+                f'"max_degree": {json.dumps(self.max_degree)}, "moments": ['
+                + "}, ".join(map(add, pieces, values)) + "}]}")
+
+    @classmethod
+    def from_text(cls, text: str) -> "MomentSequence":
+        """``from_document(json.loads(text))``: the same sequence, or the same
+        exception with the same message.
+
+        The text that ``to_text`` writes, with or without one trailing
+        newline, is read without building the document. One regex reads the
+        head. Inserting ``}, `` after each ``"value": `` and splitting at
+        ``}, `` leaves the entry texts up to their values and the values, in
+        turn; the first must equal the cached ``_index_pieces`` in one list
+        comparison, and every value must be a JSON number with a fraction or
+        an exponent, which json reads with ``float``. The table's size is
+        bounded by the number of pieces, and the dimension by the text's
+        length, before any piece is enumerated. Any other text is parsed by
+        ``json``.
+        """
+        head = _TEXT_HEAD.match(text)
+        tail = "}]}\n" if text.endswith("\n") else "}]}"
+        if head and text.endswith(tail):
+            dimension, max_degree = int(head[1]), int(head[2])
+            body = text[head.end():len(text) - len(tail)]
+            parts = body.replace('"value": ', '"value": }, ').split("}, ")
+            if (dimension <= len(text)
+                    and 2 * _table_size(dimension, max_degree, len(parts)) == len(parts)
+                    and parts[0::2] == _index_pieces(dimension, max_degree)):
+                values = parts[1::2]
+                if _JSON_FLOATS.fullmatch("}, ".join(values)):
+                    return cls._from_dense(dimension, max_degree, np.array(list(map(float, values))))
+        return cls.from_document(json.loads(text))
 
     @classmethod
     def from_document(cls, doc: Mapping) -> "MomentSequence":

@@ -529,6 +529,41 @@ def test_a_command_parser_registers_that_command_alone():
     assert list(sub.choices) == ["disc"]
 
 
+def test_each_command_parser_is_built_once_per_process():
+    assert build_parser("disc") is build_parser("disc")
+    assert build_parser(None) is build_parser(None) is not build_parser("disc")
+    assert build_parser.cache_info().maxsize == len(COMMANDS) + 1
+
+
+def test_a_reused_parser_keeps_nothing_between_calls(tmp_path, box_measure, capsys):
+    moments = tmp_path / "moments.json"
+    assert main(["oracle", box_measure, "--degree", "8", "--out", str(moments), "--quiet"]) == 0
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["analyze", str(moments), "--poly", "t^2", "--poly", "1 - t",
+                 "--order", "2", "--out", str(first), "--quiet"]) == 0
+    assert main(["analyze", str(moments), "--out", str(second), "--quiet"]) == 0
+    # the second call's --poly list and --order are its defaults, not the first's
+    assert json.loads(first.read_text())["parameters"] == {
+        "order": 2, "polynomials": ["t^2", "1 - t"]}
+    assert json.loads(second.read_text())["parameters"] == {"order": None, "polynomials": ["t"]}
+    capsys.readouterr()
+
+    sequences = [
+        (["analyze", str(moments), "--order", "x"], 2, "argument --order: invalid int value"),
+        (["analyze", str(moments), "--quiet"], 0, ""),
+        (["analyze", "--help"], 0, ""),
+        (["analyze", str(moments), "--quiet"], 0, ""),
+        (["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+        (["analyze", str(moments), "--quiet"], 0, ""),
+        (["--help"], 0, ""),
+        (["analyze", str(moments), "--poly", "t", "--quiet"], 0, ""),
+    ]
+    for argv, code, error in sequences:
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert (error in err) if error else err == "", (argv, err)
+
+
 def test_module_entry_point_reads_sys_argv():
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(

@@ -4,8 +4,10 @@ against declared envelopes."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PATH = Path(__file__).resolve().parent.parent / "tools" / "compare.py"
@@ -307,3 +309,38 @@ def test_a_flip_in_the_wrong_direction_fails(compare, tmp_path):
 def test_a_malformed_invocation_or_flip_entry_is_refused(compare, tmp_path, entry):
     with pytest.raises(ValueError, match="needs '(path|invocation)'"):
         expectations(compare, tmp_path, [entry])
+
+
+def test_median_interval_on_seeded_synthetic_ratios(compare):
+    rng = np.random.default_rng(7)
+
+    def intervals(centre, runs=200):
+        """(median, low, high) of ``runs`` sets of 40 ratios, each ``centre``
+        times a lognormal factor of 3% spread."""
+        return [compare.median_interval(centre * np.exp(rng.normal(0.0, 0.03, 40)), rng, 1000)
+                for _ in range(runs)]
+
+    aa = intervals(1.0)
+    assert all(low <= median <= high for median, low, high in aa)
+    # A/A: the 95% interval holds 1.0 in about 95% of runs
+    assert sum(low <= 1.0 <= high for _, low, high in aa) >= 180
+    # a 5% change is flagged, in its direction, in every run at this spread
+    assert all(high < 1.0 for _, _, high in intervals(0.95))
+    assert all(low > 1.0 for _, low, _ in intervals(1.05))
+    ratios = np.exp(rng.normal(0.0, 0.03, size=40))
+    once = compare.median_interval(ratios, np.random.default_rng(3))
+    assert once == compare.median_interval(ratios, np.random.default_rng(3))
+    assert once[0] == float(np.median(ratios))
+    few = compare.median_interval(ratios[:8], np.random.default_rng(3))
+    assert few[2] - few[1] > once[2] - once[1]
+
+
+def test_timing_runs_interleaved_on_a_workload(compare):
+    # a smoke test of the machinery on two cycles; it does not gate on time
+    result = compare.time_trees(PATH.parents[1] / "src", PATH.parents[1] / "src", "real_poly",
+                                seed=11, cycles=2)
+    assert result["cycles"] == 2 and len(result["ratios"]) == 2
+    assert all(math.isfinite(r) and r > 0 for r in result["ratios"])
+    low, high = result["interval"]
+    assert low <= result["median_ratio"] <= high
+    assert result["base_ms"] > 0 and result["head_ms"] > 0

@@ -249,3 +249,41 @@ def test_range_whitener_compresses_to_identity():
     assert np.allclose(w.T @ b @ w, np.eye(3), atol=1e-10)
     assert np.array_equal(pencil_whitened(b, sym_eig(b)), w.T @ SymMatrix(b).data @ w)
     assert range_whitener(sym_eig(np.zeros((3, 3)))).shape == (3, 0)
+
+
+def _hermitian(rng, n, rank=None):
+    x = rng.normal(size=(n, rank or n)) + 1j * rng.normal(size=(n, rank or n))
+    return x @ x.conj().T if rank else 0.5 * (x + x.conj().T)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (3, 3), (6, 6), (8, 5), (12, 7)])
+def test_complex_pencils_match_the_cholesky_route(n, rank):
+    # the generalized eigenvalues of (A, B) on the range of B, taken with a
+    # Cholesky factor of B compressed to an orthonormal basis of its range
+    # (QR of its generating columns), not with B's eigendecomposition
+    rng = np.random.default_rng(100 * n + rank)
+    for _ in range(20):
+        x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        a, b = _hermitian(rng, n), x @ x.conj().T
+        q = np.linalg.qr(x)[0]
+        factor = np.linalg.cholesky(q.conj().T @ b @ q)
+        inverse = np.linalg.inv(factor)
+        want = np.linalg.eigvalsh(inverse @ (q.conj().T @ a @ q) @ inverse.conj().T)
+        compressed = pencil_whitened(a, sym_eig(b))
+        assert np.allclose(compressed, compressed.conj().T, atol=1e-10)
+        got = sym_eig(compressed, vectors=False).eigenvalues
+        scale = 1.0 + np.abs(want).max()
+        assert len(got) == rank and np.allclose(got, want, atol=1e-8 * scale, rtol=0)
+        lower, upper, kept = pencil_extremes(a, sym_eig(b))
+        assert kept == rank
+        assert abs(lower - want[0]) <= 1e-8 * scale and abs(upper - want[-1]) <= 1e-8 * scale
+
+
+def test_a_real_pencil_is_compressed_to_the_same_bits():
+    rng = np.random.default_rng(59)
+    basis = rng.normal(size=(7, 4))
+    a, b = rng.normal(size=(7, 7)), basis @ basis.T
+    w = range_whitener(sym_eig(b))
+    compressed = pencil_whitened(a, sym_eig(b))
+    assert compressed.dtype == float
+    assert compressed.tobytes() == (w.T @ SymMatrix(a).data @ w).tobytes()

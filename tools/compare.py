@@ -4,6 +4,7 @@
 Usage (from anywhere inside the repository):
 
     python tools/compare.py --base REF
+    python tools/compare.py --base REF --time WORKLOAD [--cycles N] [--seed S]
 
 REF (any git revision, such as ``HEAD`` or a commit id) has its ``src``
 extracted with ``git archive`` into a temporary directory; the other side is
@@ -75,6 +76,21 @@ changed values for a path entry, invocations for an invocation entry. An
 entry that absorbs nothing fails, so that no entry outlives the change it
 declares. Exit status 0 only when every difference fits and every entry is
 used.
+
+With ``--time WORKLOAD`` the two trees are timed instead, interleaved, on one
+perfbench workload (``real_psd``, ``real_poly`` or ``operator_disc``). Each
+tree gets one worker process, which puts its tree's ``src`` first on its path,
+builds ``workloads.build(WORKLOAD, S, N, dir)`` from the working tree's
+``perfbench/workloads.py`` (seed 11 and 40 cycles unless given) and runs
+every cycle once to warm up. Then, cycle by cycle, the driver asks the two
+workers in turn, in an order drawn at random per cycle, to run cycle i
+REPEATS times in process through their own ``momint.cli.main``; a cycle's
+time is the minimum of its runs. The summary gives each tree's median cycle
+time and the median of the per-cycle ratios working tree / REF with a
+bootstrap 95% interval. The last line of standard output is the same as one
+JSON object. Only one worker runs at a time, so the trees never compete for
+the cores. This resolves what the perfbench pairs cannot; it replaces
+neither them nor a ``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations
@@ -92,6 +108,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -109,6 +126,14 @@ CHANGE_ROWS = 25
 EXAMPLE_CHARS = 60
 #: the example value of a key or violation that one side lacks
 ABSENT = "<absent>"
+#: defaults of ``--time``: the perfbench seed of the claims, and cycles
+TIME_SEED = 11
+TIME_CYCLES = 40
+#: runs of one cycle per request; the cycle's time is their minimum
+REPEATS = 5
+#: resamples of the bootstrap interval, and the seed of it and of the order
+BOOTSTRAP_RESAMPLES = 4000
+TIME_RNG_SEED = 20261020
 
 
 def _load(name: str, path: Path):
@@ -617,15 +642,20 @@ def unused_entries(expectations: list) -> list:
     return [f"  {_shown_entry(e['entry'])}" for e in expectations if not e.get("used")]
 
 
+def _extract(base_ref: str, base_tree: Path):
+    """``src`` of ``base_ref`` under ``base_tree``, through ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_ref, "src"],
+                             check=True, capture_output=True).stdout
+    base_tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+
+
 def compare(base_ref: str, expect: str | None = None) -> int:
     expectations = _load_expectations(expect) if expect else None
     workdir = Path(tempfile.mkdtemp(prefix="momint-compare-"))
     base_tree = workdir / "base"
     try:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", base_ref, "src"],
-                                 check=True, capture_output=True).stdout
-        base_tree.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+        _extract(base_ref, base_tree)
         corpus_dir = workdir / "corpus"
         corpus_dir.mkdir()
         corpus = build_corpus(corpus_dir)
@@ -722,18 +752,130 @@ def compare(base_ref: str, expect: str | None = None) -> int:
     return 1 if uncovered or outside or unused else 0
 
 
+def time_worker(src: str, workdir: str, workload: str, seed: int, cycles: int):
+    """Worker of ``--time``: build the workload under ``workdir``, run every
+    cycle once, then answer each line ``i`` of standard input with the
+    minimum seconds of REPEATS runs of cycle i, until end of input."""
+    sys.path.insert(0, src)
+    from momint.cli import main as cli_main
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    built = workloads.build(workload, seed, cycles, workdir)
+
+    def run(cycle) -> float:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for step in cycle:
+                cli_main(step.argv)
+        return time.perf_counter() - start
+
+    for cycle in built:
+        run(cycle)
+    print("ready", flush=True)
+    for line in sys.stdin:
+        cycle = built[int(line)]
+        print(min(run(cycle) for _ in range(REPEATS)), flush=True)
+
+
+def median_interval(ratios, rng, resamples: int = BOOTSTRAP_RESAMPLES) -> tuple:
+    """(median, low, high): the median of ``ratios`` and the 2.5% and 97.5%
+    percentiles of the medians of ``resamples`` bootstrap resamples."""
+    ratios = np.asarray(ratios, dtype=float)
+    picks = rng.integers(0, len(ratios), size=(resamples, len(ratios)))
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
+    return float(np.median(ratios)), float(low), float(high)
+
+
+def time_trees(base_src: Path, head_src: Path, workload: str, seed: int = TIME_SEED,
+               cycles: int = TIME_CYCLES) -> dict:
+    """Time the trees interleaved (see the module docstring): per cycle the
+    minimum seconds of each side, and the median ratio head / base with its
+    bootstrap 95% interval."""
+    rng = np.random.default_rng(TIME_RNG_SEED)
+    workdir = Path(tempfile.mkdtemp(prefix="momint-time-"))
+    workers = {}
+    try:
+        for side, src in (("base", base_src), ("head", head_src)):
+            (workdir / side).mkdir()
+            workers[side] = subprocess.Popen(
+                [sys.executable, __file__, "--time-worker", str(src), str(workdir / side),
+                 workload, str(seed), str(cycles)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, proc in workers.items():
+            if proc.stdout.readline().strip() != "ready":
+                raise RuntimeError(f"the {side} tree's timing worker did not start")
+        seconds = {"base": [], "head": []}
+        for i in range(cycles):
+            for side in rng.permutation(["base", "head"]):
+                proc = workers[side]
+                proc.stdin.write(f"{i}\n")
+                proc.stdin.flush()
+                reply = proc.stdout.readline()
+                if not reply:
+                    raise RuntimeError(f"the {side} tree's timing worker exited")
+                seconds[side].append(float(reply))
+    finally:
+        for proc in workers.values():
+            proc.communicate()  # end of input ends the worker
+        shutil.rmtree(workdir, ignore_errors=True)
+    ratios = np.array(seconds["head"]) / np.array(seconds["base"])
+    median, low, high = median_interval(ratios, rng)
+    return {"workload": workload, "seed": seed, "cycles": cycles, "repeats": REPEATS,
+            "base_ms": 1e3 * float(np.median(seconds["base"])),
+            "head_ms": 1e3 * float(np.median(seconds["head"])),
+            "median_ratio": median, "interval": [low, high], "ratios": ratios.tolist()}
+
+
+def time_compare(base_ref: str, workload: str, seed: int, cycles: int) -> int:
+    workdir = Path(tempfile.mkdtemp(prefix="momint-compare-"))
+    try:
+        _extract(base_ref, workdir / "base")
+        result = time_trees(workdir / "base" / "src", ROOT / "src", workload, seed, cycles)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    low, high = result["interval"]
+    print(f"time: {workload}, seed {seed}, {cycles} cycles, best of {REPEATS} runs each; "
+          f"base {base_ref} vs the working tree")
+    print(f"  median cycle: base {result['base_ms']:.3f} ms, working tree "
+          f"{result['head_ms']:.3f} ms")
+    print(f"  median ratio working tree / base: {result['median_ratio']:.4f} "
+          f"(bootstrap 95% interval {low:.4f} .. {high:.4f})")
+    print(json.dumps({key: value for key, value in result.items() if key != "ratios"}))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git revision to compare the working tree against")
     parser.add_argument("--expect", metavar="FILE",
                         help="JSON list of declared change envelopes (see above)")
+    parser.add_argument("--time", metavar="WORKLOAD",
+                        choices=("real_psd", "real_poly", "operator_disc"),
+                        help="time the two trees interleaved on a perfbench workload")
+    parser.add_argument("--cycles", type=int, default=TIME_CYCLES,
+                        help=f"cycles of --time (default {TIME_CYCLES})")
+    parser.add_argument("--seed", type=int, default=TIME_SEED,
+                        help=f"workload seed of --time (default {TIME_SEED})")
     parser.add_argument("--worker", nargs=2, metavar=("SRC", "RUNDIR"), help=argparse.SUPPRESS)
+    parser.add_argument("--time-worker", nargs=5, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         run_tree(*args.worker)
         return 0
+    if args.time_worker:
+        src, workdir, workload, seed, cycles = args.time_worker
+        time_worker(src, workdir, workload, int(seed), int(cycles))
+        return 0
     if not args.base:
         parser.error("--base is required")
+    if args.time:
+        if args.expect:
+            parser.error("--expect does not apply to --time")
+        if args.cycles < 1:
+            parser.error("--cycles must be at least 1")
+        return time_compare(args.base, args.time, args.seed, args.cycles)
     return compare(args.base, args.expect)
 
 
