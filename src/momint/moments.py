@@ -12,18 +12,12 @@ graded-lex rank ``r``, the position it has in ``enumerate_monomials``, and
 order sorts by degree first, the monomials of degree <= k are a prefix of
 ``y`` for every k.
 
-Documents are read in bulk (``_listed``): one array of the indices, checked
-for shape, integrality, sign and degree with masks, and one array of the
-values; a table that lists the graded-lex enumeration in its order, as
-``to_document`` writes it, is recognized by one list comparison and needs no
-ranks. Only a list that the bulk checks refuse is read pair by pair, which
-names its first bad pair. ``to_document`` lists the indices from the cached
-exponent array of the enumeration. As text, no document is built on the
-common path: ``to_text`` writes the bytes of ``json.dumps`` of
-``to_document`` from cached entry texts and the JSON text of the values,
-and ``from_text`` reads exactly those bytes back with one list comparison
-against the same cached texts; any other text goes through ``json`` and
-``from_document``.
+Two routes read a table. ``from_document`` reads pair by pair
+(``_checked_pairs``) and names the first bad pair. ``to_text`` writes the
+bytes of ``json.dumps`` of ``to_document`` from cached entry texts and the
+JSON text of the values, and ``from_text`` reads that layout, its entries
+in any order, against the same cached texts, with no document built; any
+other text goes through ``json`` and ``from_document``.
 
 The oracle measures are weighted sums of product measures, so over the
 exponent table ``E`` of the stored monomials ``y = sum_c w_c prod_j
@@ -135,18 +129,18 @@ def _monomial_array(dimension: int, degree: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _index_lists(dimension: int, degree: int) -> list:
-    """``_monomial_array`` as lists of ints, the form a moment document
-    lists its indices in; private, so never mutated."""
-    return _monomial_array(dimension, degree).tolist()
-
-
-@functools.lru_cache(maxsize=64)
 def _index_pieces(dimension: int, degree: int) -> list:
     """The text of each entry of a moment document up to its value, as
     ``json.dumps`` writes it: ``{"index": [i, j, k], "value": ``, one per
-    monomial of ``_index_lists``; private, so never mutated."""
-    return [f'{{"index": {json.dumps(index)}, "value": ' for index in _index_lists(dimension, degree)]
+    row of ``_monomial_array``, in its order; private, so never mutated."""
+    return [f'{{"index": {json.dumps(index)}, "value": '
+            for index in _monomial_array(dimension, degree).tolist()]
+
+
+@functools.lru_cache(maxsize=64)
+def _index_ranks(dimension: int, degree: int) -> dict:
+    """``{entry text: rank}`` over ``_index_pieces``; private, so never mutated."""
+    return {piece: rank for rank, piece in enumerate(_index_pieces(dimension, degree))}
 
 
 #: the head of a moment document as ``to_text`` writes it
@@ -292,14 +286,9 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-#: largest index entry that the bulk ingest takes; d of them sum inside int64
-INDEX_ENTRY_LIMIT = 2**62
-
-
 def _checked_pairs(dimension: int, max_degree: int, keys, values):
     """The exponents and float values of the listed pairs, checked one pair
-    at a time in list order; ValueError naming the first bad index or value.
-    ``_listed`` runs this only on lists that its bulk checks refuse."""
+    at a time in list order; ValueError naming the first bad index or value."""
     exponents, floats = [], []
     for key, value in zip(keys, values):
         index = _multi_index(key, dimension)
@@ -313,56 +302,11 @@ def _checked_pairs(dimension: int, max_degree: int, keys, values):
     return exponents, np.array(floats)
 
 
-def _bulk_array(items) -> np.ndarray | None:
-    """``np.array(items)`` when it holds booleans, integers or floats only."""
-    try:
-        array = np.array(items)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return array if array.dtype.kind in "biuf" else None
-
-
-def _listed(dimension: int, max_degree: int, keys: list, values: list):
-    """``(exponents, floats, ranks)`` of the listed indices and values;
-    ``ranks`` is None unless the indices are the graded-lex enumeration
-    itself, in its order, as ``to_document`` writes them.
-
-    The checks run in bulk: one ``np.array`` of the indices, with masks for
-    shape, integrality, sign and degree, and one of the values, which must
-    be booleans, integers or floats. They accept only what ``_multi_index``
-    and ``float`` accept pair by pair, and give the same numbers. A list
-    that they refuse goes through ``_checked_pairs``, which names its first
-    bad pair, or returns the pairs that only it accepts (a value written
-    as text, say).
-    """
-    n = len(keys)
-    floats = _bulk_array(values)
-    if dimension >= 1 and floats is not None and floats.shape == (n,):
-        floats = floats.astype(float)
-        # a complete table has at least max_degree + 1 and dimension + 1
-        # entries, which bounds the work of the comparison by the list's size
-        if (0 <= max_degree < n and dimension < n
-                and n == math.comb(max_degree + dimension, dimension)
-                and keys == _index_lists(dimension, max_degree)):
-            return _monomial_array(dimension, max_degree), floats, np.arange(n)
-        exponents = _bulk_array(keys)
-        if exponents is not None and exponents.shape == (n, dimension):
-            limit = min(max_degree, INDEX_ENTRY_LIMIT // dimension)
-            valid = (exponents >= 0) & (exponents <= limit)
-            if exponents.dtype.kind == "f":
-                valid &= exponents == np.floor(exponents)
-            if valid.all():
-                exponents = exponents.astype(np.intp)
-                if exponents.sum(axis=1).max(initial=0) <= limit:
-                    return exponents, floats, None
-    return (*_checked_pairs(dimension, max_degree, keys, values), None)
-
-
 def _dense_moments(dimension: int, max_degree: int, keys: list, values: list) -> np.ndarray:
     """The grlex moment vector of the listed indices and values; ValueError
-    on a bad index or value (``_listed``), and unless each index up to
-    max_degree is listed once."""
-    exponents, floats, ranks = _listed(dimension, max_degree, keys, values)
+    on a bad index or value (``_checked_pairs``), and unless each index up
+    to max_degree is listed once."""
+    exponents, floats = _checked_pairs(dimension, max_degree, keys, values)
     # a short list fails before anything is enumerated
     needed = _table_size(dimension, max_degree, len(floats))
     if needed > len(floats):
@@ -374,15 +318,31 @@ def _dense_moments(dimension: int, max_degree: int, keys: list, values: list) ->
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if ranks is None:
-        exponents = np.asarray(exponents, dtype=np.intp).reshape(-1, dimension)
-        ranks = grlex_rank(exponents)
-        repeated = np.flatnonzero(np.bincount(ranks, minlength=needed) > 1)
-        if repeated.size:
-            first = exponents[np.argmax(ranks == repeated[0])]
-            raise ValueError(f"moment index {first.tolist()} listed more than once")
+    exponents = np.asarray(exponents, dtype=np.intp).reshape(-1, dimension)
+    ranks = grlex_rank(exponents)
+    repeated = np.flatnonzero(np.bincount(ranks, minlength=needed) > 1)
+    if repeated.size:
+        first = exponents[np.argmax(ranks == repeated[0])]
+        raise ValueError(f"moment index {first.tolist()} listed more than once")
     # at least ``needed`` distinct ranks below it: none is missing
     y = np.empty(needed)
+    y[ranks] = floats
+    return y
+
+
+def _text_moments(dimension: int, max_degree: int, entries: list, values: list):
+    """The grlex moment vector of a table's entry texts up to their values and
+    its value texts (``MomentSequence.from_text``); None unless the values
+    are JSON floats and the entries are ``_index_pieces`` in some order."""
+    if not _JSON_FLOATS.fullmatch("}, ".join(values)):
+        return None
+    floats = np.array(list(map(float, values)))
+    if entries == _index_pieces(dimension, max_degree):
+        return floats
+    ranks = list(map(_index_ranks(dimension, max_degree).get, entries))
+    if None in ranks or len(set(ranks)) < len(ranks):
+        return None
+    y = np.empty(len(ranks))
     y[ranks] = floats
     return y
 
@@ -628,16 +588,17 @@ class MomentSequence:
         """``from_document(json.loads(text))``: the same sequence, or the same
         exception with the same message.
 
-        The text that ``to_text`` writes, with or without one trailing
-        newline, is read without building the document. One regex reads the
-        head. Inserting ``}, `` after each ``"value": `` and splitting at
-        ``}, `` leaves the entry texts up to their values and the values, in
-        turn; the first must equal the cached ``_index_pieces`` in one list
-        comparison, and every value must be a JSON number with a fraction or
-        an exponent, which json reads with ``float``. The table's size is
-        bounded by the number of pieces, and the dimension by the text's
-        length, before any piece is enumerated. Any other text is parsed by
-        ``json``.
+        A table laid out as ``to_text`` writes it, its entries in any order,
+        with or without one trailing newline, is read without building the
+        document. One regex reads the head. Inserting ``}, `` after each
+        ``"value": `` and splitting at ``}, `` leaves the entry texts up to
+        their values and the values, in turn. Every value must be a JSON
+        number with a fraction or an exponent, which json reads with
+        ``float``. The entry texts must equal the cached ``_index_pieces``
+        (one list comparison) or map through ``_index_ranks`` to distinct
+        ranks. The table's size is bounded by the number of pieces, and the
+        dimension by the text's length, before any entry text is enumerated.
+        Any other text is parsed by ``json``.
         """
         head = _TEXT_HEAD.match(text)
         tail = "}]}\n" if text.endswith("\n") else "}]}"
@@ -646,11 +607,10 @@ class MomentSequence:
             body = text[head.end():len(text) - len(tail)]
             parts = body.replace('"value": ', '"value": }, ').split("}, ")
             if (dimension <= len(text)
-                    and 2 * _table_size(dimension, max_degree, len(parts)) == len(parts)
-                    and parts[0::2] == _index_pieces(dimension, max_degree)):
-                values = parts[1::2]
-                if _JSON_FLOATS.fullmatch("}, ".join(values)):
-                    return cls._from_dense(dimension, max_degree, np.array(list(map(float, values))))
+                    and 2 * _table_size(dimension, max_degree, len(parts)) == len(parts)):
+                y = _text_moments(dimension, max_degree, parts[0::2], parts[1::2])
+                if y is not None:
+                    return cls._from_dense(dimension, max_degree, y)
         return cls.from_document(json.loads(text))
 
     @classmethod

@@ -5,6 +5,7 @@ against declared envelopes."""
 import importlib.util
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -344,3 +345,40 @@ def test_timing_runs_interleaved_on_a_workload(compare):
     low, high = result["interval"]
     assert low <= result["median_ratio"] <= high
     assert result["base_ms"] > 0 and result["head_ms"] > 0
+
+
+#: appended to the ``cli.py`` of a copy of ``src``: after each invocation,
+#: busy-wait for a twentieth of the time it took, so every cycle runs 5%
+#: longer whatever the speed of the machine
+DELAY = '''
+
+_undelayed_main = main
+
+
+def main(argv=None):
+    import time
+
+    start = time.perf_counter()
+    try:
+        return _undelayed_main(argv)
+    finally:
+        end = time.perf_counter()
+        while time.perf_counter() < end + 0.05 * (end - start):
+            pass
+'''
+
+#: cycles of the injected-delay test, on a shared 2-core VM: 20 and 30 each
+#: missed the delay in some of 5 runs, and 40 held in 20 runs on their own
+#: but missed it once in 3 runs of the whole suite; 60 held in 15 of 15, the
+#: interval's low end at 1.022 or above, in about 10 s a run
+DELAY_CYCLES = 60
+
+
+def test_timing_flags_a_five_percent_delay(compare, tmp_path):
+    src = PATH.parents[1] / "src"
+    delayed = tmp_path / "src"
+    shutil.copytree(src, delayed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(delayed / "momint" / "cli.py", "a", encoding="utf-8") as handle:
+        handle.write(DELAY)
+    result = compare.time_trees(src, delayed, "real_poly", seed=11, cycles=DELAY_CYCLES)
+    assert result["interval"][0] > 1.0, result

@@ -5,9 +5,13 @@ does, to the same bits or the same error."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,106 @@ HAND_CASES = {
 @pytest.mark.parametrize("case", list(HAND_CASES))
 def test_reader_agrees_with_json_on_hand_cases(case, written):
     assert_same_reading(HAND_CASES[case](written))
+
+
+# -- entries in any order: the permutation route --------------------------------
+
+
+def _reordered(seq: MomentSequence, order) -> str:
+    """``seq.to_text()`` with its entries listed in ``order``, given as
+    positions of the writer's enumeration."""
+    doc = seq.to_document()
+    return json.dumps({**doc, "moments": [doc["moments"][i] for i in order]}, sort_keys=True)
+
+
+def _orders(rng, n: int) -> dict:
+    """The entry orders of the permutation tests for a table of n entries:
+    reversed, seeded shuffles, and one entry repeated in place of another."""
+    orders = {"reversed": list(range(n))[::-1]}
+    for k in range(3):
+        orders[f"shuffle {k}"] = rng.sample(range(n), n)
+    if n > 1:
+        twice, lost = rng.sample(range(n), 2)
+        shuffled = rng.sample(range(n), n)
+        orders["duplicated entry"] = [twice if i == lost else i for i in shuffled]
+    return orders
+
+
+def _unknown_entries(text: str, rng) -> dict:
+    """``text`` with one entry's index text unknown to the reader: one
+    exponent more, one less, or spaced otherwise than ``json.dumps``."""
+    starts = [m.start() for m in re.finditer(r'"index": \[', text)]
+    start = rng.choice(starts) + len('"index": [')
+    end = text.index("]", start)
+    index = text[start:end]
+    variants = {"one exponent more": index + ", 0", "no space": index.replace(", ", ","),
+                "padded": " " + index + " "}
+    if ", " in index:
+        variants["one exponent less"] = index[:index.rindex(", ")]
+    return {name: text[:start] + spelled + text[end:] for name, spelled in variants.items()}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_reader_agrees_with_json_on_entries_in_any_order(dimension):
+    rng = random.Random(f"order:{dimension}")
+    for max_degree in range(0, 17, 2):
+        seq = special_table(rng, dimension, max_degree)
+        n = len(seq.y)
+        for name, order in _orders(rng, n).items():
+            text = _reordered(seq, order)
+            want = assert_same_reading(text)
+            assert assert_same_reading(text + "\n") == want
+            if len(set(order)) == n:
+                assert want[0] == "ok" and want[-1] == seq.y.tobytes(), (name, max_degree)
+            else:
+                assert want[0] is ValueError and "listed more than once" in want[1]
+        shuffled = _reordered(seq, rng.sample(range(n), n))
+        for text in _unknown_entries(shuffled, rng).values():
+            assert_same_reading(text)
+
+
+def test_entries_in_any_order_are_read_without_json(monkeypatch):
+    seq = special_table(random.Random(17), 3, 8)
+    n = len(seq.y)
+    texts = [_reordered(seq, order) for name, order in _orders(random.Random(19), n).items()
+             if name != "duplicated entry"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a table in the writer's layout")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    for text in texts:
+        assert MomentSequence.from_text(text).y.tobytes() == seq.y.tobytes()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, read as a library."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmarks_signed_tables_are_read_without_json(workloads, monkeypatch):
+    # laid out as the benchmark writes its signed tables, in the order of
+    # ``itertools.product`` rather than the graded-lex enumeration
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-1.0, 1.0, (4, 3))
+    weights = np.append(rng.uniform(0.5, 1.5, 3), -0.3)
+    text = json.dumps(workloads.moment_document(points, weights))
+    want = MomentSequence.from_document(json.loads(text))
+    assert [m["index"] for m in json.loads(text)["moments"]] != \
+        [m["index"] for m in want.to_document()["moments"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a signed benchmark table")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    got = MomentSequence.from_text(text)
+    assert (got.dimension, got.max_degree, got.scale) == (want.dimension, want.max_degree,
+                                                          want.scale)
+    assert got.y.tobytes() == want.y.tobytes()

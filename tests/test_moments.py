@@ -278,7 +278,7 @@ def test_moment_lookup_validates_index(lebesgue01):
         lebesgue01.moment((11,))
 
 
-# -- bulk ingest: the same messages and the same numbers as pair by pair -----
+# -- ingest: the pair reader's messages, and the numbers of every spelling ---
 
 
 def _table_document(**changes) -> dict:
@@ -292,8 +292,9 @@ def _table_document(**changes) -> dict:
     return doc
 
 
-#: the messages of the pair-by-pair ingest, one malformed class each; the
-#: bulk checks must name the same first bad pair in the same words
+#: the messages of the pair-by-pair ingest, one malformed class each; each
+#: names the first bad pair in list order (the test that reads them is
+#: named for a bulk reader since removed)
 INGEST_ERRORS = [
     (_table_document(**{"3_index": [1, 0, 0]}), "bad multi-index [1, 0, 0] for dimension 2"),
     (_table_document(**{"3_index": [1]}), "bad multi-index [1] for dimension 2"),

@@ -14,9 +14,10 @@ corpus is generated once from the working tree:
 * ``perfbench/workloads.build`` for all three workloads, seeds 5 and 6,
   12 cycles each;
 * random atom tables for ``analyze``, listed in ``itertools.product``
-  order as ``perfbench`` lists its signed tables, so that their ingest takes
-  the bulk-array route: signed, zero-mass, with ``--order`` and ``--tol``,
-  and with polynomials beyond the degree budget;
+  order as ``perfbench`` lists its signed tables, so that ``from_text``
+  ranks their entries through its map from entry text to rank: signed,
+  zero-mass, with ``--order`` and ``--tol``, and with polynomials beyond the
+  degree budget;
 * one ``certify`` run per check kind, one of every kind with only its
   required keys (``CERTIFY_DEFAULTS``), and five runs of the products and
   cone semiring: on a degree-16 table a pair whose sides do not sum to a
@@ -28,6 +29,10 @@ corpus is generated once from the working tree:
   with ``--nodes``, some with half-zero start vectors, and operators whose
   Krylov space ends early: a repeated eigenvalue, or a start vector
   orthogonal to some eigenvectors;
+* group ``layouts``: 12 valid atom tables written in layouts that
+  ``from_text`` leaves to ``json`` and the pair reader (``LAYOUTS``), each
+  through ``analyze`` and ``certify``, drawn after every other input so that
+  none of those moves;
 
 each invocation as given and again with ``--quiet`` toggled, and then the
 malformed documents of ``tests/test_fuzz_cli.py``: the seeded mutations
@@ -143,9 +148,9 @@ def _load(name: str, path: Path):
     return module
 
 
-def _write(path: str, doc) -> str:
+def _write(path: str, doc, dumps=json.dumps) -> str:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_text(dumps(doc))
     return path
 
 
@@ -280,6 +285,54 @@ def _spectral_runs(rng) -> list:
     return runs
 
 
+#: writers of a moment document in layouts that ``MomentSequence.from_text``
+#: leaves to ``json``: indented, compact, with its keys in another order,
+#: with its integral values as JSON ints, and with one value as a string
+LAYOUTS = {
+    "indent": lambda doc: json.dumps(doc, indent=1),
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "reordered-keys": lambda doc: json.dumps({
+        "moments": [{"value": m["value"], "index": m["index"]} for m in doc["moments"]],
+        "max_degree": doc["max_degree"], "dimension": doc["dimension"]}),
+    "integral-ints": lambda doc: json.dumps({**doc, "moments": [
+        {**m, "value": int(m["value"]) if m["value"].is_integer() else m["value"]}
+        for m in doc["moments"]]}),
+    "string-value": lambda doc: json.dumps({**doc, "moments": [
+        {**m, "value": "0.5"} if i == 1 else m for i, m in enumerate(doc["moments"])]}),
+}
+
+
+def _layout_runs(rng) -> list:
+    """12 valid atom tables of dimension 1-3, written in the layouts of
+    LAYOUTS in turn, each through analyze and certify. The tables written
+    with integral values have integral atoms and weights."""
+    runs = []
+    for i in range(12):
+        d, degree, layout = 1 + i % 3, (6, 8)[i % 2], list(LAYOUTS)[i % len(LAYOUTS)]
+        k = int(rng.integers(1, 5))
+        if layout == "integral-ints":
+            points = rng.integers(-2, 3, (k, d)).astype(float)
+            weights = rng.integers(1, 4, k).astype(float)
+        else:
+            points = rng.uniform(-2.0, 2.0, (k, d))
+            weights = rng.uniform(0.2, 1.5, k)
+        path = _write(f"layouts/{i}.json", _moment_document(points, weights, degree),
+                      LAYOUTS[layout])
+        names = ["t"] if d == 1 else [f"x{j + 1}" for j in range(d)]
+        config = _write(f"layouts/{i}.config.json", {"variables": names, "checks": [
+            {"check": "products", "factors": [{"upper": f"2 - {names[0]}",
+                                               "lower": f"2 + {names[0]}"}]},
+            {"check": "ball", "radius": 3.5},
+            {"check": "interval", "entries": [{"poly": names[-1], "lower": -2.0, "upper": 2.0}]},
+        ]})
+        name = f"layouts#{i}:{layout}"
+        runs.append((f"{name}:analyze", ["analyze", path, "--poly", f"{names[-1]} - 0.5",
+                                         "--out", f"layouts/{i}.analyze.json"]))
+        runs.append((f"{name}:certify", ["certify", path, config,
+                                         "--out", f"layouts/{i}.certify.json"]))
+    return runs
+
+
 def build_corpus(where: Path) -> list:
     """Write the corpus inputs under ``where`` (relative paths) and return
     the invocations as dicts with ``id``, ``group``, ``argv`` and ``out``."""
@@ -292,7 +345,8 @@ def build_corpus(where: Path) -> list:
     os.chdir(where)
     try:
         groups = {"workloads": [], "analyze": _analyze_runs(rng),
-                  "certify": _certify_runs(fuzz), "spectral": _spectral_runs(rng)}
+                  "certify": _certify_runs(fuzz), "spectral": _spectral_runs(rng),
+                  "layouts": _layout_runs(rng)}
         for workload in sorted(workloads.CYCLES):
             for seed in WORKLOAD_SEEDS:
                 Path(f"{workload}{seed}").mkdir()
