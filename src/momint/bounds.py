@@ -16,9 +16,9 @@ that produced them (no operation extrapolates):
 
 ``quadratic_module_psd`` is the one route from a real localized moment
 matrix to a PSD verdict: the plain verdict (shift 1), quadratic-module
-membership and every localized check in ``certify`` call it. Every localized
-matrix is built once per shift value, order and sequence
-(``_localized_matrix``), and every pencil uses the memoized
+membership and every localized check in ``certify`` call it. Every moment
+matrix comes from ``MomentSequence.moment_matrix``, which builds one per
+order and shift value, and every pencil uses the memoized
 eigendecomposition of the plain matrix at its order (``_plain_matrix_eig``),
 so no pencil builds or factors the plain matrix again.
 """
@@ -35,7 +35,6 @@ from .exceptions import DegreeOverflowError, NotNormalizedError, NotPsdError
 from .linalg import (
     EigenDecomposition,
     PsdVerdict,
-    SymMatrix,
     pencil_extremes,
     pencil_whitened,
     psd_check,
@@ -92,28 +91,12 @@ def _require_normalized(seq: MomentSequence):
         )
 
 
-def _localized_matrix(
-    seq: MomentSequence, order: int, shift: Polynomial | None = None
-) -> SymMatrix:
-    """The localized moment matrix of ``shift`` (default 1) at ``order``,
-    memoized per sequence and keyed by the shift's value: equal shifts share
-    one matrix, and a shift equal to 1 shares the plain matrix, which
-    ``moment_matrix(order)`` wraps from the one plain gather."""
-    if shift == Polynomial.constant(seq.dimension, 1.0):
-        shift = None
-    key = ("matrix", order, shift)
-    cached = seq._cache.get(key)
-    if cached is None:
-        cached = seq._cache[key] = seq.moment_matrix(order, shift).matrix
-    return cached
-
-
 def _plain_matrix_eig(seq: MomentSequence, order: int) -> EigenDecomposition:
     """Eigendecomposition of the plain moment matrix, memoized per sequence."""
     key = ("plain_eig", order)
     cached = seq._cache.get(key)
     if cached is None:
-        cached = seq._cache[key] = sym_eig(_localized_matrix(seq, order))
+        cached = seq._cache[key] = sym_eig(seq.moment_matrix(order).matrix)
     return cached
 
 
@@ -183,7 +166,7 @@ def _power_table(seq: MomentSequence, a: Polynomial, count: int) -> tuple[np.nda
     exponent = math.frexp(max(abs(float(c)) for c in a.terms.values()))[1]
     degree = max(a.degree(), 0)
     top = count * degree
-    gram = _localized_matrix(seq, top).data
+    gram = seq.moment_matrix(top).matrix.data
     b = a.map_coefficients(lambda c: math.ldexp(float(c), -exponent))
     shift = _multiplication_matrix(b, top - degree)
     powers = np.zeros((count, len(gram)))
@@ -235,7 +218,7 @@ def rayleigh_bounds(seq: MomentSequence, a: Polynomial, order: int) -> RayleighB
     the a-localized and plain moment matrices, deflated to the range of the
     plain matrix.
     """
-    localized = _localized_matrix(seq, order, a)
+    localized = seq.moment_matrix(order, a).matrix
     lo, hi, rank = pencil_extremes(localized, _plain_matrix_eig(seq, order))
     return RayleighBounds(lower=lo, upper=hi, order_used=order, effective_rank=rank)
 
@@ -249,7 +232,7 @@ def quadratic_module_psd(
     """Localized-matrix membership test: is L(shift b^2) >= 0 for b up to
     order? The one place where a real moment matrix meets ``psd_check``;
     shift 1 gives the plain PSD verdict."""
-    return psd_check(_localized_matrix(seq, order, shift), tol)
+    return psd_check(seq.moment_matrix(order, shift).matrix, tol)
 
 
 def quadratic_module_growth(seq: MomentSequence, a: Polynomial) -> MembershipVerdict:
@@ -286,7 +269,8 @@ def archimedean_bound(seq: MomentSequence, a: Polynomial, order: int) -> float:
     admits it at the default tolerance; a refusal is a NotPsdError naming M
     and the margin.
     """
-    compressed = pencil_whitened(_localized_matrix(seq, order, a), _plain_matrix_eig(seq, order))
+    localized = seq.moment_matrix(order, a).matrix
+    compressed = pencil_whitened(localized, _plain_matrix_eig(seq, order))
     top = float(sym_eig(compressed, vectors=False).eigenvalues[-1])
     verdict = psd_check(top * np.eye(len(compressed)) - compressed)
     if not verdict.is_psd:

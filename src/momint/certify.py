@@ -510,6 +510,8 @@ def growth_check(
     """Per generator (a, bound, prefactor): L(a^(2n)) <= prefactor * bound^(2n)
     for every achievable n, with L(a^(2n)) valued from the power table of
     ``bounds._even_power_values``."""
+    if not generators:
+        raise ValueError("generator list is empty")
     if tol is None:
         tol = relative_tol(seq.y)
     names = _names(seq)
@@ -545,6 +547,8 @@ def weak_absolute_value_check(
     |L(a)| <= functional_bound * v_a."""
     if not functional_bound > 0:
         raise ValueError("functional_bound must be positive")
+    if not entries:
+        raise ValueError("entry list is empty")
     if tol is None:
         tol = relative_tol(seq.y)
     names = _names(seq)
@@ -633,6 +637,8 @@ def interval_membership_check(
     (m - a)(m + a)^2 + (m + a)(m - a)^2 = 2m(m^2 - a^2), so a failure there
     alone signals numerical trouble rather than non-membership.
     """
+    if not entries:
+        raise ValueError("entry list is empty")
     names = _names(seq)
     violations = []
     details = []

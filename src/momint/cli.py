@@ -32,7 +32,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .certify import run_check_config
 from .exceptions import MomintError
-from .linalg import psd_record
+from .linalg import SymMatrix, psd_record
 from .moments import MeasureSpec, MomentSequence, from_measure
 from .policy import NODE_CONTAINMENT_TOL, SPECTRAL_RESIDUAL_TOL
 from .polynomials import Polynomial, default_variable_names, format_polynomial, parse_polynomial
@@ -303,6 +303,7 @@ def _cmd_spectral(args) -> int:
         # the moments of an order-N operator support at most N nodes
         warnings.append(f"requested {k} nodes but the operator has order {order}; reduced")
         k = order
+    matrix = SymMatrix(matrix)  # symmetrized once; the four routines share it
     moments = operator_moments(matrix, vector, 2 * k).y.tolist()
     alpha, beta = rayleigh_interval(matrix)
     measure = operator_rule(matrix, vector, k)

@@ -40,7 +40,8 @@ plus a per-variable offset is a position in a flattened binomial table
   ``T[i, j] = rank(b_i + b_j)`` of the order-``order`` basis, cached per
   (dimension, order). Shift terms are accumulated one at a time, so the
   entries are the same floating-point numbers a term-by-term summation in
-  sorted exponent order gives;
+  sorted exponent order gives. Each sequence builds one matrix per order
+  and shift value, and a shift equal to 1 gives the plain matrix;
 * ``_multiplication_matrix(p, low)`` is multiplication by p on the
   graded-lex basis.
 
@@ -537,7 +538,18 @@ class MomentSequence:
         return total
 
     def moment_matrix(self, order: int, shift: Polynomial | None = None) -> MomentMatrix:
-        """Matrix of b -> L(shift * b^2) on the monomials of degree <= order."""
+        """Matrix of b -> L(shift * b^2) on the monomials of degree <= order,
+        one per order and shift value however the terms were inserted; a
+        shift equal to 1, in any coefficient type, gives the plain matrix."""
+        if shift is not None and shift.terms == {(0,) * self.dimension: 1}:
+            shift = None
+        key = ("matrix", order, shift)
+        matrix = self._cache.get(key)
+        if matrix is None:
+            matrix = self._cache[key] = self._build_matrix(order, shift)
+        return matrix
+
+    def _build_matrix(self, order: int, shift: Polynomial | None) -> MomentMatrix:
         if order < 0:
             raise ValueError("order must be >= 0")
         if shift is not None and shift.dimension != self.dimension:
@@ -549,7 +561,7 @@ class MomentSequence:
                 f"moments of degree {2 * order + shift_degree} > {self.max_degree}"
             )
         positions = _monomial_positions(self.dimension, 2 * order)
-        if shift is None:  # the one gather of this order per sequence
+        if shift is None:
             block = _plain_block(self, order)
             return MomentMatrix(SymMatrix.gathered(self.y[: len(positions)], block))
         scaled, coefficients, _ = _term_data(shift)

@@ -7,7 +7,6 @@ immutable values; every operation returns a new polynomial.
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from fractions import Fraction
@@ -36,22 +35,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
 def enumerate_monomials(dimension: int, max_degree: int) -> list[MultiIndex]:
     """All exponent tuples of total degree <= max_degree, in graded-lex order.
 
-    The count is binomial(max_degree + dimension, dimension). The enumeration
-    is memoized; each call returns a fresh list.
+    The count is binomial(max_degree + dimension, dimension). Each call
+    enumerates afresh: the moment layer caches the enumeration once, as an
+    array (``moments._monomial_array``).
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return list(_monomials(dimension, max_degree))
-
-
-@functools.lru_cache(maxsize=64)
-def _monomials(dimension: int, max_degree: int) -> tuple:
     out = []
     for deg in range(max_degree + 1):
         out.extend(_compositions(deg, dimension))
-    return tuple(out)
+    return out
 
 
 class Polynomial:

@@ -589,41 +589,45 @@ def test_analyze_builds_each_localized_matrix_once(atom_corpus, tmp_path, monkey
     path = tmp_path / "moments.json"
     path.write_text(json.dumps(seq.to_document()))
     built = []
-    original = MomentSequence.moment_matrix
+    original = MomentSequence._build_matrix
 
-    def counting(self, order, shift=None):
-        built.append((order, None if shift is None else tuple(shift.terms.items())))
+    def counting(self, order, shift):
+        built.append((order, shift))
         return original(self, order, shift)
 
-    monkeypatch.setattr(MomentSequence, "moment_matrix", counting)
+    monkeypatch.setattr(MomentSequence, "_build_matrix", counting)
     assert cli.main(["analyze", str(path), "--poly", "x1", "--poly", "x2*x3 - 0.5",
                      "--quiet"]) == 0
+    # keyed by the shift's value, and shift 1 only ever as the plain matrix
     assert built and len(built) == len(set(built))
+    assert Polynomial.constant(3, 1.0) not in [shift for _, shift in built]
 
 
 def test_equal_shifts_in_another_term_order_share_one_matrix(atom_corpus):
-    _, seq = atom_corpus[2]
+    spec, seq = atom_corpus[2]
     x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     first, second = x * 0.1 + y * 0.2 + 0.3, 0.3 + y * 0.2 + x * 0.1
     assert first == second and list(first.terms) != list(second.terms)
-    matrix = bounds._localized_matrix(seq, 2, first)
-    assert bounds._localized_matrix(seq, 2, second) is matrix
-    assert np.array_equal(matrix.data, seq.moment_matrix(2, second).matrix.data)
+    matrix = seq.moment_matrix(2, first)
+    assert seq.moment_matrix(2, second) is matrix
+    fresh = from_measure(spec, seq.max_degree)
+    assert np.array_equal(matrix.matrix.data, fresh.moment_matrix(2, second).matrix.data)
 
 
 def test_a_shift_equal_to_one_is_the_plain_matrix(atom_corpus, monkeypatch):
     seq = from_measure(atom_corpus[2][0], 8)  # a fresh cache
     built = []
-    original = MomentSequence.moment_matrix
+    original = MomentSequence._build_matrix
 
-    def counting(self, order, shift=None):
+    def counting(self, order, shift):
         built.append(shift)
         return original(self, order, shift)
 
-    monkeypatch.setattr(MomentSequence, "moment_matrix", counting)
-    plain = bounds._localized_matrix(seq, 2, Polynomial.constant(3, 1.0))
-    assert bounds._localized_matrix(seq, 2) is plain
-    assert bounds._localized_matrix(seq, 2, Polynomial(3, {(0, 0, 0): 1})) is plain
+    monkeypatch.setattr(MomentSequence, "_build_matrix", counting)
+    plain = seq.moment_matrix(2, Polynomial.constant(3, 1.0))
+    assert seq.moment_matrix(2) is plain
+    assert seq.moment_matrix(2, Polynomial(3, {(0, 0, 0): 1})) is plain
+    assert seq.moment_matrix(2, Polynomial(3, {(0, 0, 0): Fraction(1)})) is plain
     assert built == [None]
 
 
@@ -642,17 +646,19 @@ def random_polynomial(rng, d: int, degree: int, n_terms: int) -> Polynomial:
 def test_terms_in_another_order_give_the_same_matrix_bit_for_bit(atom_corpus):
     rng = np.random.default_rng(25)
     reordered = 0
-    for _, seq in atom_corpus[:6]:
+    for spec, seq in atom_corpus[:6]:
         for _ in range(4):
             p = random_polynomial(rng, seq.dimension, 2, 6)
             q = shuffled(rng, p)
             assert q == p
             reordered += list(q.terms) != list(p.terms)
+            # p and q each built on a sequence of its own, so neither is
+            # the other's memoized matrix
+            first, second = from_measure(spec, seq.max_degree), from_measure(spec, seq.max_degree)
             for order in range(4):
-                assert np.array_equal(seq.moment_matrix(order, q).matrix.data,
-                                      seq.moment_matrix(order, p).matrix.data)
-                assert bounds._localized_matrix(seq, order, q) is \
-                    bounds._localized_matrix(seq, order, p)
+                assert np.array_equal(first.moment_matrix(order, q).matrix.data,
+                                      second.moment_matrix(order, p).matrix.data)
+                assert seq.moment_matrix(order, q) is seq.moment_matrix(order, p)
     assert reordered >= 20
 
 

@@ -99,6 +99,18 @@ def test_products_reject_empty_factor_list(two_atoms):
         product_positivity_check(two_atoms, [])
 
 
+def test_growth_interval_and_weak_absolute_value_reject_an_empty_list(two_atoms):
+    # a PASS that checked nothing says nothing, as for products and ball
+    with pytest.raises(ValueError, match="^generator list is empty$"):
+        growth_check(two_atoms, [])
+    with pytest.raises(ValueError, match="^entry list is empty$"):
+        interval_membership_check(two_atoms, [])
+    with pytest.raises(ValueError, match="^entry list is empty$"):
+        weak_absolute_value_check(two_atoms, [], 1.0)
+    # no constraints still leaves the plain matrix to test
+    assert schmudgen_check(two_atoms, []).attempted == 1
+
+
 def test_products_minimality_of_growth_bound(atom_corpus):
     # any constant T_a that passes the product family dominates the growth bound
     for spec, seq in atom_corpus[:5]:
@@ -880,18 +892,18 @@ def test_cone_with_a_prefactor_above_n_max_matches_the_reference_loop():
 
 def test_products_and_cone_make_no_apply_and_build_the_plain_matrix_once(monkeypatch):
     applied, built = [], []
-    apply, moment_matrix = MomentSequence.apply, MomentSequence.moment_matrix
+    apply, build_matrix = MomentSequence.apply, MomentSequence._build_matrix
 
     def counting_apply(self, p, q=None):
         applied.append(p)
         return apply(self, p, q)
 
-    def counting_matrix(self, order, shift=None):
+    def counting_matrix(self, order, shift):
         built.append((order, None if shift is None else tuple(shift.terms.items())))
-        return moment_matrix(self, order, shift)
+        return build_matrix(self, order, shift)
 
     monkeypatch.setattr(MomentSequence, "apply", counting_apply)
-    monkeypatch.setattr(MomentSequence, "moment_matrix", counting_matrix)
+    monkeypatch.setattr(MomentSequence, "_build_matrix", counting_matrix)
     seq = from_measure(MeasureSpec(atoms=[((0.5, -0.2, 0.1), 0.7), ((-0.3, 0.4, 0.8), 0.3),
                                           ((1.2, 0.1, -0.6), 0.5)]), 16)
     config = {"checks": [
@@ -909,7 +921,7 @@ def test_products_and_cone_make_no_apply_and_build_the_plain_matrix_once(monkeyp
     # one gather: the growth check's plain matrix of order 8 wraps the block
     # that the products check read
     block = seq._cache[("plain block", 8)]
-    assert np.shares_memory(bounds._localized_matrix(seq, 8).data, block)
+    assert np.shares_memory(seq.moment_matrix(8).matrix.data, block)
 
 
 def test_an_overflowing_moment_fails_the_products_check_as_before():

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momint import linalg
 from momint.cli import COMMANDS, build_parser, main
 from momint.moments import MomentSequence
 from momint.polynomials import enumerate_monomials
@@ -203,6 +204,27 @@ def test_spectral_nodes_above_the_order_are_reduced_before_any_moment(tmp_path, 
     assert report["parameters"]["nodes"] == 10**13
     assert len(report["results"]["moments"]) <= 2 * 2 + 1
     assert report["results"]["nodes"] == pytest.approx([2.0, 5.0])
+
+
+def test_spectral_symmetrizes_the_operator_once(tmp_path, monkeypatch):
+    # with --nodes below the order, chebyshev_extremes' own eigensolve is
+    # smaller than T, so every n x n SymMatrix input is T itself
+    n = 5
+    rng = np.random.default_rng(40)
+    matrix = rng.normal(size=(n, n))
+    operator = write(tmp_path / "op.json",
+                     {"matrix": (matrix + matrix.T).tolist(), "vector": [1.0] * n})
+    normalized = []
+    original = linalg.SymMatrix.__init__
+
+    def counting(self, entries):
+        if not isinstance(entries, linalg.SymMatrix) and np.shape(entries) == (n, n):
+            normalized.append(entries)
+        original(self, entries)
+
+    monkeypatch.setattr(linalg.SymMatrix, "__init__", counting)
+    assert main(["spectral", operator, "--nodes", "3", "--quiet"]) in (0, 1)
+    assert len(normalized) == 1
 
 
 @pytest.mark.parametrize("nodes", ["-1", "0"])

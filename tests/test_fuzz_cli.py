@@ -362,6 +362,13 @@ FIXED = [
     *[(f"ball-coordinates-{value!r}", *_ball(coordinates=value), 2,
        "coordinates must be a list of strings") for value in ({}, 0, "", False)],
     ("ball-coordinates-empty", *_ball(coordinates=[]), 2, "coordinate list is empty"),
+    ("growth-generators-empty", *_certify({"checks": [{"check": "growth", "generators": []}]}),
+     2, "generator list is empty"),
+    ("interval-entries-empty", *_certify({"checks": [{"check": "interval", "entries": []}]}),
+     2, "entry list is empty"),
+    ("weak-absolute-value-entries-empty", *_certify({"checks": [
+        {"check": "weak_absolute_value", "entries": [], "functional_bound": 1.0}]}),
+     2, "entry list is empty"),
     ("config-variables-zero", *_certify({"variables": 0, "checks": _GROWTH_FAILS["checks"]}), 2,
      "variables must be a list of strings"),
     *[(f"missing-key: {message}", *_certify({"checks": [

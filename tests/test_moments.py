@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ def test_moment_matrix_examples(lebesgue01, two_atoms):
     assert np.allclose(m, [[0.5, 1.0 / 3.0], [1.0 / 3.0, 0.25]], atol=1e-14)
     m = two_atoms.moment_matrix(1, t).matrix.data
     assert np.allclose(m, [[0.0, 1.0], [1.0, 0.0]], atol=0)
+
+
+def test_moment_matrix_returns_one_matrix_per_order_and_shift_value():
+    seq = from_measure(MeasureSpec(atoms=[((0.5, -0.2), 0.7), ((-0.3, 0.4), 0.3)]), 8)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    shift = x * 0.1 + y * 0.2 + 0.3
+    matrix = seq.moment_matrix(2, shift)
+    assert seq.moment_matrix(2, 0.3 + y * 0.2 + x * 0.1) is matrix
+    assert seq.moment_matrix(2, Polynomial(2, dict(reversed(shift.terms.items())))) is matrix
+    assert seq.moment_matrix(1, shift) is not matrix
+    plain = seq.moment_matrix(2)
+    ones = [Polynomial.constant(2, 1.0), Polynomial(2, {(0, 0): 1}),
+            Polynomial(2, {(0, 0): Fraction(1)}), Polynomial(2, {(0, 0): np.float64(1.0)}),
+            (x + 1.0) - x]
+    assert all(seq.moment_matrix(2, one) is plain for one in ones)
+    assert seq.moment_matrix(2, Polynomial.constant(2, 1.0 + 2.0**-52)) is not plain
+    assert seq.moment_matrix(1) is not plain
 
 
 def test_moment_matrix_budget(lebesgue01):
